@@ -25,8 +25,7 @@ from .simulate import (RNG_ALGORITHM, AgentSpec, BetaDifficulty,
                        UniformDifficulty, expected_reward_curve, generate,
                        generate_claims, generate_ensemble, parse_difficulty,
                        parse_report_map, train_critic)
-from .tts import (STRATEGIES, SampleGroup, ScalingPoint, best_at_k,
-                  exact_expected_accuracy, group_records, majconf_at_k,
-                  majority_at_k, maxconf_at_k, mean_at_k, scaling_curve)
+from .tts import (STRATEGIES, SampleGroup, ScalingPoint,
+                  exact_expected_accuracy, group_records, scaling_curve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

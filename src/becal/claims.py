@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DataError
-from .model import ClaimRecord, Dataset
+from .model import ClaimRecord, Dataset, _check_unit
 
 _ATTR_RE = re.compile(rb'([A-Za-z_][A-Za-z0-9_-]*)\s*=\s*(?:"([^"]*)"|\'([^\']*)\')')
 _OPEN = b"<claim"
@@ -62,12 +62,13 @@ def _parse_open_tag(data: bytes, start: int) -> tuple[ClaimRecord, int]:
         conf = float(raw_conf)
     except ValueError:
         raise DataError(f"claim confidence not numeric at offset {start}: {raw_conf!r}") from None
-    if not math.isfinite(conf) or conf < 0.0 or conf > 1.0:
-        raise DataError(f"claim confidence out of range at offset {start}: {raw_conf}")
     rationale = None
     if b"rationale" in attrs:
         rationale = attrs[b"rationale"].decode("utf-8", errors="replace")
-    stub = ClaimRecord(text="", confidence=conf, rationale=rationale)
+    try:
+        stub = ClaimRecord(text="", confidence=conf, rationale=rationale)
+    except DataError as exc:
+        raise DataError(f"{exc} at offset {start}: {raw_conf}") from None
     return stub, gt + 1
 
 
@@ -115,20 +116,16 @@ def parse_claims(text: str) -> ClaimMarkupDoc:
     return ClaimMarkupDoc(raw=text, spans=tuple(spans))
 
 
-def _checked(confidences: Sequence[float] | Iterable[float]) -> list[float]:
-    values = [float(c) for c in confidences]
+def _checked(confidences: Iterable[float]) -> list[float]:
+    values = [_check_unit("claim confidence", c) for c in confidences]
     if not values:
         raise DataError("cannot aggregate an empty claim list")
-    for c in values:
-        if not math.isfinite(c) or c < 0.0 or c > 1.0:
-            raise DataError(f"claim confidence out of range [0, 1]: {c!r}")
     return values
 
 
 def aggregate_product(claim_confidences: Iterable[float]) -> float:
     """Product of claim confidences: response confidence under independence."""
-    values = _checked(claim_confidences)
-    return float(math.prod(values))
+    return float(math.prod(_checked(claim_confidences)))
 
 
 def aggregate_min(claim_confidences: Iterable[float]) -> float:
@@ -136,7 +133,8 @@ def aggregate_min(claim_confidences: Iterable[float]) -> float:
     return float(min(_checked(claim_confidences)))
 
 
-_AGGREGATORS = {"product": aggregate_product, "min": aggregate_min}
+# claim confidences inside records were range-checked by ClaimRecord
+_AGGREGATORS = {"product": math.prod, "min": min}
 
 
 def apply_aggregation(dataset: Dataset, kind: str) -> Dataset:
@@ -152,5 +150,5 @@ def apply_aggregation(dataset: Dataset, kind: str) -> Dataset:
     for rec in dataset.records:
         if not rec.claims:
             raise DataError(f"record {rec.id!r}: cannot aggregate an empty claim list")
-        out.append(replace(rec, confidence=agg([c.confidence for c in rec.claims])))
+        out.append(replace(rec, confidence=float(agg([c.confidence for c in rec.claims]))))
     return Dataset(records=tuple(out), label=dataset.label)

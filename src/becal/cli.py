@@ -90,11 +90,10 @@ class RunConfig:
     strategy: tuple[str, ...] = STRATEGIES
     k_values: tuple[int, ...] = (1, 2, 4, 8)
     n_resamples: int = 100
-    threads: int = 0
 
 
 _INT_FIELDS = {"grid", "smece_grid", "seed", "n", "n_claims", "groups",
-               "samples_per_group", "n_resamples", "threads"}
+               "samples_per_group", "n_resamples"}
 _FLOAT_FIELDS = {"t", "ce_epsilon", "nll_floor", "bandwidth", "epsilon_h",
                  "baseline_acc", "tolerance"}
 
@@ -157,9 +156,34 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
                      help="output format (per-command subset of json/csv/jsonl)")
     sub.add_argument("--config", default=argparse.SUPPRESS,
                      help="key = value options file; flags take precedence")
-    sub.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                     help="worker threads (0 = auto); the schedule is static, "
-                          "so the value never changes outputs")
+
+
+def _add_metric_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--nll-floor", dest="nll_floor", type=float,
+                     default=argparse.SUPPRESS,
+                     help="NLL clips confidences to [floor, 1 - floor]")
+    sub.add_argument("--smece-grid", dest="smece_grid", type=int,
+                     default=argparse.SUPPRESS,
+                     help="smECE evaluation grid points")
+
+
+def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--grid", type=int, default=argparse.SUPPRESS,
+                     help="number of thresholds on [0, 1]")
+
+
+def _add_objective_options(sub: argparse.ArgumentParser) -> None:
+    _add_sweep_options(sub)
+    sub.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
+                     help="slack allowed by the objective checks")
+    sub.add_argument("--baseline-acc", dest="baseline_acc", type=float,
+                     default=argparse.SUPPRESS,
+                     help="baseline accuracy (default: the sweep's Acc(0))")
+    sub.add_argument("--epsilon-h", dest="epsilon_h", type=float,
+                     default=argparse.SUPPRESS,
+                     help="hallucination floor for SNR (default: half a count)")
+    sub.add_argument("--log-base", dest="log_base", default=argparse.SUPPRESS,
+                     help="e (natural, default) or 10")
 
 
 def build_parser() -> _Parser:
@@ -204,10 +228,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("metrics", help="calibration metric report")
     _add_common(p)
-    p.add_argument("--nll-floor", dest="nll_floor", type=float,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--smece-grid", dest="smece_grid", type=int,
-                   default=argparse.SUPPRESS)
+    _add_metric_options(p)
     p.add_argument("--diagram-out", dest="diagram_out", default=argparse.SUPPRESS,
                    help="also write the calibration diagram CSV here")
     p.add_argument("--bandwidth", type=float, default=argparse.SUPPRESS,
@@ -215,21 +236,11 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("sweep", help="risk-threshold behavioral curves")
     _add_common(p)
-    p.add_argument("--grid", type=int, default=argparse.SUPPRESS,
-                   help="number of thresholds on [0, 1]")
+    _add_sweep_options(p)
 
     p = subs.add_parser("objectives", help="four behavioral-objective checks")
     _add_common(p)
-    p.add_argument("--grid", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--baseline-acc", dest="baseline_acc", type=float,
-                   default=argparse.SUPPRESS,
-                   help="baseline accuracy (default: the sweep's Acc(0))")
-    p.add_argument("--epsilon-h", dest="epsilon_h", type=float,
-                   default=argparse.SUPPRESS,
-                   help="hallucination floor for SNR (default: half a count)")
-    p.add_argument("--log-base", dest="log_base", default=argparse.SUPPRESS,
-                   help="e (natural, default) or 10")
+    _add_objective_options(p)
 
     p = subs.add_parser("tts", help="test-time scaling curves")
     _add_common(p)
@@ -243,17 +254,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("report", help="metrics + sweep + objectives JSON")
     _add_common(p)
-    p.add_argument("--grid", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--baseline-acc", dest="baseline_acc", type=float,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--epsilon-h", dest="epsilon_h", type=float,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--log-base", dest="log_base", default=argparse.SUPPRESS)
-    p.add_argument("--nll-floor", dest="nll_floor", type=float,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--smece-grid", dest="smece_grid", type=int,
-                   default=argparse.SUPPRESS)
+    _add_objective_options(p)
+    _add_metric_options(p)
     return parser
 
 
@@ -293,8 +295,6 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     for name in cfg.strategy:
         if name not in STRATEGIES:
             raise UsageError(f"unknown strategy {name!r}")
-    if cfg.threads < 0:
-        raise UsageError(f"--threads must be >= 0: {cfg.threads}")
     return cfg
 
 
@@ -354,7 +354,8 @@ def _csv_text(header, rows) -> str:
 
 def _load(cfg: RunConfig) -> Dataset:
     if cfg.input == "-":
-        ds = read_jsonl(sys.stdin, source="<stdin>")
+        # raw bytes where there are any, so read_jsonl decodes each line itself
+        ds = read_jsonl(getattr(sys.stdin, "buffer", sys.stdin), source="<stdin>")
     else:
         ds = load_jsonl(cfg.input)
     if cfg.confidence_from != "stated":
@@ -392,15 +393,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _cmd_reward(cfg: RunConfig) -> int:
     ds = _load(cfg)
-    ds.require_nonempty()
+    confidences = ds.confidences().tolist()
     prior = parse_prior(cfg.prior) if cfg.reward == "integrated" else None
     scores = []
-    for rec in ds:
-        p = rec.confidence
-        if p is None:
-            raise DataError(f"record {rec.id!r} has no confidence")
-        if rec.valid is None:
-            raise DataError(f"record {rec.id!r} has no validity label")
+    for rec, p in zip(ds, confidences):
         if cfg.reward == "explicit":
             r = reward_explicit(decide(p, cfg.t), rec.valid, cfg.t)
         elif cfg.reward == "bounded":
@@ -424,12 +420,6 @@ def _cmd_reward(cfg: RunConfig) -> int:
     return 0
 
 
-def _metrics_payload(cfg: RunConfig, ds: Dataset) -> tuple[MetricReport, dict, object]:
-    report, diagram = metric_report(ds, nll_floor=cfg.nll_floor,
-                                    smece_grid=cfg.smece_grid)
-    return report, report.to_dict(), diagram
-
-
 def _diagram_rows(diagram) -> list:
     return list(zip((float(x) for x in diagram.grid),
                     (float(x) for x in diagram.smoothed_accuracy),
@@ -438,12 +428,13 @@ def _diagram_rows(diagram) -> list:
 
 def _cmd_metrics(cfg: RunConfig) -> int:
     ds = _load(cfg)
-    report, payload, fixed_point = _metrics_payload(cfg, ds)
+    report, fixed_point = metric_report(ds, nll_floor=cfg.nll_floor,
+                                        smece_grid=cfg.smece_grid)
     if cfg.fmt == "csv":
         row = [getattr(report, name) for name in MetricReport.CSV_HEADER]
         _emit(cfg, _csv_text(MetricReport.CSV_HEADER, [row]), sidecar=True)
     else:
-        _emit(cfg, _json_text({"command": "metrics", **payload,
+        _emit(cfg, _json_text({"command": "metrics", **report.to_dict(),
                                "config": _config_header(cfg)}))
     if cfg.diagram_out is not None:
         # display grid, at the smECE fixed-point bandwidth unless pinned
@@ -504,10 +495,11 @@ def _cmd_tts(cfg: RunConfig) -> int:
 
 def _cmd_report(cfg: RunConfig) -> int:
     ds = _load(cfg)
-    _, metrics_payload, _ = _metrics_payload(cfg, ds)
+    report, _ = metric_report(ds, nll_floor=cfg.nll_floor,
+                              smece_grid=cfg.smece_grid)
     sw, rep = _objective_report(cfg, ds)
     rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
-    _emit(cfg, _json_text({"command": "report", "metrics": metrics_payload,
+    _emit(cfg, _json_text({"command": "report", "metrics": report.to_dict(),
                            "sweep": rows, "objectives": rep.to_dict(),
                            "config": _config_header(cfg)}))
     return 0

@@ -175,14 +175,19 @@ def _canonical(p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p[order], v[order]
 
 
+def _smece_at(grid: np.ndarray, p: np.ndarray, resid: np.ndarray,
+              sigma: float) -> float:
+    """smECE at one bandwidth, trapezoid-integrated on the evaluation grid."""
+    (phi,) = _kernel_sums(grid, p, sigma, [resid])
+    return float(np.trapezoid(np.abs(phi), grid) / p.size)
+
+
 def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -> float:
     """smECE at a fixed bandwidth, trapezoid-integrated on the evaluation grid."""
     if sigma <= 0:
         raise DomainError(f"bandwidth must be positive: {sigma!r}")
     p, v = _canonical(*_arrays(dataset))
-    grid = np.linspace(0.0, 1.0, grid_points)
-    (phi,) = _kernel_sums(grid, p, sigma, [v - p])
-    return float(np.trapezoid(np.abs(phi), grid) / p.size)
+    return _smece_at(np.linspace(0.0, 1.0, grid_points), p, v - p, sigma)
 
 
 def _diagram(grid: np.ndarray, p: np.ndarray, v: np.ndarray,
@@ -216,11 +221,9 @@ def smece(dataset: Dataset, grid_points: int = 512,
     p, v = _canonical(p, v)
     grid = np.linspace(0.0, 1.0, grid_points)
     resid = v - p
-    n = p.size
 
     def f(sigma: float) -> float:
-        (phi,) = _kernel_sums(grid, p, sigma, [resid])
-        return float(np.trapezoid(np.abs(phi), grid) / n)
+        return _smece_at(grid, p, resid, sigma)
 
     lo = 1.0 / (grid_points - 1)
     ladder = np.geomspace(lo, 1.0, 9)

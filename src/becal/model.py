@@ -29,10 +29,14 @@ _CLAIM_FIELDS = ("text", "confidence", "valid", "rationale")
 
 
 def _check_unit(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value < 0.0 or value > 1.0:
-        raise DataError(f"{name} out of range [0, 1]: {value!r}")
-    return value
+    """value as a float, or DataError unless 0 <= value <= 1.
+
+    The comparison runs before any conversion, so it alone rejects NaN,
+    infinities and integers too large for a float.
+    """
+    if not 0.0 <= value <= 1.0:
+        raise DataError(f"{name} out of range")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,8 @@ class ClaimRecord:
     rationale: str | None = None
 
     def __post_init__(self) -> None:
-        _check_unit("claim confidence", self.confidence)
+        object.__setattr__(self, "confidence",
+                           _check_unit("claim confidence", self.confidence))
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,11 @@ class PredictionRecord:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.id:
+        if not isinstance(self.id, str) or not self.id:
             raise DataError("record id must be a non-empty string")
         if self.confidence is not None:
-            _check_unit(f"confidence (id {self.id!r})", self.confidence)
+            object.__setattr__(self, "confidence", _check_unit(
+                f"record {self.id!r}: confidence", self.confidence))
         object.__setattr__(self, "claims", tuple(self.claims))
 
 
@@ -134,114 +140,116 @@ class ValidationSummary:
         }
 
 
-def _parse_claim(obj: object, lineno: int) -> ClaimRecord:
+def _check_number(name: str, value: object) -> None:
+    # JSON true/false would pass as the integers 1 and 0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{name} must be numeric")
+
+
+def _parse_claim(obj: object) -> ClaimRecord:
     if not isinstance(obj, dict):
-        raise DataError(f"claim must be an object at line {lineno}")
+        raise DataError("claim must be an object")
     for key in obj:
         if key not in _CLAIM_FIELDS:
-            raise DataError(f"unknown claim field {key!r} at line {lineno}")
+            raise DataError(f"unknown claim field {key!r}")
     text = obj.get("text")
     if not isinstance(text, str):
-        raise DataError(f"claim text missing or not a string at line {lineno}")
+        raise DataError("claim text missing or not a string")
     conf = obj.get("confidence")
-    if isinstance(conf, bool) or not isinstance(conf, (int, float)):
-        raise DataError(f"claim confidence missing or not numeric at line {lineno}")
-    if not np.isfinite(conf) or conf < 0.0 or conf > 1.0:
-        raise DataError(f"claim confidence out of range at line {lineno}")
+    _check_number("claim confidence", conf)
     valid = obj.get("valid")
     if valid is not None and not isinstance(valid, bool):
-        raise DataError(f"claim valid must be boolean at line {lineno}")
+        raise DataError("claim valid must be boolean")
     rationale = obj.get("rationale")
     if rationale is not None and not isinstance(rationale, str):
-        raise DataError(f"claim rationale must be a string at line {lineno}")
-    return ClaimRecord(text=text, confidence=float(conf), valid=valid, rationale=rationale)
+        raise DataError("claim rationale must be a string")
+    return ClaimRecord(text=text, confidence=conf, valid=valid, rationale=rationale)
 
 
-def _parse_record(obj: object, lineno: int) -> PredictionRecord:
+def _parse_record(obj: object) -> PredictionRecord:
+    """JSON-shape checks only; the record types check ids and confidences."""
     if not isinstance(obj, dict):
-        raise DataError(f"expected a JSON object at line {lineno}")
-    rid = obj.get("id")
-    if rid is None:
-        raise DataError(f"missing required field id at line {lineno}")
-    if not isinstance(rid, str) or not rid:
-        raise DataError(f"id must be a non-empty string at line {lineno}")
+        raise DataError("expected a JSON object")
     valid = obj.get("valid")
     if valid is None:
-        raise DataError(f"missing required field valid at line {lineno} (id {rid!r})")
+        raise DataError("missing required field valid")
     if not isinstance(valid, bool):
-        raise DataError(f"valid must be boolean at line {lineno} (id {rid!r})")
-
+        raise DataError("valid must be boolean")
     conf = obj.get("confidence")
     if conf is not None:
-        if isinstance(conf, bool) or not isinstance(conf, (int, float)):
-            raise DataError(f"confidence must be numeric at line {lineno} (id {rid!r})")
-        if not np.isfinite(conf) or conf < 0.0 or conf > 1.0:
-            raise DataError(f"confidence out of range at line {lineno} (id {rid!r})")
-        conf = float(conf)
-
+        _check_number("confidence", conf)
     group = obj.get("group")
     if group is not None and not isinstance(group, str):
-        raise DataError(f"group must be a string at line {lineno} (id {rid!r})")
+        raise DataError("group must be a string")
     answer = obj.get("answer")
     if answer is not None and not isinstance(answer, str):
-        raise DataError(f"answer must be a string at line {lineno} (id {rid!r})")
+        raise DataError("answer must be a string")
 
     raw_claims = obj.get("claims", [])
     if raw_claims is None:
         raw_claims = []
     if not isinstance(raw_claims, list):
-        raise DataError(f"claims must be an array at line {lineno} (id {rid!r})")
-    claims = tuple(_parse_claim(c, lineno) for c in raw_claims)
+        raise DataError("claims must be an array")
+    claims = tuple(_parse_claim(c) for c in raw_claims)
 
     meta_obj = obj.get("meta", {})
     if meta_obj is None:
         meta_obj = {}
     if not isinstance(meta_obj, dict):
-        raise DataError(f"meta must be an object at line {lineno} (id {rid!r})")
+        raise DataError("meta must be an object")
     meta: dict[str, str] = {}
     for key, value in meta_obj.items():
         if not isinstance(value, str):
-            raise DataError(
-                f"meta values must be strings at line {lineno} (id {rid!r}, key {key!r})")
+            raise DataError(f"meta values must be strings (key {key!r})")
         meta[str(key)] = value
     # unknown top-level fields are preserved, not dropped
     for key, value in obj.items():
         if key in _KNOWN_FIELDS:
             continue
         if key in meta:
-            raise DataError(
-                f"field {key!r} collides with a meta key at line {lineno} (id {rid!r})")
+            raise DataError(f"field {key!r} collides with a meta key")
         meta[key] = value if isinstance(value, str) else json.dumps(
             value, sort_keys=True, separators=(",", ":"))
 
-    return PredictionRecord(id=rid, valid=valid, confidence=conf, group=group,
-                            answer=answer, claims=claims, meta=meta)
+    return PredictionRecord(id=obj.get("id"), valid=valid, confidence=conf,
+                            group=group, answer=answer, claims=claims, meta=meta)
+
+
+def _parse_line(line: str | bytes) -> PredictionRecord | None:
+    """One JSONL line as a record, None when blank; every failure is a DataError."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        if not line.strip():
+            return None
+        obj = json.loads(line)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"invalid UTF-8 at byte {exc.start}") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, integer literals past the digit limit, deep nesting
+        raise DataError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None
+    return _parse_record(obj)
 
 
 def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
                label: str | None = None) -> Dataset:
     """Parse an iterable of JSONL lines into a Dataset.
 
-    Blank lines are skipped; every non-blank line must parse to a record or an
-    error naming the line number is raised. Never silently drops a record.
+    Blank lines are skipped; every non-blank line must parse to a record or a
+    DataError naming the source and the line is raised. Never silently drops
+    a record.
     """
     records: list[PredictionRecord] = []
     ids: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{source}: malformed JSON at line {lineno}: {exc.msg}") from None
-        try:
-            rec = _parse_record(obj, lineno)
+            rec = _parse_line(line)
+            if rec is None:
+                continue
+            if rec.id in ids:
+                raise DataError(f"duplicate id {rec.id!r}")
         except DataError as exc:
-            raise DataError(f"{source}: {exc}") from None
-        if rec.id in ids:
-            raise DataError(f"{source}: duplicate id {rec.id!r} at line {lineno}")
+            raise DataError(f"{source}: {exc} at line {lineno}") from None
         ids.add(rec.id)
         records.append(rec)
     return Dataset(records=tuple(records), label=source if label is None else label)
@@ -249,7 +257,7 @@ def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
 
 def load_jsonl(path: str, label: str | None = None) -> Dataset:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return read_jsonl(fh, source=path, label=label)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None

@@ -154,37 +154,6 @@ def _mc_accuracy(groups, strategy: str, k: int, seed: int, resample: int) -> flo
     return total / len(groups)
 
 
-def _at_k(groups, k: int, seed: int, strategy: str) -> float:
-    groups = list(groups)
-    if not groups:
-        raise DataError("no groups to evaluate")
-    _check_strategy(strategy, groups)
-    _check_k(k, groups)
-    return _mc_accuracy(groups, strategy, k, seed, resample=0)
-
-
-def mean_at_k(groups, k: int, seed: int = 0) -> float:
-    """Average correctness of k draws per group; no selection effect."""
-    return _at_k(groups, k, seed, "mean")
-
-
-def best_at_k(groups, k: int, seed: int = 0) -> float:
-    """Fraction of groups where at least one of the k draws is valid."""
-    return _at_k(groups, k, seed, "best")
-
-
-def majority_at_k(groups, k: int, seed: int = 0) -> float:
-    return _at_k(groups, k, seed, "majority")
-
-
-def maxconf_at_k(groups, k: int, seed: int = 0) -> float:
-    return _at_k(groups, k, seed, "maxconf")
-
-
-def majconf_at_k(groups, k: int, seed: int = 0) -> float:
-    return _at_k(groups, k, seed, "majconf")
-
-
 @dataclass(frozen=True)
 class ScalingPoint:
     k: int

@@ -76,6 +76,45 @@ class TestExitCodes:
         assert main(["simulate", "--agent", "overconfident:2", "--n", "10"]) == 1
 
 
+GOOD_LINE = b'{"id":"a","valid":true,"confidence":0.5}\n'
+HUGE_INT = b"1" + b"0" * 400
+
+BAD_SECOND_LINES = {
+    "huge-int-confidence":
+        b'{"id":"b","valid":true,"confidence":' + HUGE_INT + b"}\n",
+    "huge-int-claim-confidence":
+        b'{"id":"b","valid":true,"claims":[{"text":"s","confidence":'
+        + HUGE_INT + b"}]}\n",
+    "nan-confidence": b'{"id":"b","valid":true,"confidence":NaN}\n',
+    "invalid-utf8": b'{"id":"b\xff","valid":true}\n',
+    "integer-past-digit-limit":
+        b'{"id":"b","valid":true,"n":' + b"7" * 5000 + b"}\n",
+    "deep-nesting": b"[" * 100_000 + b"\n",
+    "non-string-id": b'{"id":7,"valid":true}\n',
+    "duplicate-id": GOOD_LINE,
+}
+
+
+class TestMalformedInput:
+    """Every malformed line exits 2 with a message naming the source and line."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_SECOND_LINES))
+    def test_file(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(GOOD_LINE + BAD_SECOND_LINES[case])
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "at line 2" in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_SECOND_LINES))
+    def test_stdin(self, case, monkeypatch, capsys):
+        data = io.BytesIO(GOOD_LINE + BAD_SECOND_LINES[case])
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(data, encoding="utf-8"))
+        assert main(["validate", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "<stdin>: " in err and "at line 2" in err
+
+
 class TestStreaming:
     def test_metrics_from_stdin(self, monkeypatch, capsys):
         lines = "".join(json.dumps(r) + "\n" for r in
@@ -261,11 +300,3 @@ class TestDeterminism:
         for downstream in (["metrics", str(src)],
                            ["sweep", str(src), "--grid", "26"]):
             assert self.run_cli(downstream) == self.run_cli(downstream)
-
-    def test_threads_flag_does_not_change_results(self, small_input):
-        # csv output carries no config echo, so the bytes are pure results
-        one = self.run_cli(["metrics", small_input, "--format", "csv",
-                            "--threads", "1"])
-        four = self.run_cli(["metrics", small_input, "--format", "csv",
-                             "--threads", "4"])
-        assert one == four

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becal.errors import DataError
 from becal.model import (ClaimRecord, Dataset, PredictionRecord, dump_jsonl,
@@ -124,6 +126,65 @@ class TestRoundTrip:
                                meta={"z": "1", "a": "2"})
         assert list(record_to_obj(rec)) == ["id", "valid", "confidence", "meta"]
         assert list(record_to_obj(rec)["meta"]) == ["a", "z"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+CONFIDENCES = st.one_of(st.floats(), st.integers(-2, 2),
+                        st.integers(min_value=10 ** 300), JSON_VALUES)
+CLAIM_OBJECTS = st.fixed_dictionaries(
+    {"text": JSON_VALUES, "confidence": CONFIDENCES},
+    optional={"valid": JSON_VALUES, "rationale": JSON_VALUES, "x": JSON_VALUES})
+RECORD_OBJECTS = st.fixed_dictionaries(
+    {"id": st.text(max_size=3) | JSON_VALUES, "valid": st.booleans() | JSON_VALUES},
+    optional={"confidence": CONFIDENCES, "group": JSON_VALUES,
+              "answer": JSON_VALUES, "claims": st.lists(CLAIM_OBJECTS, max_size=3),
+              "meta": st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+              "model": JSON_VALUES})
+LINES = st.one_of(
+    st.binary(max_size=40),
+    RECORD_OBJECTS.map(lambda obj: json.dumps(obj).encode("utf-8")),
+    RECORD_OBJECTS.map(lambda obj: json.dumps(obj).encode("utf-8")[:-1]),
+    JSON_VALUES.map(lambda obj: json.dumps(obj).encode("utf-8")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(LINES, max_size=4))
+def test_read_jsonl_raises_only_data_error(lines):
+    try:
+        read_jsonl(lines, source="fuzz.jsonl")
+    except DataError as exc:
+        assert str(exc).startswith("fuzz.jsonl: ") and " at line " in str(exc)
+
+
+TEXT = st.text(max_size=6)
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+CLAIMS = st.builds(ClaimRecord, text=TEXT, confidence=UNIT,
+                   valid=st.none() | st.booleans(), rationale=st.none() | TEXT)
+
+
+@st.composite
+def datasets(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=5))
+    return Dataset(records=tuple(
+        PredictionRecord(id=rid, valid=draw(st.booleans()),
+                         confidence=draw(st.none() | UNIT),
+                         group=draw(st.none() | TEXT), answer=draw(st.none() | TEXT),
+                         claims=draw(st.lists(CLAIMS, max_size=3)),
+                         meta=draw(st.dictionaries(TEXT, TEXT, max_size=3)))
+        for rid in ids))
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_dump_read_round_trip(ds):
+    buf = io.StringIO()
+    dump_jsonl(ds, buf)
+    again = read_jsonl(io.BytesIO(buf.getvalue().encode("utf-8")))
+    assert again.records == ds.records
 
 
 class TestDataset:

@@ -7,11 +7,15 @@ import pytest
 
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
-from becal.tts import (SampleGroup, best_at_k, exact_expected_accuracy,
-                       group_records, majconf_at_k, majority_at_k,
-                       maxconf_at_k, mean_at_k, scaling_curve)
+from becal.tts import (STRATEGIES, SampleGroup, exact_expected_accuracy,
+                       group_records, scaling_curve)
 
 from conftest import make_dataset, make_grouped
+
+
+def at_k(groups, strategy, k, seed=0):
+    """Accuracy of one paired draw per group at k: a one-point, one-resample curve."""
+    return scaling_curve(groups, strategy, [k], 1, seed)[0].mean
 
 
 def paradox_groups():
@@ -57,13 +61,13 @@ class TestMeanBest:
     def test_all_valid(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.5, True)] * 3 + [("h", "A", 0.5, True)] * 3))
-        assert mean_at_k(groups, 2) == 1.0
-        assert best_at_k(groups, 3) == 1.0
+        assert at_k(groups, "mean", 2) == 1.0
+        assert at_k(groups, "best", 3) == 1.0
 
     def test_full_draw_is_exact(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.5, True), ("g", "B", 0.5, False)]))
-        assert mean_at_k(groups, 2) == 0.5
+        assert at_k(groups, "mean", 2) == 0.5
         assert exact_expected_accuracy(groups, 2, "mean") == Fraction(1, 2)
 
     def test_best_two_of_three(self):
@@ -75,7 +79,7 @@ class TestMeanBest:
     def test_no_valid_samples(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.5, False), ("g", "B", 0.6, False)]))
-        assert best_at_k(groups, 2) == 0.0
+        assert at_k(groups, "best", 2) == 0.0
 
     def test_mean_never_exceeds_best(self):
         groups = group_records(make_grouped(
@@ -84,7 +88,7 @@ class TestMeanBest:
              ("h", "C", 0.5, True)]))
         for k in (1, 2):
             for seed in range(10):
-                assert mean_at_k(groups, k, seed) <= best_at_k(groups, k, seed)
+                assert at_k(groups, "mean", k, seed) <= at_k(groups, "best", k, seed)
             assert exact_expected_accuracy(groups, k, "mean") <= \
                 exact_expected_accuracy(groups, k, "best")
 
@@ -94,33 +98,33 @@ class TestMajority:
         groups = group_records(make_grouped(
             [("g", "A", 0.5, True), ("g", "A", 0.5, True),
              ("g", "B", 0.5, False)]))
-        assert majority_at_k(groups, 3) == 1.0
+        assert at_k(groups, "majority", 3) == 1.0
 
     def test_tie_breaks_by_confidence(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.9, True), ("g", "B", 0.4, False)]))
-        assert majority_at_k(groups, 2) == 1.0
+        assert at_k(groups, "majority", 2) == 1.0
         # flipping which answer is valid flips the outcome
         flipped = group_records(make_grouped(
             [("g", "A", 0.9, False), ("g", "B", 0.4, True)]))
-        assert majority_at_k(flipped, 2) == 0.0
+        assert at_k(flipped, "majority", 2) == 0.0
 
     def test_unanimous_wrong(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.5, False), ("g", "A", 0.5, False)]))
-        assert majority_at_k(groups, 2) == 0.0
+        assert at_k(groups, "majority", 2) == 0.0
 
     def test_full_tie_lexicographic(self):
         groups = group_records(make_grouped(
             [("g", "B", 0.5, True), ("g", "A", 0.5, False)]))
-        assert majority_at_k(groups, 2) == 0.0  # A wins the lexicographic tie
+        assert at_k(groups, "majority", 2) == 0.0  # A wins the lexicographic tie
 
 
 class TestMaxconf:
     def test_unique_max(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.9, True), ("g", "B", 0.8, False)]))
-        assert maxconf_at_k(groups, 2) == 1.0
+        assert at_k(groups, "maxconf", 2) == 1.0
 
     def test_paradox_no_discrimination(self):
         groups = paradox_groups()
@@ -137,7 +141,7 @@ class TestMaxconf:
     def test_all_wrong(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.5, False), ("g", "B", 0.5, False)]))
-        assert maxconf_at_k(groups, 2) == 0.0
+        assert at_k(groups, "maxconf", 2) == 0.0
 
 
 class TestMajconf:
@@ -145,13 +149,13 @@ class TestMajconf:
         groups = group_records(make_grouped(
             [("g", "A", 0.9, False), ("g", "B", 0.5, True),
              ("g", "B", 0.5, True)]))
-        assert majconf_at_k(groups, 3) == 1.0  # B: 1.0 vs A: 0.9
-        assert majority_at_k(groups, 3) == 1.0
+        assert at_k(groups, "majconf", 3) == 1.0  # B: 1.0 vs A: 0.9
+        assert at_k(groups, "majority", 3) == 1.0
 
     def test_single_answer(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.1, True), ("g", "A", 0.2, True)]))
-        assert majconf_at_k(groups, 2) == 1.0
+        assert at_k(groups, "majconf", 2) == 1.0
 
     def test_equal_weights_reduce_to_majority(self):
         rows = [("g", "A", 0.5, True), ("g", "B", 0.5, False),
@@ -163,8 +167,8 @@ class TestMajconf:
             assert exact_expected_accuracy(groups, k, "majconf") == \
                 exact_expected_accuracy(groups, k, "majority")
             for seed in range(5):
-                assert majconf_at_k(groups, k, seed) == \
-                    majority_at_k(groups, k, seed)
+                assert at_k(groups, "majconf", k, seed) == \
+                    at_k(groups, "majority", k, seed)
 
 
 class TestPreconditions:
@@ -172,25 +176,25 @@ class TestPreconditions:
         groups = group_records(make_grouped(
             [("g", None, 0.5, True), ("g", "B", 0.5, False)]))
         with pytest.raises(DataError, match="'g'"):
-            majority_at_k(groups, 1)
+            at_k(groups, "majority", 1)
         with pytest.raises(DataError, match="'g'"):
-            majconf_at_k(groups, 1)
-        assert mean_at_k(groups, 2) == 0.5  # mean does not need answers
+            at_k(groups, "majconf", 1)
+        assert at_k(groups, "mean", 2) == 0.5  # mean does not need answers
 
     def test_missing_confidence(self):
         groups = group_records(make_grouped(
             [("g", "A", None, True), ("g", "B", 0.5, False)]))
         with pytest.raises(DataError, match="'g'"):
-            maxconf_at_k(groups, 1)
-        assert best_at_k(groups, 2) == 1.0
+            at_k(groups, "maxconf", 1)
+        assert at_k(groups, "best", 2) == 1.0
 
     def test_k_bounds(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.5, True), ("g", "B", 0.5, False)]))
         with pytest.raises(DomainError):
-            mean_at_k(groups, 3)
+            at_k(groups, "mean", 3)
         with pytest.raises(DomainError):
-            mean_at_k(groups, 0)
+            at_k(groups, "mean", 0)
 
     def test_unknown_strategy(self):
         groups = group_records(make_grouped([("g", "A", 0.5, True)]))
@@ -215,16 +219,13 @@ class TestDeterminism:
         random.Random(5).shuffle(shuffled)
         a = group_records(make_grouped(rows))
         b = group_records(make_grouped(shuffled))
-        for strategy_fn in (mean_at_k, best_at_k, majority_at_k,
-                            maxconf_at_k, majconf_at_k):
+        for strategy in STRATEGIES:
             for k in (1, 2, 3):
-                assert strategy_fn(a, k, seed=7) == strategy_fn(b, k, seed=7)
+                assert at_k(a, strategy, k, seed=7) == at_k(b, strategy, k, seed=7)
 
     def test_paired_draws_at_k1(self):
         groups = paradox_groups()
-        values = {fn(groups, 1, seed=3) for fn in
-                  (mean_at_k, best_at_k, majority_at_k, maxconf_at_k,
-                   majconf_at_k)}
+        values = {at_k(groups, strategy, 1, seed=3) for strategy in STRATEGIES}
         assert len(values) == 1  # same single draw, same verdict
 
 
