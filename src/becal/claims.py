@@ -77,9 +77,13 @@ def parse_claims(text: str) -> ClaimMarkupDoc:
 
     Raises DataError on nested tags, unclosed tags, stray closing tags, and
     malformed or out-of-range confidence attributes; every message names the
-    byte offset of the offending tag.
+    byte offset of the offending tag. Text holding a lone surrogate has no
+    UTF-8 form and is a DataError too.
     """
-    data = text.encode("utf-8")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"lone surrogate at character {exc.start}") from None
     spans: list[tuple[int, int, ClaimRecord]] = []
     pos = 0
     open_at = -1  # byte offset of the currently open tag, -1 when outside

@@ -11,11 +11,17 @@ One executable, eight subcommands, each a thin wrapper over one module:
     tts         test-time scaling curves (CSV)
     report      metrics + sweep + objectives in one JSON document
 
-Option precedence: command-line flags beat a --config file (key = value
-lines), which beats the BECAL_INPUT / BECAL_OUT environment overrides for the
-default input/output paths, which beat built-in defaults. `-` means stdin or
-stdout. JSON outputs embed the fully resolved config; CSV and JSONL files get
-a `<out>.meta.json` sidecar instead, so any output can be replayed.
+build_parser() is the one option table. Option precedence: command-line
+flags beat a --config file, which beats the BECAL_INPUT / BECAL_OUT
+environment overrides for the default input/output paths, which beat
+built-in defaults. A config file holds `key = value` lines whose keys are the
+command's long flag names (- and _ alike) plus `input`; its values are parsed
+by the same subparser as the flags. `-` means stdin or stdout.
+
+JSON outputs embed the command's resolved options under "config"; CSV and
+JSONL files get a `<out>.meta.json` sidecar instead. The header lists exactly
+the options of the command that ran, under config-file keys, plus command,
+rng and version, so written back as a config file it replays the run.
 
 Exit codes: 1 usage, 2 data, 3 numeric domain.
 """
@@ -23,13 +29,13 @@ Exit codes: 1 usage, 2 data, 3 numeric domain.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from . import __version__
 from .errors import DataError, DomainError, ToolkitError, UsageError
@@ -46,75 +52,150 @@ from .tts import STRATEGIES, group_records, scaling_curve
 REWARDS = ("explicit", "bounded", "brier", "ce", "integrated")
 CONFIDENCE_SOURCES = ("stated", "product", "min")
 
-_FORMATS = {
-    "validate": ("json",),
-    "simulate": ("jsonl",),
-    "reward": ("json", "jsonl"),
-    "metrics": ("json", "csv"),
-    "sweep": ("csv", "json"),
-    "objectives": ("json",),
-    "tts": ("csv", "json"),
-    "report": ("json",),
-}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run options; every field lands in the output header."""
-
-    command: str
-    input: str = "-"
-    out: str = "-"
-    fmt: str | None = None
-    confidence_from: str = "stated"
-    grid: int = 101
-    t: float = 0.5
-    reward: str = "explicit"
-    prior: str = "uniform"
-    ce_epsilon: float = 0.01
-    nll_floor: float = 1e-6
-    smece_grid: int = 512
-    bandwidth: float | None = None
-    diagram_out: str | None = None
-    epsilon_h: float | None = None
-    log_base: str = "e"
-    baseline_acc: float | None = None
-    tolerance: float = 0.05
-    seed: int = 0
-    agent: str = "calibrated"
-    difficulty: str = "uniform"
-    n: int = 1000
-    n_claims: int | None = None
-    groups: int | None = None
-    samples_per_group: int | None = None
-    strategy: tuple[str, ...] = STRATEGIES
-    k_values: tuple[int, ...] = (1, 2, 4, 8)
-    n_resamples: int = 100
-
-
-_INT_FIELDS = {"grid", "smece_grid", "seed", "n", "n_claims", "groups",
-               "samples_per_group", "n_resamples"}
-_FLOAT_FIELDS = {"t", "ce_epsilon", "nll_floor", "bandwidth", "epsilon_h",
-                 "baseline_acc", "tolerance"}
-
-
-def _coerce(key: str, value: str):
+def _int_list(text: str) -> tuple[int, ...]:
     try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
-        if key == "k_values":
-            return tuple(int(x) for x in value.split(","))
-        if key == "strategy":
-            return tuple(s.strip() for s in value.split(",") if s.strip())
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"bad value for {key!r}: {value!r}") from None
-    return value
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
-def _read_config_file(path: str) -> dict:
-    names = {f.name for f in fields(RunConfig)} - {"command"}
+def _strategy_list(text: str) -> tuple[str, ...]:
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    for name in names:
+        if name not in STRATEGIES:
+            raise argparse.ArgumentTypeError(f"unknown strategy {name!r}")
+    return names
+
+
+class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the subcommand parsers, set by build_parser
+
+    def error(self, message: str):  # exit code 1 instead of argparse's 2
+        raise UsageError(message)
+
+
+def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...],
+                with_input: bool = True) -> None:
+    if with_input:
+        sub.add_argument("input", nargs="?", metavar="INPUT",
+                         default=os.environ.get("BECAL_INPUT") or "-",
+                         help="input JSONL path, or - for stdin "
+                              "(default: $BECAL_INPUT, else -)")
+        sub.add_argument("--confidence-from", choices=CONFIDENCE_SOURCES,
+                         default="stated",
+                         help="use stated record confidence or re-derive it by "
+                              "aggregating claim confidences")
+    sub.add_argument("--out", default=os.environ.get("BECAL_OUT") or "-",
+                     help="output path, or - for stdout (default: $BECAL_OUT, else -)")
+    sub.add_argument("--format", choices=formats, default=formats[0],
+                     help="output format")
+    sub.add_argument("--config", default=argparse.SUPPRESS,
+                     help="key = value options file; flags take precedence")
+
+
+def _add_metric_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--nll-floor", type=float, default=1e-6,
+                     help="NLL clips confidences to [floor, 1 - floor]")
+    sub.add_argument("--smece-grid", type=int, default=512,
+                     help="smECE evaluation grid points")
+
+
+def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--grid", type=int, default=101,
+                     help="number of thresholds on [0, 1]")
+
+
+def _add_objective_options(sub: argparse.ArgumentParser) -> None:
+    _add_sweep_options(sub)
+    sub.add_argument("--tolerance", type=float, default=0.05,
+                     help="slack allowed by the objective checks")
+    sub.add_argument("--baseline-acc", type=float,
+                     help="baseline accuracy (default: the sweep's Acc(0))")
+    sub.add_argument("--epsilon-h", type=float,
+                     help="hallucination floor for SNR (default: half a count)")
+    sub.add_argument("--log-base", default="e",
+                     help="e (natural, default) or 10")
+
+
+def build_parser() -> _Parser:
+    """The one option table: every option's name, type, choices, default and help."""
+    parser = _Parser(prog="becal",
+                     description="behavioral-calibration toolkit")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    parser.commands = subs.choices
+
+    p = subs.add_parser("validate", help="check a JSONL dataset")
+    _add_common(p, ("json",))
+
+    p = subs.add_parser("simulate", help="generate a synthetic dataset")
+    _add_common(p, ("jsonl",), with_input=False)
+    p.add_argument("--agent", default="calibrated",
+                   help="report map: calibrated, power:G, overconfident:G, "
+                        "underconfident:G, constant:C")
+    p.add_argument("--difficulty", default="uniform",
+                   help="difficulty prior: uniform, beta:A,B, points:Q1,Q2,...")
+    p.add_argument("--n", type=int, default=1000, help="number of questions")
+    p.add_argument("--n-claims", type=int,
+                   help="claims per response (claim-chain mode)")
+    p.add_argument("--groups", type=int,
+                   help="ensemble mode: number of question groups")
+    p.add_argument("--samples-per-group", type=int,
+                   help="ensemble mode: samples per group")
+    p.add_argument("--seed", type=int, default=0)
+
+    p = subs.add_parser("reward", help="score records under a reward")
+    _add_common(p, ("json", "jsonl"))
+    p.add_argument("--reward", choices=REWARDS, default="explicit")
+    p.add_argument("--t", type=float, default=0.5,
+                   help="risk threshold for explicit/bounded rewards")
+    p.add_argument("--prior", default="uniform",
+                   help="risk prior for the integrated reward: uniform, "
+                        "beta00:EPS, table:PATH")
+    p.add_argument("--ce-epsilon", type=float, default=0.01)
+
+    p = subs.add_parser("metrics", help="calibration metric report")
+    _add_common(p, ("json", "csv"))
+    _add_metric_options(p)
+    p.add_argument("--diagram-out",
+                   help="also write the calibration diagram CSV here")
+    p.add_argument("--bandwidth", type=float,
+                   help="fixed diagram bandwidth (default: the smECE fixed point)")
+
+    p = subs.add_parser("sweep", help="risk-threshold behavioral curves")
+    _add_common(p, ("csv", "json"))
+    _add_sweep_options(p)
+
+    p = subs.add_parser("objectives", help="four behavioral-objective checks")
+    _add_common(p, ("json",))
+    _add_objective_options(p)
+
+    p = subs.add_parser("tts", help="test-time scaling curves")
+    _add_common(p, ("csv", "json"))
+    p.add_argument("--strategy", type=_strategy_list, default=STRATEGIES,
+                   help="comma list from: " + ", ".join(STRATEGIES))
+    p.add_argument("--k", type=_int_list, default=(1, 2, 4, 8),
+                   help="comma list of k values")
+    p.add_argument("--resamples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = subs.add_parser("report", help="metrics + sweep + objectives JSON")
+    _add_common(p, ("json",))
+    _add_objective_options(p)
+    _add_metric_options(p)
+    return parser
+
+
+def _read_config_file(sub: argparse.ArgumentParser, path: str) -> dict:
+    """A --config file's key = value lines, as defaults for one command's parser.
+
+    Keys are the command's long flag names, with - and _ alike, plus `input`
+    for the positional. Each value is converted and checked exactly as the
+    flag's own argument would be.
+    """
+    options = vars(sub.parse_args([]))
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -123,191 +204,43 @@ def _read_config_file(path: str) -> dict:
                 if not line:
                     continue
                 key, eq, value = line.partition("=")
-                if not eq:
-                    raise UsageError(f"{path}:{lineno}: expected key = value")
-                key = key.strip().replace("-", "_")
-                if key not in names:
-                    raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-                out[key] = _coerce(key, value.strip())
+                key, value = key.strip().replace("-", "_"), value.strip()
+                try:
+                    if not eq:
+                        raise UsageError("expected key = value")
+                    if key not in options:
+                        raise UsageError(f"unknown option {key!r}")
+                    if key == "input":
+                        out[key] = value
+                    else:
+                        flag = "--" + key.replace("_", "-")
+                        out[key] = getattr(sub.parse_args([f"{flag}={value}"]), key)
+                except UsageError as exc:
+                    raise UsageError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     return out
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # exit code 1 instead of argparse's 2
-        raise UsageError(message)
+def parse_options(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command's resolved options, plus `command`, as one namespace.
+
+    Precedence: flags, then a --config file, then $BECAL_INPUT / $BECAL_OUT
+    for the default paths, then built-in defaults.
+    """
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    path = vars(ns).pop("config", None)
+    if path is not None:
+        sub = parser.commands[ns.command]
+        sub.set_defaults(**_read_config_file(sub, path))
+        ns = parser.parse_args(argv)
+        del ns.config
+    return ns
 
 
-def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        sub.add_argument("input_pos", nargs="?", metavar="INPUT",
-                         default=argparse.SUPPRESS,
-                         help="input JSONL path, or - for stdin")
-        sub.add_argument("--input", default=argparse.SUPPRESS,
-                         help="input JSONL path, or - for stdin")
-        sub.add_argument("--confidence-from", dest="confidence_from",
-                         choices=CONFIDENCE_SOURCES, default=argparse.SUPPRESS,
-                         help="use stated record confidence or re-derive it by "
-                              "aggregating claim confidences")
-    sub.add_argument("--out", default=argparse.SUPPRESS,
-                     help="output path, or - for stdout")
-    sub.add_argument("--format", dest="fmt", default=argparse.SUPPRESS,
-                     help="output format (per-command subset of json/csv/jsonl)")
-    sub.add_argument("--config", default=argparse.SUPPRESS,
-                     help="key = value options file; flags take precedence")
-
-
-def _add_metric_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--nll-floor", dest="nll_floor", type=float,
-                     default=argparse.SUPPRESS,
-                     help="NLL clips confidences to [floor, 1 - floor]")
-    sub.add_argument("--smece-grid", dest="smece_grid", type=int,
-                     default=argparse.SUPPRESS,
-                     help="smECE evaluation grid points")
-
-
-def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid", type=int, default=argparse.SUPPRESS,
-                     help="number of thresholds on [0, 1]")
-
-
-def _add_objective_options(sub: argparse.ArgumentParser) -> None:
-    _add_sweep_options(sub)
-    sub.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
-                     help="slack allowed by the objective checks")
-    sub.add_argument("--baseline-acc", dest="baseline_acc", type=float,
-                     default=argparse.SUPPRESS,
-                     help="baseline accuracy (default: the sweep's Acc(0))")
-    sub.add_argument("--epsilon-h", dest="epsilon_h", type=float,
-                     default=argparse.SUPPRESS,
-                     help="hallucination floor for SNR (default: half a count)")
-    sub.add_argument("--log-base", dest="log_base", default=argparse.SUPPRESS,
-                     help="e (natural, default) or 10")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="becal",
-                     description="behavioral-calibration toolkit")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = subs.add_parser("validate", help="check a JSONL dataset")
-    _add_common(p)
-
-    p = subs.add_parser("simulate", help="generate a synthetic dataset")
-    _add_common(p, with_input=False)
-    p.add_argument("--agent", default=argparse.SUPPRESS,
-                   help="report map: calibrated, power:G, overconfident:G, "
-                        "underconfident:G, constant:C")
-    p.add_argument("--difficulty", default=argparse.SUPPRESS,
-                   help="difficulty prior: uniform, beta:A,B, points:Q1,Q2,...")
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS,
-                   help="number of questions")
-    p.add_argument("--n-claims", dest="n_claims", type=int,
-                   default=argparse.SUPPRESS,
-                   help="claims per response (claim-chain mode)")
-    p.add_argument("--groups", type=int, default=argparse.SUPPRESS,
-                   help="ensemble mode: number of question groups")
-    p.add_argument("--samples-per-group", dest="samples_per_group", type=int,
-                   default=argparse.SUPPRESS,
-                   help="ensemble mode: samples per group")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-
-    p = subs.add_parser("reward", help="score records under a reward")
-    _add_common(p)
-    p.add_argument("--reward", choices=REWARDS, default=argparse.SUPPRESS)
-    p.add_argument("--t", type=float, default=argparse.SUPPRESS,
-                   help="risk threshold for explicit/bounded rewards")
-    p.add_argument("--prior", default=argparse.SUPPRESS,
-                   help="risk prior for the integrated reward: uniform, "
-                        "beta00:EPS, table:PATH")
-    p.add_argument("--ce-epsilon", dest="ce_epsilon", type=float,
-                   default=argparse.SUPPRESS)
-
-    p = subs.add_parser("metrics", help="calibration metric report")
-    _add_common(p)
-    _add_metric_options(p)
-    p.add_argument("--diagram-out", dest="diagram_out", default=argparse.SUPPRESS,
-                   help="also write the calibration diagram CSV here")
-    p.add_argument("--bandwidth", type=float, default=argparse.SUPPRESS,
-                   help="fixed diagram bandwidth (default: the smECE fixed point)")
-
-    p = subs.add_parser("sweep", help="risk-threshold behavioral curves")
-    _add_common(p)
-    _add_sweep_options(p)
-
-    p = subs.add_parser("objectives", help="four behavioral-objective checks")
-    _add_common(p)
-    _add_objective_options(p)
-
-    p = subs.add_parser("tts", help="test-time scaling curves")
-    _add_common(p)
-    p.add_argument("--strategy", default=argparse.SUPPRESS,
-                   help="comma list from: " + ", ".join(STRATEGIES))
-    p.add_argument("--k", dest="k_values", default=argparse.SUPPRESS,
-                   help="comma list of k values")
-    p.add_argument("--resamples", dest="n_resamples", type=int,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-
-    p = subs.add_parser("report", help="metrics + sweep + objectives JSON")
-    _add_common(p)
-    _add_objective_options(p)
-    _add_metric_options(p)
-    return parser
-
-
-def resolve_config(ns: argparse.Namespace) -> RunConfig:
-    given = dict(vars(ns))
-    command = given.pop("command")
-    if "input_pos" in given:
-        if "input" in given:
-            raise UsageError("input given both positionally and via --input")
-        given["input"] = given.pop("input_pos")
-    if "k_values" in given and isinstance(given["k_values"], str):
-        given["k_values"] = _coerce("k_values", given["k_values"])
-    if "strategy" in given and isinstance(given["strategy"], str):
-        given["strategy"] = _coerce("strategy", given["strategy"])
-
-    resolved: dict = {}
-    if "config" in given:
-        resolved.update(_read_config_file(given.pop("config")))
-    # environment overrides apply to the default paths only
-    if "input" not in resolved and "input" not in given and os.environ.get("BECAL_INPUT"):
-        resolved["input"] = os.environ["BECAL_INPUT"]
-    if "out" not in resolved and "out" not in given and os.environ.get("BECAL_OUT"):
-        resolved["out"] = os.environ["BECAL_OUT"]
-    resolved.update(given)
-
-    cfg = RunConfig(command=command, **resolved)
-    formats = _FORMATS[command]
-    if cfg.fmt is None:
-        cfg = RunConfig(**{**vars_of(cfg), "fmt": formats[0]})
-    elif cfg.fmt not in formats:
-        raise UsageError(f"{command} supports formats {', '.join(formats)}; "
-                         f"got {cfg.fmt!r}")
-    if cfg.confidence_from not in CONFIDENCE_SOURCES:
-        raise UsageError(f"unknown confidence source {cfg.confidence_from!r}")
-    if cfg.reward not in REWARDS:
-        raise UsageError(f"unknown reward {cfg.reward!r}")
-    for name in cfg.strategy:
-        if name not in STRATEGIES:
-            raise UsageError(f"unknown strategy {name!r}")
-    return cfg
-
-
-def vars_of(cfg: RunConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-
-
-def _config_header(cfg: RunConfig) -> dict:
-    header = {k: _clean(v if not isinstance(v, tuple) else list(v))
-              for k, v in vars_of(cfg).items()}
-    header["rng"] = RNG_ALGORITHM
-    header["version"] = __version__
-    return header
+def _config_header(ns: argparse.Namespace) -> dict:
+    return {**vars(ns), "rng": RNG_ALGORITHM, "version": __version__}
 
 
 def _clean(obj):
@@ -321,21 +254,42 @@ def _clean(obj):
     return obj
 
 
-def _emit(cfg: RunConfig, text: str, out: str | None = None,
+def _emit(ns: argparse.Namespace, text: str, out: str | None = None,
           sidecar: bool = False) -> None:
-    """Write text to `out` (default cfg.out); optionally add a config sidecar."""
-    target = cfg.out if out is None else out
+    """Write text to `out` (default ns.out); optionally add a config sidecar.
+
+    Files appear complete or not at all: each is written to a temporary file
+    beside its target and moved into place only after every write succeeded,
+    the sidecar before the output, so a failure leaves the old output intact.
+    A symlink, pipe or device (say /dev/stdout) is written through instead,
+    since replacing it would replace the link or device node itself.
+    """
+    target = ns.out if out is None else out
     if target == "-":
         sys.stdout.write(text)
         return
+    files = [(target, text)]
+    if sidecar:
+        files.append((target + ".meta.json", _json_text({"config": _config_header(ns)})))
+    moves = []
     try:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if sidecar:
-            with open(target + ".meta.json", "w", encoding="utf-8") as fh:
-                fh.write(_json_text({"config": _config_header(cfg)}))
+        for path, content in files:
+            if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+                continue
+            temp = f"{path}.{os.getpid()}.tmp"
+            with open(temp, "x", encoding="utf-8") as fh:
+                moves.append((temp, path))
+                fh.write(content)
+        for temp, path in reversed(moves):
+            os.replace(temp, path)
     except OSError as exc:
         raise UsageError(f"cannot write {target}: {exc}") from None
+    finally:
+        for temp, _ in moves:
+            with contextlib.suppress(OSError):  # moved, or nothing more to do
+                os.remove(temp)
 
 
 def _json_text(payload: dict) -> str:
@@ -352,71 +306,71 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _load(cfg: RunConfig) -> Dataset:
-    if cfg.input == "-":
+def _load(ns: argparse.Namespace) -> Dataset:
+    if ns.input == "-":
         # raw bytes where there are any, so read_jsonl decodes each line itself
         ds = read_jsonl(getattr(sys.stdin, "buffer", sys.stdin), source="<stdin>")
     else:
-        ds = load_jsonl(cfg.input)
-    if cfg.confidence_from != "stated":
-        ds = apply_aggregation(ds, cfg.confidence_from)
+        ds = load_jsonl(ns.input)
+    if ns.confidence_from != "stated":
+        ds = apply_aggregation(ds, ns.confidence_from)
     return ds
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    summary = validate(_load(cfg))
-    _emit(cfg, _json_text({"command": "validate", **summary.to_dict(),
-                           "config": _config_header(cfg)}))
+def _cmd_validate(ns: argparse.Namespace) -> int:
+    summary = validate(_load(ns))
+    _emit(ns, _json_text({"command": "validate", **summary.to_dict(),
+                          "config": _config_header(ns)}))
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    ensemble = cfg.groups is not None or cfg.samples_per_group is not None
+def _cmd_simulate(ns: argparse.Namespace) -> int:
+    ensemble = ns.groups is not None or ns.samples_per_group is not None
     if ensemble:
-        if cfg.groups is None or cfg.samples_per_group is None:
+        if ns.groups is None or ns.samples_per_group is None:
             raise UsageError("--groups and --samples-per-group go together")
-        ds = generate_ensemble(cfg.groups, cfg.samples_per_group, cfg.seed)
+        ds = generate_ensemble(ns.groups, ns.samples_per_group, ns.seed)
     else:
-        spec = AgentSpec(difficulty_prior=parse_difficulty(cfg.difficulty),
-                         report_map=parse_report_map(cfg.agent),
-                         n_questions=cfg.n, n_claims=cfg.n_claims,
-                         seed=cfg.seed)
+        spec = AgentSpec(difficulty_prior=parse_difficulty(ns.difficulty),
+                         report_map=parse_report_map(ns.agent),
+                         n_questions=ns.n, n_claims=ns.n_claims,
+                         seed=ns.seed)
         ds = generate(spec)
     buf = io.StringIO()
     dump_jsonl(ds, buf)
-    _emit(cfg, buf.getvalue(), sidecar=True)
+    _emit(ns, buf.getvalue(), sidecar=True)
     return 0
 
 
-def _cmd_reward(cfg: RunConfig) -> int:
-    ds = _load(cfg)
+def _cmd_reward(ns: argparse.Namespace) -> int:
+    ds = _load(ns)
     confidences = ds.confidences().tolist()
-    prior = parse_prior(cfg.prior) if cfg.reward == "integrated" else None
+    prior = parse_prior(ns.prior) if ns.reward == "integrated" else None
     scores = []
     for rec, p in zip(ds, confidences):
-        if cfg.reward == "explicit":
-            r = reward_explicit(decide(p, cfg.t), rec.valid, cfg.t)
-        elif cfg.reward == "bounded":
-            r = reward_bounded(decide(p, cfg.t), rec.valid, cfg.t)
-        elif cfg.reward == "brier":
+        if ns.reward == "explicit":
+            r = reward_explicit(decide(p, ns.t), rec.valid, ns.t)
+        elif ns.reward == "bounded":
+            r = reward_bounded(decide(p, ns.t), rec.valid, ns.t)
+        elif ns.reward == "brier":
             r = float(reward_brier(rec.valid, p))
-        elif cfg.reward == "ce":
-            r = float(reward_ce(rec.valid, p, cfg.ce_epsilon))
+        elif ns.reward == "ce":
+            r = float(reward_ce(rec.valid, p, ns.ce_epsilon))
         else:
             r = float(reward_integrated(rec.valid, p, prior))
         scores.append((rec.id, r))
-    if cfg.fmt == "jsonl":
+    if ns.format == "jsonl":
         lines = "".join(json.dumps({"id": i, "reward": r}) + "\n"
                         for i, r in scores)
-        _emit(cfg, lines, sidecar=True)
+        _emit(ns, lines, sidecar=True)
     else:
         total = sum(r for _, r in scores)
-        _emit(cfg, _json_text({"command": "reward", "n": len(scores),
-                               "mean": total / len(scores), "total": total,
-                               "config": _config_header(cfg)}))
+        _emit(ns, _json_text({"command": "reward", "n": len(scores),
+                              "mean": total / len(scores), "total": total,
+                              "config": _config_header(ns)}))
     return 0
 
 
@@ -426,82 +380,84 @@ def _diagram_rows(diagram) -> list:
                     (float(x) for x in diagram.density)))
 
 
-def _cmd_metrics(cfg: RunConfig) -> int:
-    ds = _load(cfg)
-    report, fixed_point = metric_report(ds, nll_floor=cfg.nll_floor,
-                                        smece_grid=cfg.smece_grid)
-    if cfg.fmt == "csv":
+def _cmd_metrics(ns: argparse.Namespace) -> int:
+    ds = _load(ns)
+    report, fixed_point = metric_report(ds, nll_floor=ns.nll_floor,
+                                        smece_grid=ns.smece_grid)
+    if ns.diagram_out is not None and ns.bandwidth is None and fixed_point is None:
+        raise DataError(f"--diagram-out needs --bandwidth: {report.undefined['smece']}")
+    if ns.format == "csv":
         row = [getattr(report, name) for name in MetricReport.CSV_HEADER]
-        _emit(cfg, _csv_text(MetricReport.CSV_HEADER, [row]), sidecar=True)
+        _emit(ns, _csv_text(MetricReport.CSV_HEADER, [row]), sidecar=True)
     else:
-        _emit(cfg, _json_text({"command": "metrics", **report.to_dict(),
-                               "config": _config_header(cfg)}))
-    if cfg.diagram_out is not None:
+        _emit(ns, _json_text({"command": "metrics", **report.to_dict(),
+                              "undefined": report.undefined,
+                              "config": _config_header(ns)}))
+    if ns.diagram_out is not None:
         # display grid, at the smECE fixed-point bandwidth unless pinned
-        bandwidth = fixed_point.bandwidth if cfg.bandwidth is None else cfg.bandwidth
+        bandwidth = fixed_point.bandwidth if ns.bandwidth is None else ns.bandwidth
         diagram = calibration_diagram(ds, bandwidth)
         text = _csv_text(("grid", "smoothed_accuracy", "density"),
                          _diagram_rows(diagram))
-        _emit(cfg, text, out=cfg.diagram_out, sidecar=True)
+        _emit(ns, text, out=ns.diagram_out, sidecar=True)
     return 0
 
 
 _SWEEP_HEADER = ("t", "acc", "hal", "abs", "tp", "fn")
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    sw = sweep(_load(cfg), default_grid(cfg.grid))
-    if cfg.fmt == "json":
+def _cmd_sweep(ns: argparse.Namespace) -> int:
+    sw = sweep(_load(ns), default_grid(ns.grid))
+    if ns.format == "json":
         rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
-        _emit(cfg, _json_text({"command": "sweep", "rows": rows,
-                               "config": _config_header(cfg)}))
+        _emit(ns, _json_text({"command": "sweep", "rows": rows,
+                              "config": _config_header(ns)}))
     else:
-        _emit(cfg, _csv_text(_SWEEP_HEADER, sw.to_rows()), sidecar=True)
+        _emit(ns, _csv_text(_SWEEP_HEADER, sw.to_rows()), sidecar=True)
     return 0
 
 
-def _objective_report(cfg: RunConfig, ds: Dataset):
-    sw = sweep(ds, default_grid(cfg.grid))
-    baseline = float(sw.acc[0]) if cfg.baseline_acc is None else cfg.baseline_acc
-    return sw, check_objectives(sw, baseline, tolerance=cfg.tolerance,
-                                epsilon_h=cfg.epsilon_h, log_base=cfg.log_base)
+def _objective_report(ns: argparse.Namespace, ds: Dataset):
+    sw = sweep(ds, default_grid(ns.grid))
+    baseline = float(sw.acc[0]) if ns.baseline_acc is None else ns.baseline_acc
+    return sw, check_objectives(sw, baseline, tolerance=ns.tolerance,
+                                epsilon_h=ns.epsilon_h, log_base=ns.log_base)
 
 
-def _cmd_objectives(cfg: RunConfig) -> int:
-    _, rep = _objective_report(cfg, _load(cfg))
-    _emit(cfg, _json_text({"command": "objectives", **rep.to_dict(),
-                           "config": _config_header(cfg)}))
+def _cmd_objectives(ns: argparse.Namespace) -> int:
+    _, rep = _objective_report(ns, _load(ns))
+    _emit(ns, _json_text({"command": "objectives", **rep.to_dict(),
+                          "config": _config_header(ns)}))
     return 0
 
 
-def _cmd_tts(cfg: RunConfig) -> int:
-    groups = group_records(_load(cfg))
-    curves = {name: scaling_curve(groups, name, cfg.k_values,
-                                  cfg.n_resamples, cfg.seed)
-              for name in cfg.strategy}
-    if cfg.fmt == "json":
+def _cmd_tts(ns: argparse.Namespace) -> int:
+    groups = group_records(_load(ns))
+    curves = {name: scaling_curve(groups, name, ns.k, ns.resamples, ns.seed)
+              for name in ns.strategy}
+    if ns.format == "json":
         payload = {name: [{"k": pt.k, "accuracy": pt.mean, "stderr": pt.stderr}
                           for pt in curve]
                    for name, curve in curves.items()}
-        _emit(cfg, _json_text({"command": "tts", "curves": payload,
-                               "config": _config_header(cfg)}))
+        _emit(ns, _json_text({"command": "tts", "curves": payload,
+                              "config": _config_header(ns)}))
     else:
         rows = [(name, pt.k, pt.mean, pt.stderr)
-                for name in cfg.strategy for pt in curves[name]]
-        _emit(cfg, _csv_text(("strategy", "k", "accuracy", "stderr"), rows),
+                for name in ns.strategy for pt in curves[name]]
+        _emit(ns, _csv_text(("strategy", "k", "accuracy", "stderr"), rows),
               sidecar=True)
     return 0
 
 
-def _cmd_report(cfg: RunConfig) -> int:
-    ds = _load(cfg)
-    report, _ = metric_report(ds, nll_floor=cfg.nll_floor,
-                              smece_grid=cfg.smece_grid)
-    sw, rep = _objective_report(cfg, ds)
+def _cmd_report(ns: argparse.Namespace) -> int:
+    ds = _load(ns)
+    report, _ = metric_report(ds, nll_floor=ns.nll_floor,
+                              smece_grid=ns.smece_grid)
+    sw, rep = _objective_report(ns, ds)
     rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
-    _emit(cfg, _json_text({"command": "report", "metrics": report.to_dict(),
-                           "sweep": rows, "objectives": rep.to_dict(),
-                           "config": _config_header(cfg)}))
+    _emit(ns, _json_text({"command": "report", "metrics": report.to_dict(),
+                          "undefined": report.undefined, "sweep": rows, "objectives": rep.to_dict(),
+                          "config": _config_header(ns)}))
     return 0
 
 
@@ -517,15 +473,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        return run(resolve_config(ns))
+        ns = parse_options(argv)
+        return _COMMANDS[ns.command](ns)
     except ToolkitError as exc:
         print(f"becal: error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):

@@ -17,7 +17,7 @@ check of the residual sigma -> smECE_sigma - sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,15 +30,20 @@ _KERNEL_REACH = 8.0  # standard deviations kept per reflection image
 
 @dataclass(frozen=True)
 class MetricReport:
-    """The scalar metric battery for one dataset."""
+    """The scalar metric battery for one dataset.
 
-    smece: float
+    A metric the dataset leaves undefined (smECE on one record, AUC on one
+    class) is None, and `undefined` maps its name to the reason.
+    """
+
+    smece: float | None
     brier: float
     nll: float
-    auc: float
+    auc: float | None
     abstention_accuracy: float
     predictive_accuracy: float
     n: int
+    undefined: dict[str, str] = field(default_factory=dict)
 
     CSV_HEADER = ("smece", "brier", "nll", "auc",
                   "abstention_accuracy", "predictive_accuracy", "n")
@@ -262,17 +267,34 @@ def calibration_diagram(dataset: Dataset, bandwidth: float,
     return _diagram(grid, p, v, bandwidth)
 
 
-def metric_report(dataset: Dataset, nll_floor: float = 1e-6,
-                  smece_grid: int = 512) -> tuple[MetricReport, CalibrationDiagram]:
-    """Compute the full battery in one pass; returns the report and the smECE diagram."""
-    value, diagram = smece(dataset, grid_points=smece_grid)
+def metric_report(dataset: Dataset, nll_floor: float = 1e-6, smece_grid: int = 512
+                  ) -> tuple[MetricReport, CalibrationDiagram | None]:
+    """Compute the full battery in one pass; returns the report and the smECE diagram.
+
+    An empty dataset or a missing confidence is an error. smECE and AUC may
+    still be undefined; they are reported as None with the reason, and the
+    diagram is None when smECE is.
+    """
+    brier = brier_score(dataset)  # raises on an empty dataset or a missing confidence
+    undefined: dict[str, str] = {}
+    try:
+        value, diagram = smece(dataset, grid_points=smece_grid)
+    except DataError as exc:
+        value, diagram = None, None
+        undefined["smece"] = str(exc)
+    try:
+        auc = confidence_auc(dataset)
+    except DataError as exc:
+        auc = None
+        undefined["auc"] = str(exc)
     report = MetricReport(
         smece=value,
-        brier=brier_score(dataset),
+        brier=brier,
         nll=nll(dataset, floor=nll_floor),
-        auc=confidence_auc(dataset),
+        auc=auc,
         abstention_accuracy=abstention_accuracy(dataset),
         predictive_accuracy=predictive_accuracy(dataset),
         n=len(dataset),
+        undefined=undefined,
     )
     return report, diagram

@@ -11,7 +11,8 @@ The JSONL schema is one JSON object per line with fields
     meta        optional object with string values
 
 Unknown top-level fields are routed into meta (non-strings JSON-encoded);
-confidences are validated strictly to [0, 1] with no clamping at ingest.
+confidences are validated strictly to [0, 1] with no clamping at ingest. A key
+repeated within any object and a string holding a lone surrogate are rejected.
 """
 
 from __future__ import annotations
@@ -215,6 +216,18 @@ def _parse_record(obj: object) -> PredictionRecord:
                             group=group, answer=answer, claims=claims, meta=meta)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise DataError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+# built once: a decoder per line would add about a tenth to the decode time
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _parse_line(line: str | bytes) -> PredictionRecord | None:
     """One JSONL line as a record, None when blank; every failure is a DataError."""
     try:
@@ -222,7 +235,13 @@ def _parse_line(line: str | bytes) -> PredictionRecord | None:
             line = line.decode("utf-8")
         if not line.strip():
             return None
-        obj = json.loads(line)
+        obj = _DECODER.decode(line)
+        if "\\u" in line:
+            # a \uD800-style escape decodes to a lone surrogate, which no
+            # UTF-8 output can hold; only escaped lines can carry one
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError("string holds a lone surrogate escape") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"invalid UTF-8 at byte {exc.start}") from None
     except (ValueError, RecursionError) as exc:

@@ -2,11 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becal.claims import (aggregate_min, aggregate_product, apply_aggregation,
                           parse_claims)
 from becal.errors import DataError
 from becal.model import ClaimRecord, Dataset, PredictionRecord
+
+
+# markup fragments mixed with any code point, lone surrogates included
+MARKUP = st.lists(st.sampled_from(
+    ["<claim", "</claim>", ">", " ", "/", '"', "'", "=", "confidence", "rationale",
+     "0.5", "1e9", "nan", "-0", "_"])
+    | st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]),
+              max_size=4),
+    max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MARKUP)
+def test_parse_claims_raises_only_data_error(text):
+    try:
+        parse_claims(text)
+    except DataError:
+        pass
 
 
 class TestParseClaims:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from becal.cli import main
+from becal.cli import build_parser, main
 
 
 def write_jsonl(path, rows):
@@ -62,9 +62,6 @@ class TestExitCodes:
             [("g", "A", 0.5, True), ("g", "B", 0.5, False)]))
         assert main(["tts", path, "--k", "5"]) == 3
 
-    def test_conflicting_inputs(self, small_input):
-        assert main(["metrics", small_input, "--input", small_input]) == 1
-
     def test_format_must_match_command(self, small_input):
         assert main(["metrics", small_input, "--format", "yaml"]) == 1
         assert main(["objectives", small_input, "--format", "csv"]) == 1
@@ -92,6 +89,9 @@ BAD_SECOND_LINES = {
     "deep-nesting": b"[" * 100_000 + b"\n",
     "non-string-id": b'{"id":7,"valid":true}\n',
     "duplicate-id": GOOD_LINE,
+    "duplicate-key":
+        b'{"id":"b","valid":true,"confidence":0.9,"valid":false}\n',
+    "lone-surrogate": b'{"id":"b","valid":true,"group":"\\ud800"}\n',
 }
 
 
@@ -125,7 +125,7 @@ class TestStreaming:
         for field in ("smece", "brier", "nll", "auc", "abstention_accuracy",
                       "predictive_accuracy", "n"):
             assert field in payload
-        assert payload["n"] == 3
+        assert payload["n"] == 3 and payload["undefined"] == {}
         assert payload["config"]["rng"] == "philox4x64-10"
 
     def test_stdin_error_names_source(self, monkeypatch, capsys):
@@ -207,6 +207,21 @@ class TestSweepOutput:
                      "--grid", str(cfg["grid"])]) == 0
         assert out2.read_text() == first
 
+    def test_failed_write_keeps_the_old_output(self, small_input, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old bytes\n")
+        (tmp_path / "x.csv.meta.json").mkdir()  # the sidecar cannot be written
+        assert main(["sweep", small_input, "--out", str(out)]) == 1
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "in.jsonl", "x.csv", "x.csv.meta.json"]
+
+    def test_symlink_output_is_written_through(self, small_input, tmp_path):
+        (tmp_path / "link.csv").symlink_to(tmp_path / "real.csv")
+        assert main(["sweep", small_input, "--out", str(tmp_path / "link.csv")]) == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "real.csv").read_text().startswith("t,acc,")
+
 
 class TestMetricsOutput:
     def test_csv_row(self, small_input, capsys):
@@ -226,6 +241,35 @@ class TestMetricsOutput:
         assert main(["metrics", small_input, "--diagram-out",
                      str(diagram)]) == 0
         assert len(diagram.read_text().strip().split("\n")) == 1 + 201
+
+    @pytest.mark.parametrize("pairs, undefined", [
+        ([(0.9, True), (0.4, True)], {"auc"}),
+        ([(0.9, True)], {"smece", "auc"}),
+    ], ids=["all-valid", "one-record"])
+    def test_undefined_metrics_are_null(self, pairs, undefined, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "d.jsonl", plain_rows(pairs))
+        assert main(["metrics", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["undefined"]) == undefined
+        assert all(payload[name] is None for name in undefined)
+        assert payload["brier"] is not None and payload["n"] == len(pairs)
+        assert main(["metrics", path, "--format", "csv"]) == 0
+        header, row = csv.reader(capsys.readouterr().out.strip().split("\n"))
+        assert {name for name, cell in zip(header, row) if cell == ""} == undefined
+        assert main(["report", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["undefined"]) == undefined
+        assert all(payload["metrics"][name] is None for name in undefined)
+        assert len(payload["sweep"]) == 101
+
+    def test_diagram_needs_a_defined_smece(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "d.jsonl", plain_rows([(0.9, True)]))
+        diagram = tmp_path / "diagram.csv"
+        assert main(["metrics", path, "--diagram-out", str(diagram)]) == 2
+        assert "smECE" in capsys.readouterr().err and not diagram.exists()
+        assert main(["metrics", path, "--diagram-out", str(diagram),
+                     "--bandwidth", "0.1"]) == 0
+        assert diagram.exists()
 
 
 class TestObjectives:
@@ -273,6 +317,40 @@ class TestPrecedence:
         cfg.write_text("gird = 21\n")
         assert main(["sweep", "--config", str(cfg)]) == 1
 
+    def test_config_keys_are_flag_names(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "g.jsonl", grouped_rows(
+            [("g", "A", 0.9, True), ("g", "B", 0.4, False),
+             ("h", "A", 0.8, True), ("h", "A", 0.7, True)]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 1,2\nresamples = 3\nformat = json\n"
+                       "strategy = mean\n")
+        assert main(["tts", path, "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [pt["k"] for pt in payload["curves"]["mean"]] == [1, 2]
+        assert payload["config"]["resamples"] == 3
+        chain = write_jsonl(tmp_path / "c.jsonl", [
+            {"id": "a", "valid": True, "confidence": 0.9,
+             "claims": [{"text": "s", "confidence": 0.5},
+                        {"text": "t", "confidence": 0.5}]}])
+        cfg.write_text("confidence-from = product\nformat = json\ngrid = 3\n")
+        assert main(["sweep", chain, "--config", str(cfg)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["abs"] for row in rows] == [0.0, 1.0, 1.0]  # p = 0.25
+
+    @pytest.mark.parametrize("command, line", [
+        ("tts", "smece_grid = 7"),  # an option of another command
+        ("tts", "k_values = 1,2"),  # not a flag name
+        ("sweep", "grid = x"),
+        ("sweep", "format = yaml"),
+        ("sweep", "grid 11"),
+    ])
+    def test_config_errors_name_file_and_line(self, command, line, small_input,
+                                              tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# options\n{line}\n")
+        assert main([command, small_input, "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: " in capsys.readouterr().err
+
     def test_env_override_for_default_path(self, small_input, tmp_path,
                                            monkeypatch, capsys):
         monkeypatch.setenv("BECAL_INPUT", small_input)
@@ -300,3 +378,69 @@ class TestDeterminism:
         for downstream in (["metrics", str(src)],
                            ["sweep", str(src), "--grid", "26"]):
             assert self.run_cli(downstream) == self.run_cli(downstream)
+
+
+class TestReplay:
+    """Every header, written back as a config file, reproduces its run."""
+
+    CASES = {
+        "validate": ["validate", "{chain}", "--out", "v.json"],
+        "simulate": ["simulate", "--n", "30", "--n-claims", "3", "--agent",
+                     "power:2", "--seed", "5", "--out", "s.jsonl"],
+        "reward": ["reward", "{chain}", "--reward", "integrated", "--prior",
+                   "beta00:0.05", "--format", "jsonl", "--out", "r.jsonl"],
+        "metrics": ["metrics", "{chain}", "--format", "csv", "--nll-floor",
+                    "0.001", "--diagram-out", "d.csv", "--bandwidth", "0.1",
+                    "--out", "m.csv"],
+        "sweep": ["sweep", "{chain}", "--confidence-from", "product", "--grid",
+                  "11", "--out", "s.csv"],
+        "objectives": ["objectives", "{chain}", "--grid", "21", "--tolerance",
+                       "0.1", "--baseline-acc", "0.4", "--epsilon-h", "0.01",
+                       "--log-base", "10", "--out", "o.json"],
+        "tts": ["tts", "{ensemble}", "--strategy", "mean,majconf", "--k", "1,2",
+                "--resamples", "5", "--seed", "9", "--format", "json",
+                "--out", "t.json"],
+        "report": ["report", "{chain}", "--smece-grid", "256", "--grid", "11",
+                   "--out", "rep.json"],
+    }
+
+    @staticmethod
+    def header(out):
+        if out.suffix == ".json":
+            return json.loads(out.read_text())["config"]
+        return json.loads(out.with_name(out.name + ".meta.json").read_text())["config"]
+
+    def test_covers_every_command(self):
+        assert set(self.CASES) == set(build_parser().commands)
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_header_replays_byte_for_byte(self, command, tmp_path, monkeypatch):
+        inputs = {"chain": str(tmp_path / "chain.jsonl"),
+                  "ensemble": str(tmp_path / "ens.jsonl")}
+        assert main(["simulate", "--n", "40", "--n-claims", "2", "--seed", "3",
+                     "--out", inputs["chain"]]) == 0
+        assert main(["simulate", "--groups", "4", "--samples-per-group", "3",
+                     "--out", inputs["ensemble"]]) == 0
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        monkeypatch.chdir(first)
+        argv = [arg.format(**inputs) for arg in self.CASES[command]]
+        assert main(argv) == 0
+        header = self.header(first / argv[-1])
+        assert header.pop("command") == command
+        assert header.pop("rng") == "philox4x64-10" and header.pop("version")
+        # exactly the command's options, under config-file keys
+        options = build_parser().commands[command].parse_args([])
+        assert set(header) == set(vars(options))
+
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text("".join(
+            f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+            for key, value in header.items() if value is not None))
+        monkeypatch.chdir(second)
+        assert main([command, "--config", str(cfg), "--out", header["out"]]) == 0
+        written = sorted(p.name for p in first.iterdir())
+        assert sorted(p.name for p in second.iterdir()) == written
+        for name in written:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
