@@ -19,11 +19,11 @@ exactly 0.0 rather than 0.0 plus float-trapezoid noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .model import Dataset
 
 _GRID_ATOL = 1e-9
@@ -183,29 +183,36 @@ def snr_gain(sweep_: RiskSweep, epsilon_h: float | None = None,
 
     Exactly 0.0 when the two SNRs coincide, which count-space arithmetic
     guarantees for datasets whose decisions are threshold independent.
+    Undefined (DataError) when SNR(0) is 0, that is when no record is valid.
     """
     grid = sweep_.grid
     if abs(grid[0]) > _GRID_ATOL or abs(grid[-1] - 1.0) > _GRID_ATOL:
         raise DomainError("snr_gain needs a sweep over the full [0, 1] grid")
+    if str(log_base) not in ("e", "ln", "10"):
+        raise DomainError(f"unknown log base {log_base!r}; expected e or 10")
     num = snr_interval(sweep_, 0.0, 1.0, epsilon_h)
     den = snr_point(sweep_, 0.0, epsilon_h)
-    ratio = num / den
-    if str(log_base) == "10":
-        return float(np.log10(ratio))
-    if str(log_base) in ("e", "ln"):
-        return float(np.log(ratio))
-    raise DomainError(f"unknown log base {log_base!r}; expected e or 10")
+    if den == 0.0:
+        raise DataError("SNR gain undefined: Acc(0) is 0 (no valid record), "
+                        "so SNR(0) is 0")
+    log = np.log10 if str(log_base) == "10" else np.log
+    return float(log(num / den))
 
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """Pass/fail of the four behavioral objectives plus numeric diagnostics."""
+    """Pass/fail of the four behavioral objectives plus numeric diagnostics.
+
+    A diagnostic the sweep leaves undefined (snr_gain with no valid record)
+    is NaN, and `undefined` maps its name to the reason.
+    """
 
     adaptive_risk: bool
     accuracy_preservation: bool
     hallucination_reduction: bool
     quantitative_calibration: bool
     diagnostics: dict[str, float]
+    undefined: dict[str, str] = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -239,7 +246,8 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
 
     AccuracyPreservation: Acc(0) >= baseline_acc - tolerance.
 
-    HallucinationReduction: Hal(1) <= tolerance and snr_gain > 0.
+    HallucinationReduction: Hal(1) <= tolerance and snr_gain > 0; false when
+    snr_gain is undefined.
 
     QuantitativeCalibration: TP(t) >= t - tolerance and FN(t) <= t + tolerance
     wherever those conditionals are defined.
@@ -258,7 +266,12 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
     preserves = acc0 >= float(baseline_acc) - tolerance
 
     hal1 = float(sweep_.hal[-1])
-    gain = snr_gain(sweep_, epsilon_h, log_base)
+    undefined: dict[str, str] = {}
+    try:
+        gain = snr_gain(sweep_, epsilon_h, log_base)
+    except DataError as exc:
+        gain = math.nan
+        undefined["snr_gain"] = str(exc)
     reduces = hal1 <= tolerance and gain > 0.0
 
     tp_def = ~np.isnan(sweep_.tp)
@@ -284,4 +297,5 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
             "worst_fn_excess": worst_fn,
             "tolerance": float(tolerance),
         },
+        undefined=undefined,
     )

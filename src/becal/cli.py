@@ -19,9 +19,10 @@ command's long flag names (- and _ alike) plus `input`; its values are parsed
 by the same subparser as the flags. `-` means stdin or stdout.
 
 JSON outputs embed the command's resolved options under "config"; CSV and
-JSONL files get a `<out>.meta.json` sidecar instead. The header lists exactly
-the options of the command that ran, under config-file keys, plus command,
-rng and version, so written back as a config file it replays the run.
+JSONL files get a `<out>.meta.json` sidecar instead, unless `<out>` is a
+device or pipe. The header lists exactly the options of the command that
+ran, under config-file keys, plus command, rng and version, so written back
+as a config file it replays the run.
 
 Exit codes: 1 usage, 2 data, 3 numeric domain.
 """
@@ -262,14 +263,15 @@ def _emit(ns: argparse.Namespace, text: str, out: str | None = None,
     beside its target and moved into place only after every write succeeded,
     the sidecar before the output, so a failure leaves the old output intact.
     A symlink, pipe or device (say /dev/stdout) is written through instead,
-    since replacing it would replace the link or device node itself.
+    since replacing it would replace the link or device node itself. A target
+    that is not a regular file after following links gets no sidecar.
     """
     target = ns.out if out is None else out
     if target == "-":
         sys.stdout.write(text)
         return
     files = [(target, text)]
-    if sidecar:
+    if sidecar and (os.path.isfile(target) or not os.path.exists(target)):
         files.append((target + ".meta.json", _json_text({"config": _config_header(ns)})))
     moves = []
     try:
@@ -427,7 +429,7 @@ def _objective_report(ns: argparse.Namespace, ds: Dataset):
 def _cmd_objectives(ns: argparse.Namespace) -> int:
     _, rep = _objective_report(ns, _load(ns))
     _emit(ns, _json_text({"command": "objectives", **rep.to_dict(),
-                          "config": _config_header(ns)}))
+                          "undefined": rep.undefined, "config": _config_header(ns)}))
     return 0
 
 
@@ -456,7 +458,8 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     sw, rep = _objective_report(ns, ds)
     rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
     _emit(ns, _json_text({"command": "report", "metrics": report.to_dict(),
-                          "undefined": report.undefined, "sweep": rows, "objectives": rep.to_dict(),
+                          "undefined": {**report.undefined, **rep.undefined},
+                          "sweep": rows, "objectives": rep.to_dict(),
                           "config": _config_header(ns)}))
     return 0
 

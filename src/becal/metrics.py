@@ -5,13 +5,33 @@ confidence AUC, abstention accuracy, predictive accuracy, plus the smoothed
 calibration-diagram data behind reliability plots.
 
 smECE uses a Gaussian kernel reflected at both ends of [0, 1] (so the kernel
-mass of every point is exactly 1), evaluated on a uniform grid:
+mass of every point is exactly 1), evaluated on a uniform grid of G points:
 
     smECE_sigma = (1/n) INT_0^1 | SUM_i (valid_i - p_i) K_sigma(t, p_i) | dt
 
+The reflected Gaussian is the Neumann heat kernel on [0, 1], so it has the
+exact cosine series
+
+    K_sigma(t, p) = 1 + 2 SUM_{m>=1} exp(-pi^2 m^2 sigma^2 / 2) cos(pi m t) cos(pi m p).
+
+A kernel sum SUM_i w_i K_sigma(t, p_i) is therefore SUM_m a_m(sigma) c_m(w)
+cos(pi m t), with cosine moments c_m(w) = SUM_i w_i cos(pi m p_i) that do not
+depend on sigma. Terms m > M = ceil(sqrt(80) / (pi sigma)) weigh below e^-40
+and are dropped. The moments cost one pass over the records, O(n M) =
+O(n / sigma) time, so a tiny pinned bandwidth is slow; memory stays bounded
+in n and sigma, since the records go through in fixed-size chunks and the
+terms fold onto the grid's period 2(G - 1) in m.
+
 The reported value is taken at the fixed-point bandwidth sigma* solving
 smECE_{sigma*} = sigma*, located by bisection after an empirical monotonicity
-check of the residual sigma -> smECE_sigma - sigma.
+check of the residual sigma -> smECE_sigma - sigma. The search builds the
+moments once, at its smallest bandwidth 1/(G - 1), and every bandwidth it
+visits reuses them.
+
+The diagram's smoothed accuracy is a ratio of two kernel sums. Series
+round-off (about 1e-16) swamps that ratio where the true density is about 0,
+so accuracy is NaN wherever the density falls below _DENSITY_FLOOR, and the
+density is clipped at 0.
 """
 
 from __future__ import annotations
@@ -24,8 +44,10 @@ import numpy as np
 from .errors import DataError, DomainError
 from .model import Dataset
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_KERNEL_REACH = 8.0  # standard deviations kept per reflection image
+_TAIL = 80.0  # series terms whose weight falls below e^(-_TAIL / 2) are dropped
+_DENSITY_FLOOR = 1e-6  # smoothed accuracy is NaN below this confidence density
+_INNER, _OUTER = 32, 64  # angle-addition split: moments come in runs of _INNER * _OUTER
+_CHUNK = 2048  # records per trig table
 
 
 @dataclass(frozen=True)
@@ -62,7 +84,10 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class CalibrationDiagram:
-    """Kernel-smoothed accuracy and confidence density on a confidence grid."""
+    """Kernel-smoothed accuracy and confidence density on a confidence grid.
+
+    smoothed_accuracy is NaN where the density is below _DENSITY_FLOOR.
+    """
 
     grid: np.ndarray
     smoothed_accuracy: np.ndarray
@@ -143,35 +168,61 @@ def predictive_accuracy(dataset: Dataset) -> float:
     return float(np.mean(v))
 
 
-def _kernel_sums(grid: np.ndarray, p: np.ndarray, sigma: float,
-                 weights: list[np.ndarray]) -> list[np.ndarray]:
-    """SUM_i w_i K_sigma(t, p_i) on the grid for each weight vector.
+def _check_bandwidth(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"bandwidth must be positive and finite: {sigma!r}")
 
-    K is a Gaussian reflected at 0 and 1, realized as mirror images 2j + p and
-    2j - p; images and grid rows farther than _KERNEL_REACH sigmas contribute
-    below 1e-14 and are skipped.
+
+def _grid(points: int) -> np.ndarray:
+    if points < 2:
+        raise DomainError(f"the evaluation grid needs at least two points: {points!r}")
+    return np.linspace(0.0, 1.0, points)
+
+
+def _cosine_moments(p: np.ndarray, weights: np.ndarray, sigma: float):
+    """Yield blocks (m0, c) with c[j, col] = SUM_i weights[i, col] cos(pi (m0 + j) p_i).
+
+    The blocks cover the terms m = 0 .. M = ceil(sqrt(_TAIL) / (pi sigma))
+    that matter at bandwidths of sigma and up, in runs of _INNER * _OUTER.
+    Within a block m = m0 + a _INNER + b, and cos(x + y) = cos x cos y -
+    sin x sin y turns the block into two products over _OUTER + _INNER trig
+    columns per record. Records go through _CHUNK at a time, so memory
+    depends on neither n nor M; time is O(n M) = O(n / sigma).
     """
-    out = [np.zeros(grid.size) for _ in weights]
-    reach = _KERNEL_REACH * sigma
-    j_lo = int(math.floor((-reach - 1.0) / 2.0))
-    j_hi = int(math.ceil((1.0 + reach) / 2.0))
-    for j in range(j_lo, j_hi + 1):
-        for sgn in (1.0, -1.0):
-            centers = 2.0 * j + sgn * p
-            c_min, c_max = centers[0], centers[-1]
-            if c_min > c_max:
-                c_min, c_max = c_max, c_min
-            if c_max < -reach or c_min > 1.0 + reach:
-                continue
-            i0 = int(np.searchsorted(grid, c_min - reach))
-            i1 = int(np.searchsorted(grid, c_max + reach, side="right"))
-            if i0 >= i1:
-                continue
-            z = (grid[i0:i1, None] - centers[None, :]) / sigma
-            block = np.exp(-0.5 * z * z)
-            for acc, w in zip(out, weights):
-                acc[i0:i1] += block @ w
-    return [acc / (sigma * _SQRT_2PI) for acc in out]
+    terms = math.ceil(math.sqrt(_TAIL) / (math.pi * sigma)) + 1
+    inner = np.arange(_INNER)
+    for m0 in range(0, terms, _INNER * _OUTER):
+        size = min(_INNER * _OUTER, terms - m0)
+        outer = np.arange(m0, m0 + size, _INNER)
+        c = np.zeros((outer.size, weights.shape[1], _INNER))
+        for s in range(0, p.size, _CHUNK):
+            theta = np.pi * p[s:s + _CHUNK, None]
+            w = weights[s:s + _CHUNK, None, :]
+            # einsum, not BLAS: on two cores, threaded products this small often
+            # spent more time waking threads than multiplying
+            c += (np.einsum("iak,ib->akb", np.cos(theta * outer)[:, :, None] * w,
+                            np.cos(theta * inner))
+                  - np.einsum("iak,ib->akb", np.sin(theta * outer)[:, :, None] * w,
+                              np.sin(theta * inner)))
+        yield m0, c.transpose(0, 2, 1).reshape(-1, weights.shape[1])[:size]
+
+
+def _grid_sums(moments, sigma: float, grid_points: int) -> np.ndarray:
+    """SUM_i w_i K_sigma(t_k, p_i) at t_k = k / (G - 1), one column per weight.
+
+    The terms a_m c_m, with a_0 = 1 and a_m = 2 exp(-(pi m sigma)^2 / 2), are
+    summed against cos(pi m t_k), which has period 2(G - 1) in m. They fold
+    onto one period, and the sum over the fold is the real part of its FFT.
+    """
+    period = 2 * (grid_points - 1)
+    folded = 0.0
+    for m0, c in moments:
+        m = np.arange(m0, m0 + c.shape[0])
+        a = np.where(m == 0, 1.0, 2.0 * np.exp(-0.5 * (np.pi * sigma * m) ** 2))
+        block = np.zeros((period, c.shape[1]))
+        np.add.at(block, m % period, a[:, None] * c)
+        folded = folded + block
+    return np.fft.rfft(folded, axis=0).real
 
 
 def _canonical(p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,31 +231,33 @@ def _canonical(p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p[order], v[order]
 
 
-def _smece_at(grid: np.ndarray, p: np.ndarray, resid: np.ndarray,
-              sigma: float) -> float:
-    """smECE at one bandwidth, trapezoid-integrated on the evaluation grid."""
-    (phi,) = _kernel_sums(grid, p, sigma, [resid])
-    return float(np.trapezoid(np.abs(phi), grid) / p.size)
+def _smece_at(grid: np.ndarray, moments, sigma: float, n: int) -> float:
+    """smECE at one bandwidth from the moments of v - p, trapezoid-integrated."""
+    phi = _grid_sums(moments, sigma, grid.size)[:, 0]
+    return float(np.trapezoid(np.abs(phi), grid) / n)
 
 
 def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -> float:
     """smECE at a fixed bandwidth, trapezoid-integrated on the evaluation grid."""
-    if sigma <= 0:
-        raise DomainError(f"bandwidth must be positive: {sigma!r}")
+    _check_bandwidth(sigma)
+    grid = _grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
-    return _smece_at(np.linspace(0.0, 1.0, grid_points), p, v - p, sigma)
+    moments = _cosine_moments(p, (v - p)[:, None], sigma)
+    return _smece_at(grid, moments, sigma, p.size)
 
 
-def _diagram(grid: np.ndarray, p: np.ndarray, v: np.ndarray,
+def _diagram(grid: np.ndarray, sums: np.ndarray, n: int,
              sigma: float) -> CalibrationDiagram:
-    num, den = _kernel_sums(grid, p, sigma, [v, np.ones_like(p)])
-    # windowing zeroes den beyond the kernel reach; accuracy is undefined there
-    with np.errstate(invalid="ignore", divide="ignore"):
-        smoothed = np.where(den > 0, num / den, np.nan)
+    """The diagram from the kernel sums of the valid flags and of ones."""
+    num, den = sums[:, 0], sums[:, 1]
+    density = np.maximum(den / n, 0.0)
+    defined = density >= _DENSITY_FLOOR
+    smoothed = np.full(grid.size, np.nan)
+    smoothed[defined] = num[defined] / den[defined]
     return CalibrationDiagram(
         grid=grid,
         smoothed_accuracy=smoothed,
-        density=den / p.size,
+        density=density,
         bandwidth=sigma,
     )
 
@@ -216,21 +269,25 @@ def smece(dataset: Dataset, grid_points: int = 512,
     Bisection runs on sigma in [grid_step, 1]. The residual h(sigma) =
     smECE_sigma - sigma is probed on a geometric ladder first; if it is not
     non-increasing (it always was in practice), a dense scan locates the first
-    sign change and bisection proceeds inside that bracket. The diagram is
-    returned on the same evaluation grid so its density integrates to 1 within
-    trapezoid error even at the smallest admissible bandwidth.
+    sign change and bisection proceeds inside that bracket. The moments of
+    v - p, v and 1 are built once, at sigma = grid_step, for every evaluation.
+    The diagram is returned on the same evaluation grid so its density
+    integrates to 1 within trapezoid error even at the smallest admissible
+    bandwidth.
     """
     p, v = _arrays(dataset)
     if p.size < 2:
         raise DataError("smECE needs at least two records")
+    grid = _grid(grid_points)
     p, v = _canonical(p, v)
-    grid = np.linspace(0.0, 1.0, grid_points)
-    resid = v - p
+    lo = 1.0 / (grid_points - 1)
+    weights = np.column_stack((v - p, v, np.ones_like(p)))
+    moments = list(_cosine_moments(p, weights, lo))
+    resid = [(m0, c[:, :1]) for m0, c in moments]
 
     def f(sigma: float) -> float:
-        return _smece_at(grid, p, resid, sigma)
+        return _smece_at(grid, resid, sigma, p.size)
 
-    lo = 1.0 / (grid_points - 1)
     ladder = np.geomspace(lo, 1.0, 9)
     h = np.array([f(s) - s for s in ladder])
     if np.any(np.diff(h) > 1e-9):  # monotonicity violated: fall back to a dense scan
@@ -250,21 +307,24 @@ def smece(dataset: Dataset, grid_points: int = 512,
             else:
                 b = mid
         star = 0.5 * (a + b)
-    return f(star), _diagram(grid, p, v, star)
+    sums = _grid_sums(moments, star, grid_points)[:, 1:]
+    return f(star), _diagram(grid, sums, p.size, star)
 
 
 def calibration_diagram(dataset: Dataset, bandwidth: float,
                         grid_points: int = 201) -> CalibrationDiagram:
     """Kernel-smoothed accuracy curve and confidence density at a chosen bandwidth.
 
-    Grid regions with little confidence mass are still reported; flag them via
-    low_density() rather than trusting the smoothed curve there.
+    Accuracy is NaN where the density is below _DENSITY_FLOOR. Regions with
+    little confidence mass above it are still reported; flag them via
+    low_density() rather than trusting the smoothed curve there. The moment
+    build takes O(n / bandwidth) time.
     """
-    if bandwidth <= 0:
-        raise DomainError(f"bandwidth must be positive: {bandwidth!r}")
+    _check_bandwidth(bandwidth)
+    grid = _grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
-    grid = np.linspace(0.0, 1.0, grid_points)
-    return _diagram(grid, p, v, bandwidth)
+    moments = _cosine_moments(p, np.column_stack((v, np.ones_like(p))), bandwidth)
+    return _diagram(grid, _grid_sums(moments, bandwidth, grid_points), p.size, bandwidth)
 
 
 def metric_report(dataset: Dataset, nll_floor: float = 1e-6, smece_grid: int = 512

@@ -7,7 +7,7 @@ import pytest
 
 from becal.behavior import (RiskSweep, check_objectives, default_grid,
                             snr_gain, snr_interval, snr_point, sweep)
-from becal.errors import DomainError
+from becal.errors import DataError, DomainError
 
 from conftest import make_dataset, random_dataset
 
@@ -169,6 +169,13 @@ class TestSnrGain:
         with pytest.raises(DomainError):
             snr_gain(sw)
 
+    def test_undefined_without_a_valid_record(self):
+        sw = sweep(make_dataset([(0.9, False), (0.2, False)]))
+        with pytest.raises(DataError):
+            snr_gain(sw)
+        with pytest.raises(DomainError):  # a bad log base is still a domain error
+            snr_gain(sw, log_base="2")
+
 
 class TestCheckObjectives:
     def test_constant_confidence_fails_adaptive_risk(self):
@@ -191,6 +198,15 @@ class TestCheckObjectives:
         sw = sweep(make_dataset([(0.5, True), (0.6, False)]))
         with pytest.raises(DomainError):
             check_objectives(sw, 0.5, tolerance=-0.1)
+
+    def test_undefined_snr_gain_is_reported(self):
+        sw = sweep(make_dataset([(0.9, False), (0.2, False)]))
+        report = check_objectives(sw, baseline_acc=0.0)
+        assert set(report.undefined) == {"snr_gain"}
+        assert math.isnan(report.diagnostics["snr_gain"])
+        assert report.diagnostics["hal_at_1"] == 0.0
+        assert not report.hallucination_reduction  # Hal(1) passes; the gain cannot
+        assert report.to_dict()["diagnostics"]["snr_gain"] is None
 
     def test_report_serialization(self):
         sw = sweep(make_dataset([(1.0, True), (1.0, False)]))

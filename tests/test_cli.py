@@ -223,6 +223,14 @@ class TestSweepOutput:
         assert (tmp_path / "real.csv").read_text().startswith("t,acc,")
 
 
+    def test_device_target_gets_no_sidecar(self, tmp_path):
+        link = tmp_path / "null.jsonl"
+        link.symlink_to("/dev/null")
+        assert main(["simulate", "--n", "2", "--out", str(link)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["null.jsonl"]
+        assert link.is_symlink()
+
+
 class TestMetricsOutput:
     def test_csv_row(self, small_input, capsys):
         assert main(["metrics", small_input, "--format", "csv"]) == 0
@@ -281,6 +289,19 @@ class TestObjectives:
         assert payload["adaptive_risk"] is False
         assert payload["accuracy_preservation"] is True  # baseline is Acc(0)
         assert "snr_gain" in payload["diagnostics"]
+        assert payload["undefined"] == {}
+
+    def test_no_valid_record(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "d.jsonl", plain_rows([(0.9, False)]))
+        assert main(["objectives", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"]["snr_gain"] is None
+        assert set(payload["undefined"]) == {"snr_gain"}
+        assert payload["hallucination_reduction"] is False
+        assert main(["report", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["objectives"]["diagnostics"]["snr_gain"] is None
+        assert set(payload["undefined"]) == {"smece", "auc", "snr_gain"}
 
 
 class TestTtsOutput:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becal.errors import DataError, DomainError
 from becal.metrics import (abstention_accuracy, brier_score,
@@ -15,19 +17,38 @@ from becal.rewards import reward_brier
 from conftest import make_dataset, random_dataset
 
 
-def reference_smece_at_bandwidth(p, v, sigma, grid_points=512):
-    """Brute-force smoothed residual integral: full image sums, no windowing."""
-    grid = np.linspace(0.0, 1.0, grid_points)
-    resid = np.zeros(grid.size)
+def reference_kernel_sums(grid, p, sigma, weights):
+    """SUM_i w_i K_sigma(t, p_i) for each weight vector, as direct sums over the
+    mirror images 2j + p and 2j - p of a Gaussian: all images within 12 sigmas
+    of [0, 1], and no windowing."""
+    sums = np.zeros((grid.size, len(weights)))
+    w = np.column_stack(weights)
     j_max = int(math.ceil((1.0 + 12.0 * sigma) / 2.0)) + 1
-    w = v.astype(float) - p
     for j in range(-j_max, j_max + 1):
         for sgn in (1.0, -1.0):
             centers = 2.0 * j + sgn * p
             z = (grid[:, None] - centers[None, :]) / sigma
-            resid += np.exp(-0.5 * z * z) @ w
-    resid /= sigma * math.sqrt(2.0 * math.pi)
+            sums += np.exp(-0.5 * z * z) @ w
+    return sums / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def reference_smece_at_bandwidth(p, v, sigma, grid_points=512):
+    """Brute-force smoothed residual integral: full image sums, no windowing."""
+    grid = np.linspace(0.0, 1.0, grid_points)
+    (resid,) = reference_kernel_sums(grid, p, sigma, [v.astype(float) - p]).T
     return float(np.trapezoid(np.abs(resid), grid) / p.size)
+
+
+def reference_diagram(p, v, sigma, grid_points=201):
+    """Smoothed accuracy and confidence density from the direct image sums."""
+    grid = np.linspace(0.0, 1.0, grid_points)
+    num, den = reference_kernel_sums(grid, p, sigma,
+                                     [v.astype(float), np.ones_like(p)]).T
+    with np.errstate(invalid="ignore"):
+        return num / den, den / p.size
+
+
+DENSITY_FLOOR = 1e-6  # the diagram reports no accuracy below this density
 
 
 def pairwise_auc(p, v):
@@ -185,6 +206,17 @@ class TestSmece:
         value, _ = smece(ds)
         assert value <= 0.04
 
+    def test_series_at_the_smallest_and_largest_bandwidths(self):
+        rng = np.random.default_rng(33)
+        ds = random_dataset(rng, 150, quantize=30, calibrated=True)
+        p, v = ds.confidences(), ds.valids()
+        assert {0.0, 1.0} <= set(p)
+        for sigma in (1.0 / 511.0, 1.0, 3.0):
+            np.testing.assert_allclose(
+                smece_at_bandwidth(ds, sigma),
+                reference_smece_at_bandwidth(p, v, sigma),
+                rtol=0, atol=1e-10)
+
     def test_needs_two_records(self):
         with pytest.raises(DataError):
             smece(make_dataset([(0.5, True)]))
@@ -194,6 +226,63 @@ class TestSmece:
                               PredictionRecord(id="b", valid=False)))
         with pytest.raises(DataError):
             smece(ds)
+
+
+CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                        st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(CONFIDENCES, st.booleans()), min_size=2, max_size=300),
+       st.floats(1.0 / 511.0, 1.0))
+def test_series_matches_direct_sum(pairs, sigma):
+    """The cosine series equals the reflected-image sum, ties and endpoints included."""
+    ds = make_dataset(pairs)
+    p, v = ds.confidences(), ds.valids()
+    np.testing.assert_allclose(smece_at_bandwidth(ds, sigma),
+                               reference_smece_at_bandwidth(p, v, sigma),
+                               rtol=0, atol=1e-10)
+
+
+class TestDiagramOracle:
+    def assert_matches_oracle(self, ds, bw):
+        diagram = calibration_diagram(ds, bw)
+        acc, density = reference_diagram(ds.confidences(), ds.valids(), bw)
+        assert np.all(diagram.density >= 0.0)
+        np.testing.assert_allclose(diagram.density, density, rtol=0, atol=1e-10)
+        defined = diagram.density >= DENSITY_FLOOR
+        assert np.all(np.isnan(diagram.smoothed_accuracy[~defined]))
+        np.testing.assert_allclose(diagram.smoothed_accuracy[defined],
+                                   acc[defined], rtol=0, atol=1e-8)
+        return diagram
+
+    @pytest.mark.parametrize("bw", [1e-3, 0.03, 0.2, 1.0])
+    def test_random(self, bw):
+        rng = np.random.default_rng(61)
+        ds = random_dataset(rng, 300, quantize=40, calibrated=True)
+        diagram = self.assert_matches_oracle(ds, bw)
+        assert np.isnan(diagram.smoothed_accuracy).any() == (bw == 1e-3)
+
+    def test_mixed_point_mass(self):
+        """Without the floor, round-off in the empty tails gives accuracies
+        far outside [0, 1]."""
+        ds = make_dataset([(0.8, True)] * 30 + [(0.8, False)] * 30)
+        diagram = self.assert_matches_oracle(ds, 0.03)
+        defined = ~np.isnan(diagram.smoothed_accuracy)
+        assert defined[0:2].sum() == 0 and defined.sum() > 20
+        np.testing.assert_allclose(diagram.smoothed_accuracy[defined], 0.5,
+                                   rtol=0, atol=1e-8)
+
+    def test_smece_diagram_on_its_grid(self):
+        rng = np.random.default_rng(67)
+        ds = random_dataset(rng, 400, calibrated=True)
+        _, diagram = smece(ds)
+        acc, density = reference_diagram(ds.confidences(), ds.valids(),
+                                         diagram.bandwidth, grid_points=512)
+        np.testing.assert_allclose(diagram.density, density, rtol=0, atol=1e-10)
+        defined = diagram.density >= DENSITY_FLOOR
+        np.testing.assert_allclose(diagram.smoothed_accuracy[defined],
+                                   acc[defined], rtol=0, atol=1e-8)
 
 
 class TestDiagram:
@@ -232,8 +321,20 @@ class TestDiagram:
         assert flags[0] and not flags[int(np.argmin(np.abs(diagram.grid - 0.8)))]
 
     def test_bandwidth_domain(self):
+        ds = make_dataset([(0.5, True), (0.6, False)])
+        for bad in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                calibration_diagram(ds, bad)
+            with pytest.raises(DomainError):
+                smece_at_bandwidth(ds, bad)
+
+    def test_grid_needs_two_points(self):
+        ds = make_dataset([(0.5, True), (0.6, False)])
         with pytest.raises(DomainError):
-            calibration_diagram(make_dataset([(0.5, True), (0.6, False)]), 0.0)
+            calibration_diagram(ds, 0.1, grid_points=1)
+        with pytest.raises(DomainError):
+            smece(ds, grid_points=1)
+        assert smece_at_bandwidth(ds, 0.1, grid_points=2) >= 0.0
 
 
 class TestMetricReport:
