@@ -10,10 +10,11 @@ abstentions; both carry NaN where their condition is empty. SNR is Acc over
 Hal with a floor on Hal; SNR-Gain is the log ratio of the interval-averaged
 SNR over [0, 1] to the point SNR at t = 0.
 
-sweep() keeps the integer decision counts behind the curves. With the default
-floor epsilon_h = 1/(2n) (half a count) the SNR arithmetic runs in count
-space, so datasets whose decisions do not depend on t give snr_gain of
-exactly 0.0 rather than 0.0 plus float-trapezoid noise.
+A RiskSweep is the integer decision counts per threshold, and every curve is
+a ratio of them. The SNR arithmetic runs on the counts too: on a uniform grid
+the trapezoid weights are integers and the step cancels, so with the default
+floor epsilon_h = 1/(2n) (half a count) datasets whose decisions do not
+depend on t give snr_gain of exactly 0.0.
 """
 
 from __future__ import annotations
@@ -31,44 +32,47 @@ _GRID_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class RiskSweep:
-    """Per-threshold behavioral curves on an ascending grid.
+    """Decision counts per threshold on an ascending grid.
 
-    Sweeps built by sweep() also carry the raw per-threshold counts
-    (answered-valid, answered-invalid, abstained-valid) and the record count;
-    curve-only sweeps built via from_curves() leave them None and require an
-    explicit epsilon_h in the SNR operations.
+    At grid[i], ans_valid[i] and ans_invalid[i] records answer (p >= t) and
+    are valid or invalid, and abs_valid[i] records abstain and are valid; n
+    is the record count. The curves acc, hal, abs, tp and fn are ratios of
+    these counts.
     """
 
     grid: np.ndarray
-    acc: np.ndarray
-    hal: np.ndarray
-    abs: np.ndarray
-    tp: np.ndarray
-    fn: np.ndarray
-    n: int | None = None
-    ans_valid: np.ndarray | None = None
-    ans_invalid: np.ndarray | None = None
-    abs_valid: np.ndarray | None = None
+    n: int
+    ans_valid: np.ndarray
+    ans_invalid: np.ndarray
+    abs_valid: np.ndarray
 
-    @classmethod
-    def from_curves(cls, grid, acc, hal, abs_curve) -> "RiskSweep":
-        """Build a sweep from bare curves (tests, external data); counts unknown."""
-        grid = np.asarray(grid, dtype=float)
-        acc = np.asarray(acc, dtype=float)
-        hal = np.asarray(hal, dtype=float)
-        abs_curve = np.asarray(abs_curve, dtype=float)
-        answered = acc + hal
+    @property
+    def acc(self) -> np.ndarray:
+        return self.ans_valid / self.n
+
+    @property
+    def hal(self) -> np.ndarray:
+        return self.ans_invalid / self.n
+
+    @property
+    def abs(self) -> np.ndarray:
+        return (self.n - (self.ans_valid + self.ans_invalid)) / self.n
+
+    @property
+    def tp(self) -> np.ndarray:
+        ans = self.ans_valid + self.ans_invalid
         with np.errstate(invalid="ignore", divide="ignore"):
-            tp = np.where(answered > 0, acc / answered, np.nan)
-        fn = np.full_like(acc, np.nan)
-        return cls(grid=grid, acc=acc, hal=hal, abs=abs_curve, tp=tp, fn=fn)
+            return np.where(ans > 0, self.ans_valid / ans, np.nan)
+
+    @property
+    def fn(self) -> np.ndarray:
+        abstained = self.n - (self.ans_valid + self.ans_invalid)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(abstained > 0, self.abs_valid / abstained, np.nan)
 
     def to_rows(self) -> list[tuple[float, float, float, float, float, float]]:
-        return [
-            (float(self.grid[i]), float(self.acc[i]), float(self.hal[i]),
-             float(self.abs[i]), float(self.tp[i]), float(self.fn[i]))
-            for i in range(self.grid.size)
-        ]
+        columns = (self.grid, self.acc, self.hal, self.abs, self.tp, self.fn)
+        return list(zip(*(c.tolist() for c in columns)))
 
 
 def default_grid(points: int = 101) -> np.ndarray:
@@ -78,7 +82,7 @@ def default_grid(points: int = 101) -> np.ndarray:
 
 
 def sweep(dataset: Dataset, grid: np.ndarray | None = None) -> RiskSweep:
-    """Evaluate Acc/Hal/Abs/TP/FN on a threshold grid.
+    """Count the decisions on a threshold grid.
 
     A record answers at t iff its confidence p satisfies p >= t (the decide()
     rule). Counting is done on sorted confidences, one searchsorted per
@@ -101,21 +105,10 @@ def sweep(dataset: Dataset, grid: np.ndarray | None = None) -> RiskSweep:
     total_valid = int(suffix_valid[0])
 
     first_ans = np.searchsorted(p_sorted, grid, side="left")
-    ans = n - first_ans                      # records with p >= t
     ans_valid = suffix_valid[first_ans]
-    ans_invalid = ans - ans_valid
-    abs_valid = total_valid - ans_valid
-    abstained = n - ans
-
-    acc = ans_valid / n
-    hal = ans_invalid / n
-    abs_curve = abstained / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tp = np.where(ans > 0, ans_valid / ans, np.nan)
-        fn = np.where(abstained > 0, abs_valid / abstained, np.nan)
-    return RiskSweep(grid=grid, acc=acc, hal=hal, abs=abs_curve, tp=tp, fn=fn,
-                     n=n, ans_valid=ans_valid, ans_invalid=ans_invalid,
-                     abs_valid=abs_valid)
+    return RiskSweep(grid=grid, n=n, ans_valid=ans_valid,
+                     ans_invalid=(n - first_ans) - ans_valid,
+                     abs_valid=total_valid - ans_valid)
 
 
 def _grid_index(sweep_: RiskSweep, t: float) -> int:
@@ -125,56 +118,46 @@ def _grid_index(sweep_: RiskSweep, t: float) -> int:
     return int(hits[0])
 
 
-def _uniform_step(grid: np.ndarray) -> float | None:
-    d = np.diff(grid)
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
-    return step if np.allclose(d, step, rtol=1e-9, atol=1e-12) else None
+def _hal_floor(n: int, epsilon_h: float | None, m: int | None = None) -> float:
+    """Hal floor in counts: n epsilon_h (None: half a count) at one threshold,
+    or its trapezoid sum over m grid steps. DomainError unless epsilon_h is
+    positive and finite."""
+    if epsilon_h is None:
+        return 0.5 if m is None else float(m)
+    eps = float(epsilon_h)
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"epsilon_h must be positive and finite: {epsilon_h!r}")
+    return float(n) * eps if m is None else 2.0 * n * eps * m
 
 
 def snr_point(sweep_: RiskSweep, t: float, epsilon_h: float | None = None) -> float:
-    """Acc(t) / max(Hal(t), epsilon_h); default epsilon_h is half a count, 1/(2n)."""
+    """Acc(t) / max(Hal(t), epsilon_h), for t on the grid; epsilon_h defaults
+    to half a count, 1/(2n)."""
     i = _grid_index(sweep_, t)
-    if sweep_.ans_valid is not None:
-        av, ai = int(sweep_.ans_valid[i]), int(sweep_.ans_invalid[i])
-        floor = 0.5 if epsilon_h is None else float(sweep_.n) * float(epsilon_h)
-        return av / max(ai, floor)
-    if epsilon_h is None:
-        raise DomainError("curve-only sweep: epsilon_h must be given explicitly")
-    return float(sweep_.acc[i]) / max(float(sweep_.hal[i]), float(epsilon_h))
+    return int(sweep_.ans_valid[i]) / max(int(sweep_.ans_invalid[i]),
+                                          _hal_floor(sweep_.n, epsilon_h))
 
 
 def snr_interval(sweep_: RiskSweep, lo: float, hi: float,
                  epsilon_h: float | None = None) -> float:
     """Trapezoid-averaged SNR over [lo, hi]: INT acc / max(INT hal, epsilon_h (hi-lo)).
 
-    On a uniform grid with both endpoints on it, the trapezoid weights reduce
-    to integer count sums and the shared step cancels from the ratio, so the
-    computation is exact in count space.
+    Needs a uniform grid with lo and hi on it (DomainError otherwise): the
+    trapezoid weights are then integer count sums and the shared step cancels
+    from the ratio, so the computation is exact in count space.
     """
     lo, hi = float(lo), float(hi)
     if not (0.0 <= lo < hi <= 1.0):
         raise DomainError(f"need 0 <= lo < hi <= 1, got [{lo!r}, {hi!r}]")
     grid = sweep_.grid
-    step = _uniform_step(grid)
-    on_grid = (np.min(np.abs(grid - lo)) <= _GRID_ATOL
-               and np.min(np.abs(grid - hi)) <= _GRID_ATOL)
-    if sweep_.ans_valid is not None and step is not None and on_grid:
-        i0, i1 = _grid_index(sweep_, lo), _grid_index(sweep_, hi)
-        m = i1 - i0
-        # composite-trapezoid weights (1, 2, ..., 2, 1) on integer counts
-        s_acc = int(sweep_.ans_valid[i0] + sweep_.ans_valid[i1]
-                    + 2 * sweep_.ans_valid[i0 + 1:i1].sum())
-        s_hal = int(sweep_.ans_invalid[i0] + sweep_.ans_invalid[i1]
-                    + 2 * sweep_.ans_invalid[i0 + 1:i1].sum())
-        floor = float(m) if epsilon_h is None else 2.0 * sweep_.n * float(epsilon_h) * m
-        return s_acc / max(s_hal, floor)
-    if epsilon_h is None:
-        raise DomainError("epsilon_h must be given explicitly when the sweep has no "
-                          "counts or [lo, hi] is off the uniform grid")
-    xs = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-    i_acc = np.trapezoid(np.interp(xs, grid, sweep_.acc), xs)
-    i_hal = np.trapezoid(np.interp(xs, grid, sweep_.hal), xs)
-    return float(i_acc / max(i_hal, float(epsilon_h) * (hi - lo)))
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    if not np.allclose(np.diff(grid), step, rtol=1e-9, atol=1e-12):
+        raise DomainError("SNR over an interval needs a uniform threshold grid")
+    i0, i1 = _grid_index(sweep_, lo), _grid_index(sweep_, hi)
+    # composite-trapezoid weights (1, 2, ..., 2, 1) on integer counts
+    s_acc, s_hal = (int(2 * c[i0:i1 + 1].sum() - c[i0] - c[i1])
+                    for c in (sweep_.ans_valid, sweep_.ans_invalid))
+    return s_acc / max(s_hal, _hal_floor(sweep_.n, epsilon_h, i1 - i0))
 
 
 def snr_gain(sweep_: RiskSweep, epsilon_h: float | None = None,
@@ -185,9 +168,6 @@ def snr_gain(sweep_: RiskSweep, epsilon_h: float | None = None,
     guarantees for datasets whose decisions are threshold independent.
     Undefined (DataError) when SNR(0) is 0, that is when no record is valid.
     """
-    grid = sweep_.grid
-    if abs(grid[0]) > _GRID_ATOL or abs(grid[-1] - 1.0) > _GRID_ATOL:
-        raise DomainError("snr_gain needs a sweep over the full [0, 1] grid")
     if str(log_base) not in ("e", "ln", "10"):
         raise DomainError(f"unknown log base {log_base!r}; expected e or 10")
     num = snr_interval(sweep_, 0.0, 1.0, epsilon_h)
@@ -203,8 +183,9 @@ def snr_gain(sweep_: RiskSweep, epsilon_h: float | None = None,
 class ObjectiveReport:
     """Pass/fail of the four behavioral objectives plus numeric diagnostics.
 
-    A diagnostic the sweep leaves undefined (snr_gain with no valid record)
-    is NaN, and `undefined` maps its name to the reason.
+    A diagnostic the sweep leaves undefined (snr_gain with no valid record,
+    worst_fn_excess when nobody abstains, worst_tp_margin when nobody
+    answers) is NaN, and `undefined` maps its name to the reason.
     """
 
     adaptive_risk: bool
@@ -251,9 +232,13 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
 
     QuantitativeCalibration: TP(t) >= t - tolerance and FN(t) <= t + tolerance
     wherever those conditionals are defined.
+
+    DomainError unless tolerance is finite and >= 0 and baseline_acc in [0, 1].
     """
-    if tolerance < 0:
-        raise DomainError(f"tolerance must be non-negative: {tolerance!r}")
+    if not 0.0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and non-negative: {tolerance!r}")
+    if not 0.0 <= baseline_acc <= 1.0:
+        raise DomainError(f"baseline_acc must lie in [0, 1]: {baseline_acc!r}")
     grid, abs_curve = sweep_.grid, sweep_.abs
     diffs = np.diff(abs_curve)
     monotone = bool(np.all(diffs >= -1e-12))
@@ -274,13 +259,17 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
         undefined["snr_gain"] = str(exc)
     reduces = hal1 <= tolerance and gain > 0.0
 
-    tp_def = ~np.isnan(sweep_.tp)
-    fn_def = ~np.isnan(sweep_.fn)
-    tp_ok = bool(np.all(sweep_.tp[tp_def] >= grid[tp_def] - tolerance))
-    fn_ok = bool(np.all(sweep_.fn[fn_def] <= grid[fn_def] + tolerance))
+    tp, fn = sweep_.tp, sweep_.fn
+    tp_def, fn_def = ~np.isnan(tp), ~np.isnan(fn)
+    tp_ok = bool(np.all(tp[tp_def] >= grid[tp_def] - tolerance))
+    fn_ok = bool(np.all(fn[fn_def] <= grid[fn_def] + tolerance))
 
-    worst_tp = float(np.min(sweep_.tp[tp_def] - grid[tp_def])) if tp_def.any() else math.nan
-    worst_fn = float(np.max(sweep_.fn[fn_def] - grid[fn_def])) if fn_def.any() else math.nan
+    worst_tp = float(np.min(tp[tp_def] - grid[tp_def])) if tp_def.any() else math.nan
+    worst_fn = float(np.max(fn[fn_def] - grid[fn_def])) if fn_def.any() else math.nan
+    if not tp_def.any():
+        undefined["worst_tp_margin"] = "nobody answers at any threshold"
+    if not fn_def.any():
+        undefined["worst_fn_excess"] = "nobody abstains at any threshold"
     return ObjectiveReport(
         adaptive_risk=adaptive,
         accuracy_preservation=preserves,

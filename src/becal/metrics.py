@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .behavior import default_grid
 from .errors import DataError, DomainError
 from .model import Dataset
 
@@ -173,12 +174,6 @@ def _check_bandwidth(sigma: float) -> None:
         raise DomainError(f"bandwidth must be positive and finite: {sigma!r}")
 
 
-def _grid(points: int) -> np.ndarray:
-    if points < 2:
-        raise DomainError(f"the evaluation grid needs at least two points: {points!r}")
-    return np.linspace(0.0, 1.0, points)
-
-
 def _cosine_moments(p: np.ndarray, weights: np.ndarray, sigma: float):
     """Yield blocks (m0, c) with c[j, col] = SUM_i weights[i, col] cos(pi (m0 + j) p_i).
 
@@ -240,7 +235,7 @@ def _smece_at(grid: np.ndarray, moments, sigma: float, n: int) -> float:
 def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -> float:
     """smECE at a fixed bandwidth, trapezoid-integrated on the evaluation grid."""
     _check_bandwidth(sigma)
-    grid = _grid(grid_points)
+    grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
     moments = _cosine_moments(p, (v - p)[:, None], sigma)
     return _smece_at(grid, moments, sigma, p.size)
@@ -278,7 +273,7 @@ def smece(dataset: Dataset, grid_points: int = 512,
     p, v = _arrays(dataset)
     if p.size < 2:
         raise DataError("smECE needs at least two records")
-    grid = _grid(grid_points)
+    grid = default_grid(grid_points)
     p, v = _canonical(p, v)
     lo = 1.0 / (grid_points - 1)
     weights = np.column_stack((v - p, v, np.ones_like(p)))
@@ -321,7 +316,7 @@ def calibration_diagram(dataset: Dataset, bandwidth: float,
     build takes O(n / bandwidth) time.
     """
     _check_bandwidth(bandwidth)
-    grid = _grid(grid_points)
+    grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
     moments = _cosine_moments(p, np.column_stack((v, np.ones_like(p))), bandwidth)
     return _diagram(grid, _grid_sums(moments, bandwidth, grid_points), p.size, bandwidth)

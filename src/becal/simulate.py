@@ -28,6 +28,13 @@ def _rng(entropy) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def check_seed(seed) -> int:
+    """The one seed rule: 0 <= seed < 2^64, else DomainError."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise DomainError(f"seed must fit in 64 unsigned bits: {seed!r}")
+    return int(seed)
+
+
 # ---------------------------------------------------------------------------
 # difficulty priors and report maps
 
@@ -157,8 +164,7 @@ class AgentSpec:
             raise DomainError(f"n_questions must be >= 1: {self.n_questions!r}")
         if self.n_claims is not None and self.n_claims < 1:
             raise DomainError(f"n_claims must be >= 1 when set: {self.n_claims!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise DomainError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 def generate(spec: AgentSpec, label: str = "sim") -> Dataset:
@@ -211,7 +217,7 @@ def generate_claims(q_chain, seed: int,
         raise DataError("claim chain must be non-empty")
     if np.any(qs < 0) or np.any(qs > 1) or not np.all(np.isfinite(qs)):
         raise DomainError("chain probabilities must lie in [0, 1]")
-    rng = _rng([int(seed), 1])
+    rng = _rng([check_seed(seed), 1])
     valids = rng.random(qs.size) < qs
     confs = qs if report_map is None else report_map.apply(qs)
     claims = [ClaimRecord(text=f"step {i + 1}", confidence=float(confs[i]),
@@ -237,7 +243,7 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
     lo, hi = base_range
     if not (0.0 <= lo <= hi <= 1.0):
         raise DomainError(f"bad base range: {base_range!r}")
-    rng = _rng([int(seed), 2])
+    rng = _rng([check_seed(seed), 2])
     records = []
     for g in range(n_groups):
         base = lo + (hi - lo) * rng.random()
@@ -306,9 +312,10 @@ def train_critic(surrogate: CriticSurrogate, n_steps: int, seed: int) -> CriticS
     """
     if n_steps < 0:
         raise DomainError(f"n_steps must be >= 0: {n_steps!r}")
+    seed = check_seed(seed)
     if n_steps == 0:
         return surrogate
-    rng = _rng([int(seed), 3])
+    rng = _rng([seed, 3])
     n_ctx = surrogate.contexts.size
     ctx_draws = rng.integers(0, n_ctx, size=n_steps).tolist()
     coin = rng.random(n_steps).tolist()

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .model import Dataset
+from .simulate import _rng, check_seed
 
 STRATEGIES = ("mean", "best", "majority", "maxconf", "majconf")
 
@@ -107,8 +108,7 @@ def _check_k(k: int, groups) -> None:
 
 def _group_rng(seed: int, k: int, resample: int, group: str) -> np.random.Generator:
     digest = hashlib.sha256(group.encode("utf-8")).digest()[:8]
-    entropy = [int(seed), int(k), int(resample), *digest]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return _rng([int(seed), int(k), int(resample), *digest])
 
 
 def _draw(grp: SampleGroup, k: int, rng: np.random.Generator):
@@ -167,6 +167,7 @@ def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
     groups = list(groups)
     if not groups:
         raise DataError("no groups to evaluate")
+    seed = check_seed(seed)
     if n_resamples < 1:
         raise DomainError(f"n_resamples must be >= 1: {n_resamples!r}")
     ks = [int(k) for k in k_values]

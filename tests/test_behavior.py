@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from becal.behavior import (RiskSweep, check_objectives, default_grid,
-                            snr_gain, snr_interval, snr_point, sweep)
+from becal.behavior import (check_objectives, default_grid, snr_gain,
+                            snr_interval, snr_point, sweep)
 from becal.errors import DataError, DomainError
 
 from conftest import make_dataset, random_dataset
@@ -91,32 +93,28 @@ class TestSnrPoint:
         with pytest.raises(DomainError):
             snr_point(sw, 0.37)
 
-    def test_curve_only_needs_epsilon(self):
-        sw = RiskSweep.from_curves(np.linspace(0, 1, 11),
-                                   np.full(11, 0.6), np.full(11, 0.3),
-                                   np.full(11, 0.1))
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_domain(self, eps):
+        sw = sweep(make_dataset([(0.9, True)]))  # Hal is 0 everywhere
         with pytest.raises(DomainError):
-            snr_point(sw, 0.5)
-        np.testing.assert_allclose(snr_point(sw, 0.5, epsilon_h=1e-9), 2.0)
+            snr_point(sw, 0.5, epsilon_h=eps)
+        with pytest.raises(DomainError):
+            snr_interval(sw, 0.0, 1.0, epsilon_h=eps)
 
 
 class TestSnrInterval:
-    def test_constant_curves(self):
-        sw = RiskSweep.from_curves(np.linspace(0, 1, 101),
-                                   np.full(101, 0.6), np.full(101, 0.3),
-                                   np.full(101, 0.1))
-        np.testing.assert_allclose(snr_interval(sw, 0.0, 1.0, epsilon_h=1e-9),
-                                   2.0, rtol=0, atol=1e-12)
-
     def test_linear_curves(self):
-        grid = np.linspace(0, 1, 101)
-        sw = RiskSweep.from_curves(grid, 1.0 - grid, 0.5 * (1.0 - grid),
-                                   0.5 * grid)
-        np.testing.assert_allclose(snr_interval(sw, 0.0, 1.0, epsilon_h=1e-9),
-                                   0.5 / 0.25, rtol=0, atol=1e-12)
-        # slicing the same linear curves keeps the ratio
-        np.testing.assert_allclose(snr_interval(sw, 0.4, 0.6, epsilon_h=1e-9),
-                                   2.0, rtol=0, atol=1e-12)
+        """Two valid and one invalid record at each grid point above 0.
+
+        Acc and Hal fall linearly in t with Acc = 2 Hal, so every on-grid
+        slice has SNR exactly 2.
+        """
+        grid = default_grid()
+        pairs = [(p, v) for p in grid[1:] for v in (True, True, False)]
+        sw = sweep(make_dataset(pairs), grid)
+        np.testing.assert_array_equal(sw.acc[1:], 2.0 * sw.hal[1:])
+        assert snr_interval(sw, 0.0, 1.0) == 2.0
+        assert snr_interval(sw, 0.4, 0.6) == 2.0
 
     def test_interval_matches_point_for_constants(self):
         pairs = [(1.0, True)] * 6 + [(1.0, False)] * 4
@@ -130,13 +128,68 @@ class TestSnrInterval:
         with pytest.raises(DomainError):
             snr_interval(sw, 0.8, 0.2)
 
-    def test_off_grid_slice_uses_float_path(self):
-        pairs = [(0.9, True)] * 3 + [(0.2, False)] * 1
-        sw = sweep(make_dataset(pairs))
+    def test_off_grid_endpoint_rejected(self):
+        sw = sweep(make_dataset([(0.9, True)] * 3 + [(0.2, False)]))
+        for lo, hi in [(0.05, 0.9501), (0.0, 0.955), (0.005, 1.0)]:
+            with pytest.raises(DomainError):
+                snr_interval(sw, lo, hi)
+            with pytest.raises(DomainError):
+                snr_interval(sw, lo, hi, epsilon_h=1e-9)
+
+    def test_non_uniform_grid_rejected(self):
+        grid = np.array([0.0, 0.1, 0.5, 1.0])
+        sw = sweep(make_dataset([(0.9, True), (0.2, False)]), grid)
+        assert snr_point(sw, 0.5) == 1.0 / 0.5  # one threshold needs no step
         with pytest.raises(DomainError):
-            snr_interval(sw, 0.05, 0.9501)  # off grid without epsilon_h
-        value = snr_interval(sw, 0.05, 0.9501, epsilon_h=1e-9)
-        assert value > 0
+            snr_interval(sw, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            snr_interval(sw, 0.1, 0.5, epsilon_h=1e-9)
+        with pytest.raises(DomainError):
+            snr_gain(sw)
+
+
+def trapezoid_snr(grid, acc, hal, lo, hi, epsilon_h):
+    """Float trapezoid of the curves over [lo, hi], the oracle for snr_interval."""
+    xs = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
+    i_acc = np.trapezoid(np.interp(xs, grid, acc), xs)
+    i_hal = np.trapezoid(np.interp(xs, grid, hal), xs)
+    return float(i_acc / max(i_hal, epsilon_h * (hi - lo)))
+
+
+CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                        st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(CONFIDENCES, st.booleans()), min_size=1, max_size=200),
+       st.integers(2, 60), st.data())
+def test_counts_match_direct_decisions(pairs, points, data):
+    """Curves equal a direct per-threshold count, bit for bit, and the count
+    SNR on any on-grid interval equals the float trapezoid."""
+    ds = make_dataset(pairs)
+    grid = default_grid(points)
+    sw = sweep(ds, grid)
+    p, v = ds.confidences(), ds.valids()
+    n = p.size
+    for i, t in enumerate(grid):
+        answers = p >= t
+        av = int(np.sum(answers & v))
+        ai = int(np.sum(answers & ~v))
+        bv = int(np.sum(~answers & v))
+        ans, abstained = av + ai, n - av - ai
+        assert (sw.ans_valid[i], sw.ans_invalid[i], sw.abs_valid[i]) == (av, ai, bv)
+        assert sw.acc[i] == av / n and sw.hal[i] == ai / n
+        assert sw.abs[i] == abstained / n
+        assert (sw.tp[i] == av / ans) if ans else math.isnan(sw.tp[i])
+        assert (sw.fn[i] == bv / abstained) if abstained else math.isnan(sw.fn[i])
+    i0 = data.draw(st.integers(0, points - 2))
+    i1 = data.draw(st.integers(i0 + 1, points - 1))
+    lo, hi = float(grid[i0]), float(grid[i1])
+    want = trapezoid_snr(grid, sw.acc, sw.hal, lo, hi, 1.0 / (2 * n))
+    assert snr_interval(sw, lo, hi) == pytest.approx(want, rel=1e-12, abs=0)
+    eps = data.draw(st.floats(1e-6, 1.0))
+    want = trapezoid_snr(grid, sw.acc, sw.hal, lo, hi, eps)
+    assert snr_interval(sw, lo, hi, eps) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestSnrGain:
@@ -196,8 +249,41 @@ class TestCheckObjectives:
 
     def test_tolerance_domain(self):
         sw = sweep(make_dataset([(0.5, True), (0.6, False)]))
-        with pytest.raises(DomainError):
-            check_objectives(sw, 0.5, tolerance=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                check_objectives(sw, 0.5, tolerance=bad)
+        assert check_objectives(sw, 0.5, tolerance=0.0).diagnostics["tolerance"] == 0.0
+
+    def test_baseline_domain(self):
+        sw = sweep(make_dataset([(0.5, True), (0.6, False)]))
+        for bad in (-1.0, 1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                check_objectives(sw, bad)
+        for ok in (0.0, 1.0):
+            assert check_objectives(sw, ok).diagnostics["baseline_acc"] == ok
+
+    def test_explicit_epsilon_keeps_the_floor_arithmetic(self):
+        rng = np.random.default_rng(79)
+        sw = sweep(random_dataset(rng, 300, quantize=20))
+        n, eps = sw.n, 1e-3
+        i = 50  # t = 0.5
+        assert snr_point(sw, 0.5, eps) == \
+            int(sw.ans_valid[i]) / max(int(sw.ans_invalid[i]), float(n) * eps)
+        s_hal = int(sw.ans_invalid[0] + sw.ans_invalid[-1]
+                    + 2 * sw.ans_invalid[1:-1].sum())
+        s_acc = int(sw.ans_valid[0] + sw.ans_valid[-1]
+                    + 2 * sw.ans_valid[1:-1].sum())
+        assert snr_interval(sw, 0.0, 1.0, eps) == s_acc / max(s_hal, 2.0 * n * eps * 100)
+
+    def test_undefined_conditionals_are_reported(self):
+        """Everyone answers at every threshold: FN is never defined."""
+        sw = sweep(make_dataset([(1.0, True), (1.0, False)]))
+        report = check_objectives(sw, 0.5)
+        assert report.undefined == {
+            "worst_fn_excess": "nobody abstains at any threshold"}
+        assert math.isnan(report.diagnostics["worst_fn_excess"])
+        assert report.to_dict()["diagnostics"]["worst_fn_excess"] is None
+        assert report.diagnostics["worst_tp_margin"] == 0.5 - 1.0
 
     def test_undefined_snr_gain_is_reported(self):
         sw = sweep(make_dataset([(0.9, False), (0.2, False)]))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from becal.cli import build_parser, main
+from becal.cli import REWARDS, build_parser, main
 
 
 def write_jsonl(path, rows):
@@ -289,7 +289,9 @@ class TestObjectives:
         assert payload["adaptive_risk"] is False
         assert payload["accuracy_preservation"] is True  # baseline is Acc(0)
         assert "snr_gain" in payload["diagnostics"]
-        assert payload["undefined"] == {}
+        # p = 1 everywhere: every record answers at every threshold
+        assert payload["undefined"] == {
+            "worst_fn_excess": "nobody abstains at any threshold"}
 
     def test_no_valid_record(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "d.jsonl", plain_rows([(0.9, False)]))
@@ -302,6 +304,16 @@ class TestObjectives:
         payload = json.loads(capsys.readouterr().out)
         assert payload["objectives"]["diagnostics"]["snr_gain"] is None
         assert set(payload["undefined"]) == {"smece", "auc", "snr_gain"}
+
+    @pytest.mark.parametrize("command", ["objectives", "report"])
+    @pytest.mark.parametrize("flag", ["--epsilon-h=0", "--epsilon-h=-1",
+                                      "--epsilon-h=nan", "--tolerance=nan",
+                                      "--baseline-acc=-1", "--baseline-acc=inf",
+                                      "--baseline-acc=nan"])
+    def test_parameter_domain(self, command, flag, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "one.jsonl", plain_rows([(0.9, True)]))
+        assert main([command, path, flag]) == 3
+        assert capsys.readouterr().err.startswith("becal: error: ")
 
 
 class TestTtsOutput:
@@ -465,3 +477,58 @@ class TestReplay:
         assert sorted(p.name for p in second.iterdir()) == written
         for name in written:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def _numeric_option_cases():
+    """(command, option, value) for every int/float option build_parser() defines."""
+    values = {int: ("-1", "0"), float: ("nan", "inf", "-inf", "-1", "0")}
+    for command, sub in sorted(build_parser().commands.items()):
+        for action in sub._actions:
+            for value in values.get(action.type, ()):
+                yield command, action.option_strings[-1], value
+
+
+# extra flags per command so that each option is read: every reward kind, a
+# diagram for --bandwidth, both simulate modes
+VARIANTS = {
+    "simulate": [["--n=5"], ["--groups=2", "--samples-per-group=2"]],
+    "reward": [[f"--reward={name}"] for name in REWARDS],
+    "metrics": [[], ["--diagram-out={tmp}/d.csv"]],
+    "tts": [["--k=1,2"]],
+}
+
+
+class TestNumericOptions:
+    """No int or float option value ends in a traceback: every run exits 0-3."""
+
+    @pytest.mark.parametrize("command,option,value", list(_numeric_option_cases()))
+    def test_exits_cleanly(self, command, option, value, tmp_path, capsys):
+        one = write_jsonl(tmp_path / "one.jsonl", plain_rows([(0.9, True)]))
+        four = write_jsonl(tmp_path / "four.jsonl",
+                           plain_rows([(0.9, True), (0.4, False), (0.7, True),
+                                       (0.2, False)]))
+        ens = write_jsonl(tmp_path / "ens.jsonl", grouped_rows(
+            [("g", "A", 0.9, True), ("g", "B", 0.4, False),
+             ("h", "A", 0.3, True), ("h", "A", 0.6, True)]))
+        inputs = {"simulate": [[]], "tts": [[ens]]}.get(command, [[one], [four]])
+        for given in inputs:
+            for extra in VARIANTS.get(command, [[]]):
+                argv = [command, *given, *(x.format(tmp=tmp_path) for x in extra),
+                        f"{option}={value}", "--out", str(tmp_path / "out")]
+                assert main(argv) in (0, 1, 2, 3), argv
+        capsys.readouterr()
+
+    def test_covers_the_known_crashes(self):
+        cases = set(_numeric_option_cases())
+        assert {("tts", "--seed", "-1"), ("objectives", "--epsilon-h", "0"),
+                ("simulate", "--seed", "-1")} <= cases
+
+    def test_negative_seed(self, tmp_path, capsys):
+        ens = write_jsonl(tmp_path / "ens.jsonl", grouped_rows(
+            [("g", "A", 0.9, True), ("g", "B", 0.4, False)]))
+        assert main(["simulate", "--groups", "2", "--samples-per-group", "2",
+                     "--seed", "-1"]) == 3
+        assert main(["tts", ens, "--seed", "-1"]) == 3
+        assert main(["tts", ens, "--seed", str(2 ** 64), "--k", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("becal: error: seed must fit in 64 unsigned bits") == 3

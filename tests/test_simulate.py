@@ -223,6 +223,23 @@ class TestRewardCurve:
             expected_reward_curve(UniformPrior(), 1.2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_one_seed_rule(seed):
+    """Every seeded generator takes 0 <= seed < 2^64 and raises DomainError otherwise."""
+    calls = [
+        lambda s: AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=2, seed=s),
+        lambda s: generate_claims([0.5], seed=s),
+        lambda s: train_critic(CriticSurrogate.fresh([0.5]), 0, seed=s),
+        lambda s: train_critic(CriticSurrogate.fresh([0.5]), 3, seed=s),
+        lambda s: generate_ensemble(1, 1, seed=s),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="64 unsigned bits"):
+            call(seed)
+        call(2 ** 64 - 1)
+        call(0)
+
+
 class TestEnsemble:
     def test_shape_and_labels(self):
         ds = generate_ensemble(3, 4, seed=0)

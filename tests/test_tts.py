@@ -266,3 +266,7 @@ class TestScalingCurve:
             scaling_curve(groups, "mean", [], n_resamples=5)
         with pytest.raises(DomainError):
             scaling_curve(groups, "mean", [1, 99], n_resamples=5)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(DomainError, match="64 unsigned bits"):
+                scaling_curve(groups, "mean", [1], n_resamples=1, seed=seed)
+        assert scaling_curve(groups, "mean", [1], n_resamples=1, seed=2 ** 64 - 1)
