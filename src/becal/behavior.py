@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .model import Dataset
+from .simulate import check_count
 
 _GRID_ATOL = 1e-9
 
@@ -76,9 +77,8 @@ class RiskSweep:
 
 
 def default_grid(points: int = 101) -> np.ndarray:
-    if points < 2:
-        raise DomainError(f"grid needs at least 2 points: {points!r}")
-    return np.linspace(0.0, 1.0, points)
+    """points evenly spaced thresholds on [0, 1]; 2 <= points < 2^63."""
+    return np.linspace(0.0, 1.0, check_count("grid points", points, least=2))
 
 
 def sweep(dataset: Dataset, grid: np.ndarray | None = None) -> RiskSweep:
@@ -121,13 +121,17 @@ def _grid_index(sweep_: RiskSweep, t: float) -> int:
 def _hal_floor(n: int, epsilon_h: float | None, m: int | None = None) -> float:
     """Hal floor in counts: n epsilon_h (None: half a count) at one threshold,
     or its trapezoid sum over m grid steps. DomainError unless epsilon_h is
-    positive and finite."""
+    positive and finite and so is the floor."""
     if epsilon_h is None:
         return 0.5 if m is None else float(m)
     eps = float(epsilon_h)
     if not 0.0 < eps < math.inf:
         raise DomainError(f"epsilon_h must be positive and finite: {epsilon_h!r}")
-    return float(n) * eps if m is None else 2.0 * n * eps * m
+    floor = float(n) * eps if m is None else 2.0 * n * eps * m
+    if not math.isfinite(floor):
+        raise DomainError(f"epsilon_h is too large: the hallucination floor "
+                          f"overflows: {epsilon_h!r}")
+    return floor
 
 
 def snr_point(sweep_: RiskSweep, t: float, epsilon_h: float | None = None) -> float:

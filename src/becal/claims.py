@@ -21,7 +21,8 @@ from .model import ClaimRecord, Dataset, _check_unit
 
 _ATTR_RE = re.compile(rb'([A-Za-z_][A-Za-z0-9_-]*)\s*=\s*(?:"([^"]*)"|\'([^\']*)\')')
 _OPEN = b"<claim"
-_CLOSE = b"</claim>"
+# an open tag needs a boundary after its name, so "<claims>" is plain text
+_TAG_RE = re.compile(rb"<claim(?=[\s>]|\Z)|</claim>")
 
 
 @dataclass(frozen=True)
@@ -85,36 +86,23 @@ def parse_claims(text: str) -> ClaimMarkupDoc:
     except UnicodeEncodeError as exc:
         raise DataError(f"lone surrogate at character {exc.start}") from None
     spans: list[tuple[int, int, ClaimRecord]] = []
-    pos = 0
     open_at = -1  # byte offset of the currently open tag, -1 when outside
-    stub: ClaimRecord | None = None
     content_start = 0
-    while True:
-        nxt_open = data.find(_OPEN, pos)
-        # require a tag boundary so e.g. "<claims>" is plain text
-        while nxt_open >= 0:
-            after = data[nxt_open + len(_OPEN):nxt_open + len(_OPEN) + 1]
-            if after == b"" or after in (b">",) or after.isspace():
-                break
-            nxt_open = data.find(_OPEN, nxt_open + 1)
-        nxt_close = data.find(_CLOSE, pos)
-        if nxt_open < 0 and nxt_close < 0:
-            break
-        if nxt_open >= 0 and (nxt_close < 0 or nxt_open < nxt_close):
+    for tag in _TAG_RE.finditer(data):
+        at = tag.start()
+        if at < content_start:  # inside the open tag parsed last
+            continue
+        if tag.group() == _OPEN:
             if open_at >= 0:
-                raise DataError(f"nested claim at offset {nxt_open}")
-            open_at = nxt_open
-            stub, content_start = _parse_open_tag(data, nxt_open)
-            pos = content_start
+                raise DataError(f"nested claim at offset {at}")
+            open_at = at
+            stub, content_start = _parse_open_tag(data, at)
+        elif open_at < 0:
+            raise DataError(f"unmatched closing claim tag at offset {at}")
         else:
-            if open_at < 0:
-                raise DataError(f"unmatched closing claim tag at offset {nxt_close}")
-            content = data[content_start:nxt_close].decode("utf-8")
-            assert stub is not None
-            spans.append((open_at, nxt_close + len(_CLOSE), replace(stub, text=content)))
+            content = data[content_start:at].decode("utf-8")
+            spans.append((open_at, tag.end(), replace(stub, text=content)))
             open_at = -1
-            stub = None
-            pos = nxt_close + len(_CLOSE)
     if open_at >= 0:
         raise DataError(f"unclosed claim tag at offset {open_at}")
     return ClaimMarkupDoc(raw=text, spans=tuple(spans))

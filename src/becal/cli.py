@@ -76,8 +76,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...],
+def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...] = (),
                 with_input: bool = True) -> None:
+    """Input, --out and --config for every command; --format where it has a choice."""
     if with_input:
         sub.add_argument("input", nargs="?", metavar="INPUT",
                          default=os.environ.get("BECAL_INPUT") or "-",
@@ -89,8 +90,9 @@ def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...],
                               "aggregating claim confidences")
     sub.add_argument("--out", default=os.environ.get("BECAL_OUT") or "-",
                      help="output path, or - for stdout (default: $BECAL_OUT, else -)")
-    sub.add_argument("--format", choices=formats, default=formats[0],
-                     help="output format")
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0],
+                         help="output format")
     sub.add_argument("--config", default=argparse.SUPPRESS,
                      help="key = value options file; flags take precedence")
 
@@ -129,10 +131,10 @@ def build_parser() -> _Parser:
     parser.commands = subs.choices
 
     p = subs.add_parser("validate", help="check a JSONL dataset")
-    _add_common(p, ("json",))
+    _add_common(p)
 
     p = subs.add_parser("simulate", help="generate a synthetic dataset")
-    _add_common(p, ("jsonl",), with_input=False)
+    _add_common(p, with_input=False)
     p.add_argument("--agent", default="calibrated",
                    help="report map: calibrated, power:G, overconfident:G, "
                         "underconfident:G, constant:C")
@@ -170,7 +172,7 @@ def build_parser() -> _Parser:
     _add_sweep_options(p)
 
     p = subs.add_parser("objectives", help="four behavioral-objective checks")
-    _add_common(p, ("json",))
+    _add_common(p)
     _add_objective_options(p)
 
     p = subs.add_parser("tts", help="test-time scaling curves")
@@ -183,7 +185,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("report", help="metrics + sweep + objectives JSON")
-    _add_common(p, ("json",))
+    _add_common(p)
     _add_objective_options(p)
     _add_metric_options(p)
     return parser
@@ -256,8 +258,9 @@ def _clean(obj):
 
 
 def _emit(ns: argparse.Namespace, text: str, out: str | None = None,
-          sidecar: bool = False) -> None:
-    """Write text to `out` (default ns.out); optionally add a config sidecar.
+          sidecar: bool = True) -> None:
+    """Write text to `out` (default ns.out) with a config sidecar, or without
+    one for a JSON document, which embeds its config.
 
     Files appear complete or not at all: each is written to a temporary file
     beside its target and moved into place only after every write succeeded,
@@ -298,14 +301,21 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_clean(payload), indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header, rows) -> str:
+def _write_json(ns: argparse.Namespace, payload: dict) -> None:
+    """The command's JSON document: "command", the payload, then the header as "config"."""
+    _emit(ns, _json_text({"command": ns.command, **payload,
+                          "config": _config_header(ns)}), sidecar=False)
+
+
+def _write_csv(ns: argparse.Namespace, header, rows, out: str | None = None) -> None:
+    """A CSV file (NaN cells left empty) with its config sidecar."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow(["" if isinstance(x, float) and math.isnan(x) else x
                          for x in row])
-    return buf.getvalue()
+    _emit(ns, buf.getvalue(), out)
 
 
 def _load(ns: argparse.Namespace) -> Dataset:
@@ -323,9 +333,7 @@ def _load(ns: argparse.Namespace) -> Dataset:
 # subcommands
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
-    summary = validate(_load(ns))
-    _emit(ns, _json_text({"command": "validate", **summary.to_dict(),
-                          "config": _config_header(ns)}))
+    _write_json(ns, validate(_load(ns)).to_dict())
     return 0
 
 
@@ -343,65 +351,52 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         ds = generate(spec)
     buf = io.StringIO()
     dump_jsonl(ds, buf)
-    _emit(ns, buf.getvalue(), sidecar=True)
+    _emit(ns, buf.getvalue())
     return 0
 
 
 def _cmd_reward(ns: argparse.Namespace) -> int:
     ds = _load(ns)
-    confidences = ds.confidences().tolist()
-    prior = parse_prior(ns.prior) if ns.reward == "integrated" else None
-    scores = []
-    for rec, p in zip(ds, confidences):
-        if ns.reward == "explicit":
-            r = reward_explicit(decide(p, ns.t), rec.valid, ns.t)
-        elif ns.reward == "bounded":
-            r = reward_bounded(decide(p, ns.t), rec.valid, ns.t)
-        elif ns.reward == "brier":
-            r = float(reward_brier(rec.valid, p))
-        elif ns.reward == "ce":
-            r = float(reward_ce(rec.valid, p, ns.ce_epsilon))
-        else:
-            r = float(reward_integrated(rec.valid, p, prior))
-        scores.append((rec.id, r))
-    if ns.format == "jsonl":
-        lines = "".join(json.dumps({"id": i, "reward": r}) + "\n"
-                        for i, r in scores)
-        _emit(ns, lines, sidecar=True)
+    p, v = ds.confidences(), ds.valids()
+    if ns.reward in ("explicit", "bounded"):
+        # per record, so every decision goes through the one tie rule
+        reward = reward_explicit if ns.reward == "explicit" else reward_bounded
+        scores = [reward(decide(pi, ns.t), vi, ns.t)
+                  for pi, vi in zip(p.tolist(), v.tolist())]
+    elif ns.reward == "brier":
+        scores = reward_brier(v, p).tolist()
+    elif ns.reward == "ce":
+        scores = reward_ce(v, p, ns.ce_epsilon).tolist()
     else:
-        total = sum(r for _, r in scores)
-        _emit(ns, _json_text({"command": "reward", "n": len(scores),
-                              "mean": total / len(scores), "total": total,
-                              "config": _config_header(ns)}))
+        scores = reward_integrated(v, p, parse_prior(ns.prior)).tolist()
+    if ns.format == "jsonl":
+        _emit(ns, "".join(json.dumps({"id": rec.id, "reward": r}) + "\n"
+                          for rec, r in zip(ds, scores)))
+    else:
+        total = sum(scores)
+        _write_json(ns, {"n": len(scores), "mean": total / len(scores),
+                         "total": total})
     return 0
-
-
-def _diagram_rows(diagram) -> list:
-    return list(zip((float(x) for x in diagram.grid),
-                    (float(x) for x in diagram.smoothed_accuracy),
-                    (float(x) for x in diagram.density)))
 
 
 def _cmd_metrics(ns: argparse.Namespace) -> int:
     ds = _load(ns)
-    report, fixed_point = metric_report(ds, nll_floor=ns.nll_floor,
-                                        smece_grid=ns.smece_grid)
-    if ns.diagram_out is not None and ns.bandwidth is None and fixed_point is None:
+    report, bandwidth = metric_report(ds, nll_floor=ns.nll_floor,
+                                      smece_grid=ns.smece_grid)
+    if ns.diagram_out is not None and ns.bandwidth is None and bandwidth is None:
         raise DataError(f"--diagram-out needs --bandwidth: {report.undefined['smece']}")
     if ns.format == "csv":
-        row = [getattr(report, name) for name in MetricReport.CSV_HEADER]
-        _emit(ns, _csv_text(MetricReport.CSV_HEADER, [row]), sidecar=True)
+        _write_csv(ns, MetricReport.CSV_HEADER,
+                   [[getattr(report, name) for name in MetricReport.CSV_HEADER]])
     else:
-        _emit(ns, _json_text({"command": "metrics", **report.to_dict(),
-                              "undefined": report.undefined,
-                              "config": _config_header(ns)}))
+        _write_json(ns, {**report.to_dict(), "undefined": report.undefined})
     if ns.diagram_out is not None:
         # display grid, at the smECE fixed-point bandwidth unless pinned
-        bandwidth = fixed_point.bandwidth if ns.bandwidth is None else ns.bandwidth
-        diagram = calibration_diagram(ds, bandwidth)
-        text = _csv_text(("grid", "smoothed_accuracy", "density"),
-                         _diagram_rows(diagram))
-        _emit(ns, text, out=ns.diagram_out, sidecar=True)
+        diagram = calibration_diagram(ds, bandwidth if ns.bandwidth is None
+                                      else ns.bandwidth)
+        _write_csv(ns, ("grid", "smoothed_accuracy", "density"),
+                   zip(diagram.grid.tolist(), diagram.smoothed_accuracy.tolist(),
+                       diagram.density.tolist()), out=ns.diagram_out)
     return 0
 
 
@@ -412,10 +407,9 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     sw = sweep(_load(ns), default_grid(ns.grid))
     if ns.format == "json":
         rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
-        _emit(ns, _json_text({"command": "sweep", "rows": rows,
-                              "config": _config_header(ns)}))
+        _write_json(ns, {"rows": rows})
     else:
-        _emit(ns, _csv_text(_SWEEP_HEADER, sw.to_rows()), sidecar=True)
+        _write_csv(ns, _SWEEP_HEADER, sw.to_rows())
     return 0
 
 
@@ -428,8 +422,7 @@ def _objective_report(ns: argparse.Namespace, ds: Dataset):
 
 def _cmd_objectives(ns: argparse.Namespace) -> int:
     _, rep = _objective_report(ns, _load(ns))
-    _emit(ns, _json_text({"command": "objectives", **rep.to_dict(),
-                          "undefined": rep.undefined, "config": _config_header(ns)}))
+    _write_json(ns, {**rep.to_dict(), "undefined": rep.undefined})
     return 0
 
 
@@ -438,16 +431,14 @@ def _cmd_tts(ns: argparse.Namespace) -> int:
     curves = {name: scaling_curve(groups, name, ns.k, ns.resamples, ns.seed)
               for name in ns.strategy}
     if ns.format == "json":
-        payload = {name: [{"k": pt.k, "accuracy": pt.mean, "stderr": pt.stderr}
-                          for pt in curve]
-                   for name, curve in curves.items()}
-        _emit(ns, _json_text({"command": "tts", "curves": payload,
-                              "config": _config_header(ns)}))
+        _write_json(ns, {"curves": {
+            name: [{"k": pt.k, "accuracy": pt.mean, "stderr": pt.stderr}
+                   for pt in curve]
+            for name, curve in curves.items()}})
     else:
-        rows = [(name, pt.k, pt.mean, pt.stderr)
-                for name in ns.strategy for pt in curves[name]]
-        _emit(ns, _csv_text(("strategy", "k", "accuracy", "stderr"), rows),
-              sidecar=True)
+        _write_csv(ns, ("strategy", "k", "accuracy", "stderr"),
+                   [(name, pt.k, pt.mean, pt.stderr)
+                    for name in ns.strategy for pt in curves[name]])
     return 0
 
 
@@ -457,10 +448,9 @@ def _cmd_report(ns: argparse.Namespace) -> int:
                               smece_grid=ns.smece_grid)
     sw, rep = _objective_report(ns, ds)
     rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
-    _emit(ns, _json_text({"command": "report", "metrics": report.to_dict(),
-                          "undefined": {**report.undefined, **rep.undefined},
-                          "sweep": rows, "objectives": rep.to_dict(),
-                          "config": _config_header(ns)}))
+    _write_json(ns, {"metrics": report.to_dict(),
+                     "undefined": {**report.undefined, **rep.undefined},
+                     "sweep": rows, "objectives": rep.to_dict()})
     return 0
 
 

@@ -44,6 +44,7 @@ import numpy as np
 from .behavior import default_grid
 from .errors import DataError, DomainError
 from .model import Dataset
+from .simulate import check_count
 
 _TAIL = 80.0  # series terms whose weight falls below e^(-_TAIL / 2) are dropped
 _DENSITY_FLOOR = 1e-6  # smoothed accuracy is NaN below this confidence density
@@ -241,34 +242,15 @@ def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -
     return _smece_at(grid, moments, sigma, p.size)
 
 
-def _diagram(grid: np.ndarray, sums: np.ndarray, n: int,
-             sigma: float) -> CalibrationDiagram:
-    """The diagram from the kernel sums of the valid flags and of ones."""
-    num, den = sums[:, 0], sums[:, 1]
-    density = np.maximum(den / n, 0.0)
-    defined = density >= _DENSITY_FLOOR
-    smoothed = np.full(grid.size, np.nan)
-    smoothed[defined] = num[defined] / den[defined]
-    return CalibrationDiagram(
-        grid=grid,
-        smoothed_accuracy=smoothed,
-        density=density,
-        bandwidth=sigma,
-    )
-
-
 def smece(dataset: Dataset, grid_points: int = 512,
-          tol: float = 1e-4) -> tuple[float, CalibrationDiagram]:
-    """Smooth ECE at the fixed-point bandwidth, plus the diagram at that bandwidth.
+          tol: float = 1e-4) -> tuple[float, float]:
+    """Smooth ECE at the fixed-point bandwidth, and that bandwidth.
 
     Bisection runs on sigma in [grid_step, 1]. The residual h(sigma) =
     smECE_sigma - sigma is probed on a geometric ladder first; if it is not
     non-increasing (it always was in practice), a dense scan locates the first
     sign change and bisection proceeds inside that bracket. The moments of
-    v - p, v and 1 are built once, at sigma = grid_step, for every evaluation.
-    The diagram is returned on the same evaluation grid so its density
-    integrates to 1 within trapezoid error even at the smallest admissible
-    bandwidth.
+    v - p are built once, at sigma = grid_step, for every evaluation.
     """
     p, v = _arrays(dataset)
     if p.size < 2:
@@ -276,12 +258,10 @@ def smece(dataset: Dataset, grid_points: int = 512,
     grid = default_grid(grid_points)
     p, v = _canonical(p, v)
     lo = 1.0 / (grid_points - 1)
-    weights = np.column_stack((v - p, v, np.ones_like(p)))
-    moments = list(_cosine_moments(p, weights, lo))
-    resid = [(m0, c[:, :1]) for m0, c in moments]
+    moments = list(_cosine_moments(p, (v - p)[:, None], lo))
 
     def f(sigma: float) -> float:
-        return _smece_at(grid, resid, sigma, p.size)
+        return _smece_at(grid, moments, sigma, p.size)
 
     ladder = np.geomspace(lo, 1.0, 9)
     h = np.array([f(s) - s for s in ladder])
@@ -302,8 +282,7 @@ def smece(dataset: Dataset, grid_points: int = 512,
             else:
                 b = mid
         star = 0.5 * (a + b)
-    sums = _grid_sums(moments, star, grid_points)[:, 1:]
-    return f(star), _diagram(grid, sums, p.size, star)
+    return f(star), star
 
 
 def calibration_diagram(dataset: Dataset, bandwidth: float,
@@ -319,23 +298,30 @@ def calibration_diagram(dataset: Dataset, bandwidth: float,
     grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
     moments = _cosine_moments(p, np.column_stack((v, np.ones_like(p))), bandwidth)
-    return _diagram(grid, _grid_sums(moments, bandwidth, grid_points), p.size, bandwidth)
+    num, den = _grid_sums(moments, bandwidth, grid_points).T
+    density = np.maximum(den / p.size, 0.0)
+    defined = density >= _DENSITY_FLOOR
+    smoothed = np.full(grid.size, np.nan)
+    smoothed[defined] = num[defined] / den[defined]
+    return CalibrationDiagram(grid=grid, smoothed_accuracy=smoothed,
+                              density=density, bandwidth=bandwidth)
 
 
 def metric_report(dataset: Dataset, nll_floor: float = 1e-6, smece_grid: int = 512
-                  ) -> tuple[MetricReport, CalibrationDiagram | None]:
-    """Compute the full battery in one pass; returns the report and the smECE diagram.
+                  ) -> tuple[MetricReport, float | None]:
+    """Compute the full battery in one pass; returns the report and the smECE bandwidth.
 
-    An empty dataset or a missing confidence is an error. smECE and AUC may
-    still be undefined; they are reported as None with the reason, and the
-    diagram is None when smECE is.
+    An empty dataset, a missing confidence or a smece_grid outside the count
+    rule is an error. smECE and AUC may still be undefined; they are
+    reported as None with the reason, and the bandwidth is None when smECE is.
     """
+    check_count("smece grid points", smece_grid, least=2)
     brier = brier_score(dataset)  # raises on an empty dataset or a missing confidence
     undefined: dict[str, str] = {}
     try:
-        value, diagram = smece(dataset, grid_points=smece_grid)
+        value, bandwidth = smece(dataset, grid_points=smece_grid)
     except DataError as exc:
-        value, diagram = None, None
+        value, bandwidth = None, None
         undefined["smece"] = str(exc)
     try:
         auc = confidence_auc(dataset)
@@ -352,4 +338,4 @@ def metric_report(dataset: Dataset, nll_floor: float = 1e-6, smece_grid: int = 5
         n=len(dataset),
         undefined=undefined,
     )
-    return report, diagram
+    return report, bandwidth

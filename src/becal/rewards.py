@@ -18,6 +18,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,36 +177,32 @@ class TabulatedPrior(RiskPrior):
         return float(out[0]) if scalar else out
 
 
-def reward_integrated(valid: bool, p, prior: RiskPrior):
+def reward_integrated(valid, p, prior: RiskPrior):
     """Prior-integrated reward R_u = 2 valid u(p) + 2 INT_p^1 t du - 1.
 
-    Accepts a scalar or array p; the result lies in [-1, 1].
+    Accepts scalars or arrays for valid and p; the result lies in [-1, 1].
     """
-    v = 1.0 if valid else 0.0
+    v = np.asarray(valid, dtype=float)
     r = 2.0 * v * prior.cdf(p) + 2.0 * prior.tail(p) - 1.0
-    return float(r) if np.ndim(p) == 0 else r
+    return float(r) if np.ndim(r) == 0 else r
 
 
-def reward_brier(valid: bool, p):
+def reward_brier(valid, p):
     """Brier reward 2 p valid - p^2, the uniform-prior closed form."""
     p = np.asarray(p, dtype=float)
-    v = 1.0 if valid else 0.0
-    r = 2.0 * p * v - p * p
-    return float(r) if p.ndim == 0 else r
+    r = 2.0 * p * np.asarray(valid, dtype=float) - p * p
+    return float(r) if r.ndim == 0 else r
 
 
-def reward_ce(valid: bool, p, epsilon: float = 0.01):
+def reward_ce(valid, p, epsilon: float = 0.01):
     """Cross-entropy reward, normalized to [-1, 1], with p clipped to [eps, 1-eps]."""
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5): {epsilon!r}")
-    p = np.asarray(p, dtype=float)
-    pc = np.clip(p, epsilon, 1.0 - epsilon)
+    pc = np.clip(np.asarray(p, dtype=float), epsilon, 1.0 - epsilon)
     norm = math.log((1.0 - epsilon) / epsilon)
-    if valid:
-        r = np.log(pc / epsilon) / norm
-    else:
-        r = np.log((1.0 - pc) / (1.0 - epsilon)) / norm
-    return float(r) if p.ndim == 0 else r
+    r = np.where(valid, np.log(pc / epsilon) / norm,
+                 np.log((1.0 - pc) / (1.0 - epsilon)) / norm)
+    return float(r) if r.ndim == 0 else r
 
 
 def expected_reward(prior: RiskPrior, q: float, p):
@@ -237,15 +234,19 @@ def verify_propriety(prior: RiskPrior, q: float, grid_step: float = 0.001) -> fl
 def optimal_threshold_policy(p: float, t: float) -> Action:
     """Expected-reward-maximizing action under the explicit reward for belief p.
 
-    Answering pays p - (1-p) t/(1-t) in expectation; the comparison is done as
-    p (1-t) >= (1-p) t so the p = t tie is exact in floating point and resolves
-    to ANS, matching decide().
+    Answering pays p - (1-p) t/(1-t) in expectation and abstaining pays 0.
+    The comparison p (1-t) >= (1-p) t is done exactly, in fractions, so a p
+    one ulp from t cannot round onto the wrong side, and the p = t tie
+    resolves to ANS, matching decide().
     """
     t = _check_t(t)
     if t >= 1.0:
         raise DomainError("explicit reward is undefined at t = 1")
     p = float(p)
-    return Action.ANS if p * (1.0 - t) >= (1.0 - p) * t else Action.ABS
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"belief p out of range [0, 1]: {p!r}")
+    p, t = Fraction(p), Fraction(t)
+    return Action.ANS if p * (1 - t) >= (1 - p) * t else Action.ABS
 
 
 def load_table(path: str) -> TabulatedPrior:

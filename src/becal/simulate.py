@@ -35,6 +35,17 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_count(name: str, value, least: int = 1):
+    """The one count rule: least <= value < 2^63, numpy's index limit, else DomainError.
+
+    Sizes, grid points and loop counts are checked here before anything is
+    allocated or iterated.
+    """
+    if not least <= value < 2 ** 63:
+        raise DomainError(f"{name} must lie in [{least}, 2^63): {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # difficulty priors and report maps
 
@@ -160,10 +171,9 @@ class AgentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_questions < 1:
-            raise DomainError(f"n_questions must be >= 1: {self.n_questions!r}")
-        if self.n_claims is not None and self.n_claims < 1:
-            raise DomainError(f"n_claims must be >= 1 when set: {self.n_claims!r}")
+        check_count("n_questions", self.n_questions)
+        if self.n_claims is not None:
+            check_count("n_claims", self.n_claims)
         check_seed(self.seed)
 
 
@@ -238,8 +248,8 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
     answer "A"; wrong ones pick one of n_wrong_answers distractors, so answer
     strings are consistent with validity within a group.
     """
-    if n_groups < 1 or n_samples < 1:
-        raise DomainError("need at least one group and one sample per group")
+    check_count("n_groups", n_groups)
+    check_count("n_samples", n_samples)
     lo, hi = base_range
     if not (0.0 <= lo <= hi <= 1.0):
         raise DomainError(f"bad base range: {base_range!r}")

@@ -5,7 +5,11 @@ Strategies:
   best     1 if any draw is valid (oracle upper bound)
   majority modal answer, ties by total confidence then lexicographic
   maxconf  single highest-confidence draw, ties by draw order
-  majconf  answer with the largest confidence sum, ties as majority
+  majconf  answer with the largest confidence sum, ties by count then
+           lexicographic
+
+Confidence sums are math.fsum sums, correctly rounded, so a vote depends only
+on the set of samples drawn, not on the order they were drawn in.
 
 Draws are without replacement. Every (seed, k, resample, group) tuple gets
 its own Philox stream, so different strategies evaluated at the same tuple
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .model import Dataset
-from .simulate import _rng, check_seed
+from .simulate import _rng, check_count, check_seed
 
 STRATEGIES = ("mean", "best", "majority", "maxconf", "majconf")
 
@@ -128,21 +132,16 @@ def _score(drawn, strategy: str) -> tuple[int, int]:
             if s[1] > best[1]:
                 best = s
         return (1 if best[2] else 0), 1
-    # majority / majconf: pool per answer, rank by the strategy's key
-    counts: dict[str, int] = {}
-    conf_sum: dict[str, float] = {}
-    any_valid: dict[str, bool] = {}
+    # majority / majconf: one tally per answer, ranked by the strategy's key
+    tally: dict[str, list[tuple[float, bool]]] = {}
     for answer, conf, valid in drawn:
-        counts[answer] = counts.get(answer, 0) + 1
-        conf_sum[answer] = conf_sum.get(answer, 0.0) + (0.0 if conf is None else conf)
-        any_valid[answer] = any_valid.get(answer, False) or valid
-    if strategy == "majority":
-        key = lambda a: (counts[a], conf_sum[a])
-    else:
-        key = lambda a: (conf_sum[a], counts[a])
-    top = max(key(a) for a in counts)
-    winner = min(a for a in counts if key(a) == top)
-    return (1 if any_valid[winner] else 0), 1
+        tally.setdefault(answer, []).append((0.0 if conf is None else conf, valid))
+    keys = {a: (len(votes), math.fsum(c for c, _ in votes)) for a, votes in tally.items()}
+    if strategy == "majconf":
+        keys = {a: (weight, count) for a, (count, weight) in keys.items()}
+    top = max(keys.values())
+    winner = min(a for a, key in keys.items() if key == top)
+    return (1 if any(v for _, v in tally[winner]) else 0), 1
 
 
 def _mc_accuracy(groups, strategy: str, k: int, seed: int, resample: int) -> float:
@@ -168,8 +167,7 @@ def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
     if not groups:
         raise DataError("no groups to evaluate")
     seed = check_seed(seed)
-    if n_resamples < 1:
-        raise DomainError(f"n_resamples must be >= 1: {n_resamples!r}")
+    check_count("n_resamples", n_resamples)
     ks = [int(k) for k in k_values]
     if not ks:
         raise DomainError("k_values must be non-empty")

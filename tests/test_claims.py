@@ -29,6 +29,34 @@ def test_parse_claims_raises_only_data_error(text):
         pass
 
 
+# well-formed elements mixed with text and stray markup
+ELEMENT = st.builds(
+    lambda conf, quote, body: f"<claim confidence={quote}{conf}{quote}>{body}</claim>",
+    st.sampled_from(["0", "0.5", "1", "0.25"]), st.sampled_from(['"', "'"]),
+    st.text(max_size=6))
+DOCUMENT = st.lists(ELEMENT | st.text(max_size=4)
+                    | st.sampled_from(["<claims>", "<claim", "</claim>", ">", "\n"]),
+                    max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENT)
+def test_spans_are_ordered_disjoint_elements(text):
+    try:
+        doc = parse_claims(text)
+    except DataError:
+        return
+    data = text.encode("utf-8")
+    end = 0
+    for start, stop, claim in doc.spans:
+        assert end <= start < stop
+        element = data[start:stop]
+        assert element.startswith(b"<claim") and element.endswith(b"</claim>")
+        assert element[element.index(b">") + 1:-len(b"</claim>")] == \
+            claim.text.encode("utf-8")
+        end = stop
+
+
 class TestParseClaims:
     def test_single_tag(self):
         doc = parse_claims('Step 1. <claim confidence="0.85">x = 3</claim>')

@@ -413,6 +413,15 @@ class TestDeterminism:
             assert self.run_cli(downstream) == self.run_cli(downstream)
 
 
+def test_no_option_has_a_single_choice():
+    """An option with one legal value is a dead flag: drop it instead."""
+    single = [(command, action.option_strings[-1])
+              for command, sub in build_parser().commands.items()
+              for action in sub._actions
+              if action.choices is not None and len(action.choices) == 1]
+    assert single == []
+
+
 class TestReplay:
     """Every header, written back as a config file, reproduces its run."""
 
@@ -481,7 +490,8 @@ class TestReplay:
 
 def _numeric_option_cases():
     """(command, option, value) for every int/float option build_parser() defines."""
-    values = {int: ("-1", "0"), float: ("nan", "inf", "-inf", "-1", "0")}
+    values = {int: ("-1", "0", str(2 ** 63), str(2 ** 64)),
+              float: ("nan", "inf", "-inf", "-1", "0", "1e308")}
     for command, sub in sorted(build_parser().commands.items()):
         for action in sub._actions:
             for value in values.get(action.type, ()):
@@ -521,7 +531,30 @@ class TestNumericOptions:
     def test_covers_the_known_crashes(self):
         cases = set(_numeric_option_cases())
         assert {("tts", "--seed", "-1"), ("objectives", "--epsilon-h", "0"),
-                ("simulate", "--seed", "-1")} <= cases
+                ("simulate", "--seed", "-1"), ("objectives", "--epsilon-h", "1e308"),
+                ("sweep", "--grid", str(2 ** 63)),
+                ("tts", "--resamples", str(2 ** 63))} <= cases
+
+    @pytest.mark.parametrize("argv", [
+        ["objectives", "{two}", "--epsilon-h", "1e308"],  # the Hal floor overflows
+        ["metrics", "{one}", "--smece-grid", "1"],  # checked though smECE is undefined
+        ["simulate", "--n", str(2 ** 63)],
+        ["simulate", "--n", "10", "--n-claims", str(2 ** 63)],
+        ["sweep", "{two}", "--grid", str(2 ** 63)],
+        ["metrics", "{two}", "--smece-grid", str(2 ** 63)],
+        ["simulate", "--groups", str(2 ** 63), "--samples-per-group", "2"],
+        ["tts", "{ens}", "--k", "1", "--resamples", str(2 ** 63)],
+    ], ids=" ".join)
+    def test_edges_exit_3(self, argv, tmp_path, capsys):
+        inputs = {
+            "one": write_jsonl(tmp_path / "one.jsonl", plain_rows([(0.9, True)])),
+            "two": write_jsonl(tmp_path / "two.jsonl",
+                               plain_rows([(0.9, True), (0.4, False)])),
+            "ens": write_jsonl(tmp_path / "ens.jsonl", grouped_rows(
+                [("g", "A", 0.9, True), ("g", "B", 0.4, False)])),
+        }
+        assert main([arg.format(**inputs) for arg in argv]) == 3
+        assert capsys.readouterr().err.startswith("becal: error: ")
 
     def test_negative_seed(self, tmp_path, capsys):
         ens = write_jsonl(tmp_path / "ens.jsonl", grouped_rows(

@@ -177,9 +177,9 @@ class TestSmece:
                 lo = mid
             else:
                 hi = mid
-        value, diagram = smece(ds)
-        assert abs(diagram.bandwidth - 0.5 * (lo + hi)) < 5e-4
-        assert abs(value - diagram.bandwidth) < 5e-4
+        value, bandwidth = smece(ds)
+        assert abs(bandwidth - 0.5 * (lo + hi)) < 5e-4
+        assert abs(value - bandwidth) < 5e-4
 
     def test_perfect_point_mass(self):
         value, _ = smece(make_dataset([(1.0, True)] * 100))
@@ -187,11 +187,11 @@ class TestSmece:
 
     def test_constant_wrong(self):
         """All mass at p=0.8 with zero accuracy: the residual is the full 0.8."""
-        value, diagram = smece(make_dataset([(0.8, False)] * 50))
+        value, bandwidth = smece(make_dataset([(0.8, False)] * 50))
         assert 0.5 <= value <= 0.8 + 1e-9
         assert value > 0.3
         np.testing.assert_allclose(value, 0.8, atol=1e-3)
-        np.testing.assert_allclose(diagram.bandwidth, 0.8, atol=1e-3)
+        np.testing.assert_allclose(bandwidth, 0.8, atol=1e-3)
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(41)
@@ -276,9 +276,10 @@ class TestDiagramOracle:
     def test_smece_diagram_on_its_grid(self):
         rng = np.random.default_rng(67)
         ds = random_dataset(rng, 400, calibrated=True)
-        _, diagram = smece(ds)
+        _, bandwidth = smece(ds)
+        diagram = calibration_diagram(ds, bandwidth, grid_points=512)
         acc, density = reference_diagram(ds.confidences(), ds.valids(),
-                                         diagram.bandwidth, grid_points=512)
+                                         bandwidth, grid_points=512)
         np.testing.assert_allclose(diagram.density, density, rtol=0, atol=1e-10)
         defined = diagram.density >= DENSITY_FLOOR
         np.testing.assert_allclose(diagram.smoothed_accuracy[defined],
@@ -341,7 +342,7 @@ class TestMetricReport:
     def test_all_fields(self):
         rng = np.random.default_rng(59)
         ds = random_dataset(rng, 300, calibrated=True)
-        report, diagram = metric_report(ds)
+        report, bandwidth = metric_report(ds)
         assert report.n == 300
         assert report.smece == smece(ds)[0]
         assert report.brier == brier_score(ds)
@@ -349,6 +350,6 @@ class TestMetricReport:
         assert report.auc == confidence_auc(ds)
         assert report.abstention_accuracy == abstention_accuracy(ds)
         assert report.predictive_accuracy == predictive_accuracy(ds)
-        assert diagram.bandwidth > 0
+        assert bandwidth == smece(ds)[1] > 0
         d = report.to_dict()
         assert list(d) == list(report.CSV_HEADER)

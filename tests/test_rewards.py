@@ -201,6 +201,23 @@ class TestIntegratedReward:
                 assert np.all(r >= -1.0 - 1e-12) and np.all(r <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("reward", [
+    reward_brier,
+    lambda v, p: reward_ce(v, p, 0.05),
+    lambda v, p: reward_integrated(v, p, UniformPrior()),
+    lambda v, p: reward_integrated(v, p, TruncatedBetaPrior(0.01)),
+    lambda v, p: reward_integrated(v, p, TabulatedPrior(np.array([0.0, 0.3, 1.0]),
+                                                        np.array([0.0, 0.6, 1.0]))),
+], ids=["brier", "ce", "uniform", "beta00", "table"])
+def test_array_valid_matches_scalar_calls_exactly(reward):
+    """One array call gives the bits of one scalar call per record."""
+    rng = np.random.default_rng(3)
+    p = np.r_[0.0, 0.3, 1.0, rng.random(200)]
+    v = rng.random(p.size) < 0.5
+    assert reward(v, p).tolist() == [reward(vi, pi) for vi, pi in
+                                      zip(v.tolist(), p.tolist())]
+
+
 class TestTabulatedPrior:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -257,9 +274,20 @@ class TestThresholdPolicy:
                 assert optimal_threshold_policy(float(p), float(t)) is decide(
                     float(p), float(t))
 
+    def test_agrees_with_decide_one_ulp_from_t(self):
+        for k in range(1, 1000):
+            t = k / 1000
+            for p in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)):
+                assert optimal_threshold_policy(p, t) is decide(p, t), (p, t)
+
     def test_t_one_rejected(self):
         with pytest.raises(DomainError):
             optimal_threshold_policy(0.5, 1.0)
+
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, math.inf])
+    def test_belief_out_of_range_rejected(self, p):
+        with pytest.raises(DomainError):
+            optimal_threshold_policy(p, 0.5)
 
 
 class TestPriorParsing:

@@ -1,5 +1,6 @@
 """Test-time scaling strategies and their exact-enumeration oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
-from becal.tts import (STRATEGIES, SampleGroup, exact_expected_accuracy,
+from becal.tts import (STRATEGIES, SampleGroup, _score, exact_expected_accuracy,
                        group_records, scaling_curve)
 
 from conftest import make_dataset, make_grouped
@@ -169,6 +170,31 @@ class TestMajconf:
             for seed in range(5):
                 assert at_k(groups, "majconf", k, seed) == \
                     at_k(groups, "majority", k, seed)
+
+
+def grid_groups(rng, n_groups, size):
+    """Random groups with confidences on a 0.05 grid, as verbalized ones are."""
+    return group_records(make_grouped(
+        (f"g{g}", answer, rng.randint(1, 19) / 20, answer == "A")
+        for g in range(n_groups)
+        for answer in (rng.choice("AABCD") for _ in range(size))))
+
+
+class TestOrderFreeVotes:
+    """A vote depends on the set of samples drawn, not on the draw order."""
+
+    def test_score_is_permutation_invariant(self):
+        rng = random.Random(17)
+        for grp in grid_groups(rng, 300, 6):
+            for strategy in ("majority", "majconf"):
+                assert len({_score(list(order), strategy)
+                            for order in itertools.permutations(grp.samples)}) == 1
+
+    def test_full_draws_agree_across_resamples(self):
+        groups = grid_groups(random.Random(23), 200, 16)
+        for strategy in ("mean", "best", "majority", "majconf"):  # maxconf ties by order
+            point, = scaling_curve(groups, strategy, [16], n_resamples=8, seed=3)
+            assert point.stderr == 0.0, strategy
 
 
 class TestPreconditions:
