@@ -432,12 +432,13 @@ def _cmd_tts(ns: argparse.Namespace) -> int:
               for name in ns.strategy}
     if ns.format == "json":
         _write_json(ns, {"curves": {
-            name: [{"k": pt.k, "accuracy": pt.mean, "stderr": pt.stderr}
+            name: [{"k": pt.k, "accuracy": pt.mean, "stderr": pt.stderr,
+                    "exact": pt.exact}
                    for pt in curve]
             for name, curve in curves.items()}})
     else:
-        _write_csv(ns, ("strategy", "k", "accuracy", "stderr"),
-                   [(name, pt.k, pt.mean, pt.stderr)
+        _write_csv(ns, ("strategy", "k", "accuracy", "stderr", "exact"),
+                   [(name, pt.k, pt.mean, pt.stderr, "true" if pt.exact else "false")
                     for name in ns.strategy for pt in curves[name]])
     return 0
 

@@ -214,7 +214,8 @@ def _grid_sums(moments, sigma: float, grid_points: int) -> np.ndarray:
     folded = 0.0
     for m0, c in moments:
         m = np.arange(m0, m0 + c.shape[0])
-        a = np.where(m == 0, 1.0, 2.0 * np.exp(-0.5 * (np.pi * sigma * m) ** 2))
+        a = np.ones(m.size)  # a_0 = 1 set apart: at m = 0 a huge sigma gives inf * 0
+        a[m > 0] = 2.0 * np.exp(-0.5 * (np.pi * sigma * m[m > 0]) ** 2)
         block = np.zeros((period, c.shape[1]))
         np.add.at(block, m % period, a[:, None] * c)
         folded = folded + block

@@ -174,6 +174,7 @@ class AgentSpec:
         check_count("n_questions", self.n_questions)
         if self.n_claims is not None:
             check_count("n_claims", self.n_claims)
+            check_count("n_questions * n_claims", self.n_questions * self.n_claims)
         check_seed(self.seed)
 
 
@@ -250,6 +251,7 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
     """
     check_count("n_groups", n_groups)
     check_count("n_samples", n_samples)
+    check_count("n_groups * n_samples", n_groups * n_samples)
     lo, hi = base_range
     if not (0.0 <= lo <= hi <= 1.0):
         raise DomainError(f"bad base range: {base_range!r}")

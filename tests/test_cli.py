@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -324,9 +325,38 @@ class TestTtsOutput:
         assert main(["tts", path, "--k", "1,2", "--resamples", "8",
                      "--strategy", "mean,best"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.strip().split("\n")))
-        assert rows[0] == ["strategy", "k", "accuracy", "stderr"]
+        assert rows[0] == ["strategy", "k", "accuracy", "stderr", "exact"]
         assert [r[:2] for r in rows[1:]] == [["mean", "1"], ["mean", "2"],
                                              ["best", "1"], ["best", "2"]]
+        assert {(r[3], r[4]) for r in rows[1:]} == {("0.0", "true")}
+
+    def test_exact_and_drawn_points_repeat_byte_for_byte(self, tmp_path, monkeypatch):
+        # 3 samples per group: C(3, 2) = 3 subsets fit 8 per draw at one
+        # resample; 9 samples: C(9, 2) = 36 subsets do not, so they are drawn
+        rows = [(g, "AB"[s % 2], 0.5 + 0.05 * (s % 3), s % 2 == 0)
+                for g, size in (("g", 3), ("h", 9)) for s in range(size)]
+        path = write_jsonl(tmp_path / "g.jsonl", grouped_rows(rows))
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            for fmt in ("csv", "json"):
+                assert main(["tts", path, "--k", "1,2,3", "--resamples", "2",
+                             "--strategy", "majority,maxconf", "--seed", "4",
+                             "--format", fmt, "--out", f"t.{fmt}"]) == 0
+        for name in ("t.csv", "t.csv.meta.json", "t.json"):
+            assert (tmp_path / "first" / name).read_bytes() == \
+                (tmp_path / "second" / name).read_bytes(), name
+        curves = json.loads((tmp_path / "first" / "t.json").read_text())["curves"]
+        assert [pt["exact"] for pt in curves["majority"]] == [True, False, False]
+        assert [pt["exact"] for pt in curves["maxconf"]] == [True, True, True]
+        for curve in curves.values():
+            for pt in curve:
+                assert (pt["stderr"] == 0.0) == pt["exact"]
+        csv_text = (tmp_path / "first" / "t.csv").read_text()
+        csv_rows = list(csv.DictReader(io.StringIO(csv_text)))
+        assert [r["exact"] for r in csv_rows] == [
+            "true" if pt["exact"] else "false"
+            for name in ("majority", "maxconf") for pt in curves[name]]
 
     def test_unknown_strategy(self, tmp_path):
         path = write_jsonl(tmp_path / "g.jsonl",
@@ -521,11 +551,14 @@ class TestNumericOptions:
             [("g", "A", 0.9, True), ("g", "B", 0.4, False),
              ("h", "A", 0.3, True), ("h", "A", 0.6, True)]))
         inputs = {"simulate": [[]], "tts": [[ens]]}.get(command, [[one], [four]])
-        for given in inputs:
-            for extra in VARIANTS.get(command, [[]]):
-                argv = [command, *given, *(x.format(tmp=tmp_path) for x in extra),
-                        f"{option}={value}", "--out", str(tmp_path / "out")]
-                assert main(argv) in (0, 1, 2, 3), argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # e.g. inf * 0 at --bandwidth 1e308
+            for given in inputs:
+                for extra in VARIANTS.get(command, [[]]):
+                    argv = [command, *given, *(x.format(tmp=tmp_path) for x in extra),
+                            f"{option}={value}", "--out", str(tmp_path / "out")]
+                    assert main(argv) in (0, 1, 2, 3), argv
+        assert [str(w.message) for w in caught] == []
         capsys.readouterr()
 
     def test_covers_the_known_crashes(self):
@@ -540,10 +573,13 @@ class TestNumericOptions:
         ["metrics", "{one}", "--smece-grid", "1"],  # checked though smECE is undefined
         ["simulate", "--n", str(2 ** 63)],
         ["simulate", "--n", "10", "--n-claims", str(2 ** 63)],
+        ["simulate", "--n", "10", "--n-claims", str(2 ** 61)],  # the product overflows
         ["sweep", "{two}", "--grid", str(2 ** 63)],
         ["metrics", "{two}", "--smece-grid", str(2 ** 63)],
         ["simulate", "--groups", str(2 ** 63), "--samples-per-group", "2"],
+        ["simulate", "--groups", str(2 ** 62), "--samples-per-group", "4"],
         ["tts", "{ens}", "--k", "1", "--resamples", str(2 ** 63)],
+        ["tts", "{ens}", "--k", "0,2"],  # a k below 1 beside a valid largest k
     ], ids=" ".join)
     def test_edges_exit_3(self, argv, tmp_path, capsys):
         inputs = {

@@ -6,16 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+from becal import tts
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
-from becal.tts import (STRATEGIES, SampleGroup, _score, exact_expected_accuracy,
-                       group_records, scaling_curve)
+from becal.tts import (STRATEGIES, SampleGroup, _closed_form, _enumerated, _score,
+                       exact_expected_accuracy, group_records, scaling_curve)
 
 from conftest import make_dataset, make_grouped
 
 
 def at_k(groups, strategy, k, seed=0):
-    """Accuracy of one paired draw per group at k: a one-point, one-resample curve."""
+    """Accuracy at k from a one-point, one-resample curve.
+
+    Exact unless a majority/majconf group has more than SUBSETS_PER_DRAW
+    subsets of size k; then it is one paired draw for that group.
+    """
     return scaling_curve(groups, strategy, [k], 1, seed)[0].mean
 
 
@@ -180,6 +185,12 @@ def grid_groups(rng, n_groups, size):
         for answer in (rng.choice("AABCD") for _ in range(size))))
 
 
+@pytest.fixture()
+def forced_draws(monkeypatch):
+    """Every majority/majconf group is drawn, none enumerated."""
+    monkeypatch.setattr(tts, "SUBSETS_PER_DRAW", 0)
+
+
 class TestOrderFreeVotes:
     """A vote depends on the set of samples drawn, not on the draw order."""
 
@@ -190,11 +201,93 @@ class TestOrderFreeVotes:
                 assert len({_score(list(order), strategy)
                             for order in itertools.permutations(grp.samples)}) == 1
 
-    def test_full_draws_agree_across_resamples(self):
+    def test_full_draws_agree_across_resamples(self, forced_draws):
         groups = grid_groups(random.Random(23), 200, 16)
-        for strategy in ("mean", "best", "majority", "majconf"):  # maxconf ties by order
+        for strategy in ("majority", "majconf"):
             point, = scaling_curve(groups, strategy, [16], n_resamples=8, seed=3)
-            assert point.stderr == 0.0, strategy
+            assert not point.exact and point.stderr == 0.0, strategy
+
+
+def ragged_groups(rng, n_groups, sizes=(1, 7)):
+    """Groups of random size with grid confidences and mixed answers."""
+    return group_records(make_grouped(
+        (f"g{g}", rng.choice("AABCD"), rng.randint(1, 19) / 20, rng.random() < 0.5)
+        for g in range(n_groups) for _ in range(rng.randint(*sizes))))
+
+
+class TestExactPaths:
+    """Closed forms and subset enumeration agree with the permutation oracle."""
+
+    def test_every_strategy_every_k(self):
+        for grp in ragged_groups(random.Random(3), 40):
+            ks = range(1, grp.size + 1)
+            for strategy in STRATEGIES:
+                exact = _enumerated if strategy in ("majority", "majconf") else _closed_form
+                oracle = [exact_expected_accuracy([grp], k, strategy) for k in ks]
+                assert [exact(grp, strategy, k) for k in ks] == oracle, strategy
+                # C(7, 3) = 35 subsets at most, within 8 per draw at 5 resamples
+                curve = scaling_curve([grp], strategy, ks, n_resamples=5)
+                assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == \
+                    [(float(f), 0.0, True) for f in oracle], strategy
+
+    def test_dataset_points(self):
+        groups = grid_groups(random.Random(8), 30, 6)
+        for strategy in STRATEGIES:
+            curve = scaling_curve(groups, strategy, range(1, 7), n_resamples=3, seed=2)
+            assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == [
+                (float(exact_expected_accuracy(groups, k, strategy)), 0.0, True)
+                for k in range(1, 7)], strategy
+
+    def test_subset_limit_is_inclusive(self):
+        limit = tts.SUBSETS_PER_DRAW * 2
+        for size, exact in ((limit, True), (limit + 1, False)):
+            groups = group_records(make_grouped(
+                ("g", "AB"[s % 2], 0.5, s % 2 == 0) for s in range(size)))
+            point, = scaling_curve(groups, "majority", [1], n_resamples=2)
+            assert point.exact is exact, size
+
+    def test_enumerated_and_drawn_groups_mix(self):
+        # at 5 resamples a group is enumerated up to 40 subsets: C(4, 3) = 4
+        # subsets are, C(10, 3) = 120 are not
+        small = ragged_groups(random.Random(5), 12, sizes=(3, 4))
+        large = [SampleGroup(group="big" + grp.group, samples=grp.samples)
+                 for grp in ragged_groups(random.Random(6), 8, sizes=(10, 10))]
+        for strategy in ("majority", "majconf"):
+            point, = scaling_curve(small + large, strategy, [3], n_resamples=5, seed=9)
+            assert not point.exact and point.stderr > 0.0
+            # each resample adds the exact small-group sum to the same draws
+            drawn, = scaling_curve(large, strategy, [3], n_resamples=5, seed=9)
+            known = sum(exact_expected_accuracy([g], 3, strategy) for g in small)
+            assert point.mean == pytest.approx(
+                (float(known) + drawn.mean * len(large)) / len(small + large), abs=1e-12)
+            assert point.stderr == pytest.approx(
+                drawn.stderr * len(large) / len(small + large), abs=1e-12)
+
+
+class TestForcedDraws:
+    """With enumeration off, votes are the paired draws of earlier releases, bit for bit."""
+
+    PINNED = {
+        "majority": [(1, 0.46, 0.052915026221291815), (2, 0.5, 0.03829708431025353),
+                     (3, 0.51, 0.057445626465380296), (5, 0.62, 0.011547005383792526),
+                     (7, 0.76, 0.0)],
+        "majconf": [(1, 0.46, 0.052915026221291815), (2, 0.5, 0.03829708431025353),
+                    (3, 0.52, 0.05416025603090641), (5, 0.55, 0.025166114784235836),
+                    (7, 0.64, 0.0)],
+    }
+
+    def test_votes_match_pinned_curves(self, forced_draws):
+        groups = grid_groups(random.Random(31), 25, 7)
+        for strategy, pinned in self.PINNED.items():
+            curve = scaling_curve(groups, strategy, [1, 2, 3, 5, 7], 4, seed=11)
+            assert [(pt.k, pt.mean, pt.stderr) for pt in curve] == pinned
+            assert not any(pt.exact for pt in curve)
+
+    def test_closed_forms_ignore_the_limit(self, forced_draws):
+        groups = grid_groups(random.Random(31), 25, 7)
+        for strategy in ("mean", "best", "maxconf"):
+            curve = scaling_curve(groups, strategy, [1, 3, 7], 4, seed=11)
+            assert all(pt.exact and pt.stderr == 0.0 for pt in curve)
 
 
 class TestPreconditions:
@@ -252,7 +345,7 @@ class TestDeterminism:
     def test_paired_draws_at_k1(self):
         groups = paradox_groups()
         values = {at_k(groups, strategy, 1, seed=3) for strategy in STRATEGIES}
-        assert len(values) == 1  # same single draw, same verdict
+        assert len(values) == 1  # one sample: every strategy is the base rate
 
 
 class TestScalingCurve:
@@ -278,11 +371,13 @@ class TestScalingCurve:
         assert all(lo <= hi for lo, hi in zip(exact, exact[1:]))
         assert exact[-1] == 1
 
-    def test_monte_carlo_tracks_exact(self):
-        groups = paradox_groups()
-        curve = scaling_curve(groups, "maxconf", [2], n_resamples=2_000, seed=1)
-        exact = float(exact_expected_accuracy(groups, 2, "maxconf"))
-        assert curve[0].mean == pytest.approx(exact, abs=5 * curve[0].stderr)
+    def test_monte_carlo_tracks_exact(self, forced_draws):
+        groups = grid_groups(random.Random(41), 4, 5)
+        for strategy in ("majority", "majconf"):
+            point, = scaling_curve(groups, strategy, [3], n_resamples=1_000, seed=1)
+            exact = float(exact_expected_accuracy(groups, 3, strategy))
+            assert not point.exact and point.stderr > 0.0
+            assert point.mean == pytest.approx(exact, abs=5 * point.stderr)
 
     def test_validation(self):
         groups = paradox_groups()
