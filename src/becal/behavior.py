@@ -77,7 +77,7 @@ class RiskSweep:
 
 
 def default_grid(points: int = 101) -> np.ndarray:
-    """points evenly spaced thresholds on [0, 1]; 2 <= points < 2^63."""
+    """points evenly spaced thresholds on [0, 1]; 2 <= points < 2^53."""
     return np.linspace(0.0, 1.0, check_count("grid points", points, least=2))
 
 

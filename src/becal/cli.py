@@ -24,7 +24,8 @@ device or pipe. The header lists exactly the options of the command that
 ran, under config-file keys, plus command, rng and version, so written back
 as a config file it replays the run.
 
-Exit codes: 1 usage, 2 data, 3 numeric domain.
+Exit codes: 1 usage, 2 data, 3 numeric domain or a size that does not fit in
+memory.
 """
 
 from __future__ import annotations
@@ -54,9 +55,15 @@ REWARDS = ("explicit", "bounded", "brier", "ce", "integrated")
 CONFIDENCE_SOURCES = ("stated", "product", "min")
 
 
+def _distinct(items: tuple, text: str) -> tuple:
+    if not items or len(set(items)) < len(items):
+        raise argparse.ArgumentTypeError(f"empty list or repeated item: {text!r}")
+    return items
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return _distinct(tuple(int(x) for x in text.split(",")), text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
@@ -66,7 +73,7 @@ def _strategy_list(text: str) -> tuple[str, ...]:
     for name in names:
         if name not in STRATEGIES:
             raise argparse.ArgumentTypeError(f"unknown strategy {name!r}")
-    return names
+    return _distinct(names, text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -480,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, DomainError):
             return 3
         return 1
+    except MemoryError as exc:  # a size within the count rule that still does not fit
+        print(f"becal: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

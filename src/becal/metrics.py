@@ -17,10 +17,13 @@ exact cosine series
 A kernel sum SUM_i w_i K_sigma(t, p_i) is therefore SUM_m a_m(sigma) c_m(w)
 cos(pi m t), with cosine moments c_m(w) = SUM_i w_i cos(pi m p_i) that do not
 depend on sigma. Terms m > M = ceil(sqrt(80) / (pi sigma)) weigh below e^-40
-and are dropped. The moments cost one pass over the records, O(n M) =
-O(n / sigma) time, so a tiny pinned bandwidth is slow; memory stays bounded
-in n and sigma, since the records go through in fixed-size chunks and the
-terms fold onto the grid's period 2(G - 1) in m.
+and are dropped. cos(pi m p) is the real part of z^m with z = exp(i pi p), so
+each moment is one complex product per record from the last; the powers are
+recomputed every _RESYNC terms, so rounding does not build up. Records go
+through _CHUNK at a time: O(n M) = O(n / sigma) time, so a tiny pinned
+bandwidth is slow, and O(M) memory whatever n (the moments of the diagram's
+two weights take 45 MB at sigma = 1e-6). The terms fold onto the grid's
+period 2(G - 1) in m.
 
 The reported value is taken at the fixed-point bandwidth sigma* solving
 smECE_{sigma*} = sigma*, located by bisection after an empirical monotonicity
@@ -48,8 +51,8 @@ from .simulate import check_count
 
 _TAIL = 80.0  # series terms whose weight falls below e^(-_TAIL / 2) are dropped
 _DENSITY_FLOOR = 1e-6  # smoothed accuracy is NaN below this confidence density
-_INNER, _OUTER = 32, 64  # angle-addition split: moments come in runs of _INNER * _OUTER
-_CHUNK = 2048  # records per trig table
+_CHUNK = 16384  # records per power array
+_RESYNC = 256  # recurrence steps between fresh powers exp(i m pi p)
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,7 @@ class MetricReport:
                   "abstention_accuracy", "predictive_accuracy", "n")
 
     def to_dict(self) -> dict:
-        return {
-            "smece": self.smece,
-            "brier": self.brier,
-            "nll": self.nll,
-            "auc": self.auc,
-            "abstention_accuracy": self.abstention_accuracy,
-            "predictive_accuracy": self.predictive_accuracy,
-            "n": self.n,
-        }
+        return {name: getattr(self, name) for name in self.CSV_HEADER}
 
 
 @dataclass(frozen=True)
@@ -175,50 +170,43 @@ def _check_bandwidth(sigma: float) -> None:
         raise DomainError(f"bandwidth must be positive and finite: {sigma!r}")
 
 
-def _cosine_moments(p: np.ndarray, weights: np.ndarray, sigma: float):
-    """Yield blocks (m0, c) with c[j, col] = SUM_i weights[i, col] cos(pi (m0 + j) p_i).
+def _cosine_moments(p: np.ndarray, weights: np.ndarray, sigma: float) -> np.ndarray:
+    """c[m, row] = SUM_i weights[row, i] cos(pi m p_i) for m = 0 .. M.
 
-    The blocks cover the terms m = 0 .. M = ceil(sqrt(_TAIL) / (pi sigma))
-    that matter at bandwidths of sigma and up, in runs of _INNER * _OUTER.
-    Within a block m = m0 + a _INNER + b, and cos(x + y) = cos x cos y -
-    sin x sin y turns the block into two products over _OUTER + _INNER trig
-    columns per record. Records go through _CHUNK at a time, so memory
-    depends on neither n nor M; time is O(n M) = O(n / sigma).
+    M = ceil(sqrt(_TAIL) / (pi sigma)) covers every term that matters at
+    bandwidths of sigma and up. The power z^m, z = exp(i pi p), advances one
+    product per term and is recomputed every _RESYNC terms; see the module
+    docstring for time and memory.
     """
     terms = math.ceil(math.sqrt(_TAIL) / (math.pi * sigma)) + 1
-    inner = np.arange(_INNER)
-    for m0 in range(0, terms, _INNER * _OUTER):
-        size = min(_INNER * _OUTER, terms - m0)
-        outer = np.arange(m0, m0 + size, _INNER)
-        c = np.zeros((outer.size, weights.shape[1], _INNER))
-        for s in range(0, p.size, _CHUNK):
-            theta = np.pi * p[s:s + _CHUNK, None]
-            w = weights[s:s + _CHUNK, None, :]
-            # einsum, not BLAS: on two cores, threaded products this small often
-            # spent more time waking threads than multiplying
-            c += (np.einsum("iak,ib->akb", np.cos(theta * outer)[:, :, None] * w,
-                            np.cos(theta * inner))
-                  - np.einsum("iak,ib->akb", np.sin(theta * outer)[:, :, None] * w,
-                              np.sin(theta * inner)))
-        yield m0, c.transpose(0, 2, 1).reshape(-1, weights.shape[1])[:size]
+    c = np.zeros((terms, weights.shape[0]))
+    for s in range(0, p.size, _CHUNK):
+        theta = np.pi * p[s:s + _CHUNK]
+        w = weights[:, s:s + _CHUNK]
+        z = np.exp(1j * theta)
+        for m in range(terms):
+            if m % _RESYNC:
+                power *= z
+            else:
+                power = np.exp(1j * m * theta)
+            # einsum, not BLAS: the first threaded product in a process can
+            # stall for a second while the BLAS threads start
+            c[m] += np.einsum("ki,i->k", w, power.real)
+    return c
 
 
-def _grid_sums(moments, sigma: float, grid_points: int) -> np.ndarray:
-    """SUM_i w_i K_sigma(t_k, p_i) at t_k = k / (G - 1), one column per weight.
+def _grid_sums(moments: np.ndarray, sigma: float, grid_points: int) -> np.ndarray:
+    """SUM_i w_i K_sigma(t_k, p_i) at t_k = k / (G - 1), one column per weight row.
 
     The terms a_m c_m, with a_0 = 1 and a_m = 2 exp(-(pi m sigma)^2 / 2), are
     summed against cos(pi m t_k), which has period 2(G - 1) in m. They fold
     onto one period, and the sum over the fold is the real part of its FFT.
     """
-    period = 2 * (grid_points - 1)
-    folded = 0.0
-    for m0, c in moments:
-        m = np.arange(m0, m0 + c.shape[0])
-        a = np.ones(m.size)  # a_0 = 1 set apart: at m = 0 a huge sigma gives inf * 0
-        a[m > 0] = 2.0 * np.exp(-0.5 * (np.pi * sigma * m[m > 0]) ** 2)
-        block = np.zeros((period, c.shape[1]))
-        np.add.at(block, m % period, a[:, None] * c)
-        folded = folded + block
+    m = np.arange(moments.shape[0])
+    a = np.ones(m.size)  # a_0 = 1 set apart: at m = 0 a huge sigma gives inf * 0
+    a[1:] = 2.0 * np.exp(-0.5 * (np.pi * sigma * m[1:]) ** 2)
+    folded = np.zeros((2 * (grid_points - 1), moments.shape[1]))
+    np.add.at(folded, m % folded.shape[0], a[:, None] * moments)
     return np.fft.rfft(folded, axis=0).real
 
 
@@ -228,7 +216,7 @@ def _canonical(p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p[order], v[order]
 
 
-def _smece_at(grid: np.ndarray, moments, sigma: float, n: int) -> float:
+def _smece_at(grid: np.ndarray, moments: np.ndarray, sigma: float, n: int) -> float:
     """smECE at one bandwidth from the moments of v - p, trapezoid-integrated."""
     phi = _grid_sums(moments, sigma, grid.size)[:, 0]
     return float(np.trapezoid(np.abs(phi), grid) / n)
@@ -239,7 +227,7 @@ def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -
     _check_bandwidth(sigma)
     grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
-    moments = _cosine_moments(p, (v - p)[:, None], sigma)
+    moments = _cosine_moments(p, (v - p)[None, :], sigma)
     return _smece_at(grid, moments, sigma, p.size)
 
 
@@ -259,7 +247,7 @@ def smece(dataset: Dataset, grid_points: int = 512,
     grid = default_grid(grid_points)
     p, v = _canonical(p, v)
     lo = 1.0 / (grid_points - 1)
-    moments = list(_cosine_moments(p, (v - p)[:, None], lo))
+    moments = _cosine_moments(p, (v - p)[None, :], lo)
 
     def f(sigma: float) -> float:
         return _smece_at(grid, moments, sigma, p.size)
@@ -298,7 +286,7 @@ def calibration_diagram(dataset: Dataset, bandwidth: float,
     _check_bandwidth(bandwidth)
     grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
-    moments = _cosine_moments(p, np.column_stack((v, np.ones_like(p))), bandwidth)
+    moments = _cosine_moments(p, np.vstack((v, np.ones_like(p))), bandwidth)
     num, den = _grid_sums(moments, bandwidth, grid_points).T
     density = np.maximum(den / p.size, 0.0)
     defined = density >= _DENSITY_FLOOR

@@ -27,6 +27,13 @@ from .errors import DataError
 
 _KNOWN_FIELDS = ("id", "group", "valid", "confidence", "answer", "claims", "meta")
 _CLAIM_FIELDS = ("text", "confidence", "valid", "rationale")
+_NUMBERS = (int, float, np.integer, np.floating)  # np.float32 is no float subclass
+
+
+def _check_number(name: str, value: object) -> None:
+    # JSON true/false would pass as the integers 1 and 0
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+        raise DataError(f"{name} must be numeric")
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -59,7 +66,10 @@ class ClaimRecord:
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """One model response with its correctness label and stated confidence."""
+    """One model response with its correctness label and stated confidence.
+
+    Checks the types of id, valid, confidence, group and answer; stores a numpy bool as bool.
+    """
 
     id: str
     valid: bool
@@ -70,9 +80,19 @@ class PredictionRecord:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.valid, bool):
+            if not isinstance(self.valid, np.bool_):
+                raise DataError("missing required field valid" if self.valid is None
+                                else "valid must be boolean")
+            object.__setattr__(self, "valid", bool(self.valid))
+        if self.group is not None and not isinstance(self.group, str):
+            raise DataError("group must be a string")
+        if self.answer is not None and not isinstance(self.answer, str):
+            raise DataError("answer must be a string")
         if not isinstance(self.id, str) or not self.id:
             raise DataError("record id must be a non-empty string")
         if self.confidence is not None:
+            _check_number("confidence", self.confidence)
             object.__setattr__(self, "confidence", _check_unit(
                 f"record {self.id!r}: confidence", self.confidence))
         object.__setattr__(self, "claims", tuple(self.claims))
@@ -141,12 +161,6 @@ class ValidationSummary:
         }
 
 
-def _check_number(name: str, value: object) -> None:
-    # JSON true/false would pass as the integers 1 and 0
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"{name} must be numeric")
-
-
 def _parse_claim(obj: object) -> ClaimRecord:
     if not isinstance(obj, dict):
         raise DataError("claim must be an object")
@@ -168,24 +182,9 @@ def _parse_claim(obj: object) -> ClaimRecord:
 
 
 def _parse_record(obj: object) -> PredictionRecord:
-    """JSON-shape checks only; the record types check ids and confidences."""
+    """JSON-shape checks of claims and meta; PredictionRecord checks its own fields."""
     if not isinstance(obj, dict):
         raise DataError("expected a JSON object")
-    valid = obj.get("valid")
-    if valid is None:
-        raise DataError("missing required field valid")
-    if not isinstance(valid, bool):
-        raise DataError("valid must be boolean")
-    conf = obj.get("confidence")
-    if conf is not None:
-        _check_number("confidence", conf)
-    group = obj.get("group")
-    if group is not None and not isinstance(group, str):
-        raise DataError("group must be a string")
-    answer = obj.get("answer")
-    if answer is not None and not isinstance(answer, str):
-        raise DataError("answer must be a string")
-
     raw_claims = obj.get("claims", [])
     if raw_claims is None:
         raw_claims = []
@@ -212,8 +211,9 @@ def _parse_record(obj: object) -> PredictionRecord:
         meta[key] = value if isinstance(value, str) else json.dumps(
             value, sort_keys=True, separators=(",", ":"))
 
-    return PredictionRecord(id=obj.get("id"), valid=valid, confidence=conf,
-                            group=group, answer=answer, claims=claims, meta=meta)
+    return PredictionRecord(id=obj.get("id"), valid=obj.get("valid"),
+                            confidence=obj.get("confidence"), group=obj.get("group"),
+                            answer=obj.get("answer"), claims=claims, meta=meta)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -36,13 +36,14 @@ def check_seed(seed) -> int:
 
 
 def check_count(name: str, value, least: int = 1):
-    """The one count rule: least <= value < 2^63, numpy's index limit, else DomainError.
+    """The one count rule: least <= value < 2^53, else DomainError.
 
     Sizes, grid points and loop counts are checked here before anything is
-    allocated or iterated.
+    allocated or iterated. Below 2^53 a count is exact as a float, and no
+    array of that many elements trips numpy's own size limit.
     """
-    if not least <= value < 2 ** 63:
-        raise DomainError(f"{name} must lie in [{least}, 2^63): {value!r}")
+    if not least <= value < 2 ** 53:
+        raise DomainError(f"{name} must lie in [{least}, 2^53): {value!r}")
     return value
 
 

@@ -363,6 +363,18 @@ class TestTtsOutput:
                            grouped_rows([("g", "A", 0.5, True)]))
         assert main(["tts", path, "--strategy", "oracle"]) == 1
 
+    @pytest.mark.parametrize("option,value", [
+        ("--strategy", ""), ("--strategy", ","), ("--strategy", "majority,majority"),
+        ("--strategy", "mean, best,mean"), ("--k", ""), ("--k", "2,2"),
+        ("--k", "1,2,1")])
+    def test_empty_or_repeated_list(self, option, value, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "g.jsonl",
+                           grouped_rows([("g", "A", 0.5, True)]))
+        assert main(["tts", path, f"{option}={value}", "--out",
+                     str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err.startswith("becal: error: ")
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestPrecedence:
     def test_config_file_then_flag(self, small_input, tmp_path, capsys):
@@ -591,6 +603,31 @@ class TestNumericOptions:
         }
         assert main([arg.format(**inputs) for arg in argv]) == 3
         assert capsys.readouterr().err.startswith("becal: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "{two}", "--grid", str(2 ** 40)],
+        ["metrics", "{two}", "--smece-grid", str(2 ** 40)],
+        ["simulate", "--n", str(2 ** 40)],
+        ["sweep", "{two}", "--grid", str(2 ** 62)],
+        ["objectives", "{two}", "--grid", str(2 ** 62)],
+        ["simulate", "--n", str(2 ** 62)],
+    ], ids=" ".join)
+    def test_unallocatable_sizes_exit_3(self, argv, tmp_path):
+        """Sizes past the count rule, or within it but past memory, exit 3 with
+        one error line. The child caps its address space, so nothing large is
+        ever allocated."""
+        two = write_jsonl(tmp_path / "two.jsonl", plain_rows([(0.9, True), (0.4, False)]))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))\n"
+                 "from becal.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", child,
+                               *(arg.format(two=two) for arg in argv),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("becal: error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_negative_seed(self, tmp_path, capsys):
         ens = write_jsonl(tmp_path / "ens.jsonl", grouped_rows(

@@ -211,7 +211,7 @@ class TestSmece:
         ds = random_dataset(rng, 150, quantize=30, calibrated=True)
         p, v = ds.confidences(), ds.valids()
         assert {0.0, 1.0} <= set(p)
-        for sigma in (1.0 / 511.0, 1.0, 3.0):
+        for sigma in (1e-4, 1.0 / 511.0, 1.0, 3.0):
             np.testing.assert_allclose(
                 smece_at_bandwidth(ds, sigma),
                 reference_smece_at_bandwidth(p, v, sigma),
@@ -256,12 +256,12 @@ class TestDiagramOracle:
                                    acc[defined], rtol=0, atol=1e-8)
         return diagram
 
-    @pytest.mark.parametrize("bw", [1e-3, 0.03, 0.2, 1.0])
+    @pytest.mark.parametrize("bw", [3e-5, 1e-4, 1e-3, 0.03, 0.2, 1.0])
     def test_random(self, bw):
         rng = np.random.default_rng(61)
         ds = random_dataset(rng, 300, quantize=40, calibrated=True)
         diagram = self.assert_matches_oracle(ds, bw)
-        assert np.isnan(diagram.smoothed_accuracy).any() == (bw == 1e-3)
+        assert np.isnan(diagram.smoothed_accuracy).any() == (bw <= 1e-3)
 
     def test_mixed_point_mass(self):
         """Without the floor, round-off in the empty tails gives accuracies

@@ -95,6 +95,33 @@ class TestReadJsonl:
             read_lines(line)
 
 
+class TestRecordFields:
+    """A record built in code is checked like one read from JSONL."""
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"valid": "no", "confidence": 0.5}, "valid must be boolean"),
+        ({"valid": 1}, "valid must be boolean"),
+        ({"valid": None}, "missing required field valid"),
+        ({"valid": True, "confidence": "0.5"}, "confidence must be numeric"),
+        ({"valid": True, "confidence": True}, "confidence must be numeric"),
+        ({"valid": True, "group": 1}, "group must be a string"),
+        ({"valid": True, "answer": 7}, "answer must be a string"),
+    ])
+    def test_wrong_types_rejected(self, fields, message):
+        with pytest.raises(DataError, match=message):
+            PredictionRecord(id="a", **fields)
+
+    def test_numpy_scalars_accepted(self):
+        rec = PredictionRecord(id="a", valid=np.True_, confidence=np.float32(0.5))
+        assert rec.valid is True and rec.confidence == 0.5
+        assert type(rec.confidence) is float
+        assert PredictionRecord(id="b", valid=np.False_).valid is False
+
+    def test_jsonl_messages_name_the_line(self):
+        with pytest.raises(DataError, match="group must be a string at line 2"):
+            read_lines('{"id":"a","valid":true}', '{"id":"b","valid":true,"group":3}')
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
         recs = (
