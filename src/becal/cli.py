@@ -377,8 +377,8 @@ def _cmd_reward(ns: argparse.Namespace) -> int:
     else:
         scores = reward_integrated(v, p, parse_prior(ns.prior)).tolist()
     if ns.format == "jsonl":
-        _emit(ns, "".join(json.dumps({"id": rec.id, "reward": r}) + "\n"
-                          for rec, r in zip(ds, scores)))
+        _emit(ns, "".join(json.dumps({"id": rid, "reward": r}) + "\n"
+                          for rid, r in zip(ds.ids, scores)))
     else:
         total = sum(scores)
         _write_json(ns, {"n": len(scores), "mean": total / len(scores),

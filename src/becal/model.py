@@ -1,4 +1,4 @@
-"""Core data model: prediction records, datasets, JSONL ingestion and validation.
+"""Core data model: a dataset held as numpy columns, JSONL ingestion and validation.
 
 The JSONL schema is one JSON object per line with fields
 
@@ -11,8 +11,32 @@ The JSONL schema is one JSON object per line with fields
     meta        optional object with string values
 
 Unknown top-level fields are routed into meta (non-strings JSON-encoded);
-confidences are validated strictly to [0, 1] with no clamping at ingest. A key
-repeated within any object and a string holding a lone surrogate are rejected.
+confidences are validated strictly to [0, 1] with no clamping at ingest, and a
+zero is stored as +0.0. A key repeated within any object and a string holding
+a lone surrogate are rejected.
+
+A Dataset of n records with m claims in all is a set of columns, each field
+checked once when its column is filled:
+
+    ids                 n id strings
+    valid               bool[n]
+    confidence          float64[n], NaN where has_confidence is False
+    has_confidence      bool[n]
+    group, answer       int64[n] codes into group_names / answer_names, in
+                        order of first appearance; -1 where the record has none
+    claim_offsets       int64[n + 1]; record i owns claims
+                        claim_offsets[i]:claim_offsets[i + 1]
+    claim_confidence    float64[m]
+    claim_valid         bool[m], False where claim_labeled is False
+    claim_labeled       bool[m]
+    claim_text          m strings
+    claim_rationale     m strings or None
+    meta                n dicts of strings
+
+The arrays are read-only and the sequences are tuples. Ingest, aggregation,
+simulation, scoring and output all work on the columns; `Dataset.records`
+builds PredictionRecord rows, with ClaimRecord claims, only when it is asked
+for, and keeps them.
 """
 
 from __future__ import annotations
@@ -25,14 +49,23 @@ import numpy as np
 
 from .errors import DataError
 
-_KNOWN_FIELDS = ("id", "group", "valid", "confidence", "answer", "claims", "meta")
-_CLAIM_FIELDS = ("text", "confidence", "valid", "rationale")
+_KNOWN_FIELDS = frozenset(("id", "group", "valid", "confidence", "answer", "claims", "meta"))
+_CLAIM_FIELDS = frozenset(("text", "confidence", "valid", "rationale"))
 _NUMBERS = (int, float, np.integer, np.floating)  # np.float32 is no float subclass
+_COLUMNS = ("ids", "valid", "confidence", "has_confidence", "group", "group_names",
+            "answer", "answer_names", "claim_offsets", "claim_confidence",
+            "claim_valid", "claim_labeled", "claim_text", "claim_rationale", "meta")
 
+
+# ---------------------------------------------------------------------------
+# field checks, shared by the row classes and the column ingest
 
 def _check_number(name: str, value: object) -> None:
-    # JSON true/false would pass as the integers 1 and 0
-    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+    # JSON true/false would pass as the integers 1 and 0. A plain float, by far
+    # the most common value, passes one type test before the slower isinstance
+    # checks run
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, _NUMBERS)):
         raise DataError(f"{name} must be numeric")
 
 
@@ -40,12 +73,70 @@ def _check_unit(name: str, value: float) -> float:
     """value as a float, or DataError unless 0 <= value <= 1.
 
     The comparison runs before any conversion, so it alone rejects NaN,
-    infinities and integers too large for a float.
+    infinities and integers too large for a float. Adding 0.0 turns -0.0
+    into 0.0, so the sign of a zero never depends on which of two equal
+    claims an aggregate picks.
     """
     if not 0.0 <= value <= 1.0:
         raise DataError(f"{name} out of range")
-    return float(value)
+    return float(value) + 0.0
 
+
+def _check_flag(name: str, value: object) -> bool:
+    """value as a bool; a numpy bool is accepted too."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, np.bool_):
+        return bool(value)
+    raise DataError(f"{name} must be boolean")
+
+
+def _check_text(name: str, value: object) -> None:
+    """An optional string field: None or a str."""
+    if value is not None and not isinstance(value, str):
+        raise DataError(f"{name} must be a string")
+
+
+def _check_record(rid: object, valid: object, confidence: object, group: object,
+                  answer: object) -> tuple[bool, float | None]:
+    """The checked valid flag and confidence of one record."""
+    if valid is None:
+        raise DataError("missing required field valid")
+    valid = _check_flag("valid", valid)
+    _check_text("group", group)
+    _check_text("answer", answer)
+    if not isinstance(rid, str) or not rid:
+        raise DataError("record id must be a non-empty string")
+    if confidence is not None:
+        _check_number("confidence", confidence)
+        confidence = _check_unit(f"record {rid!r}: confidence", confidence)
+    return valid, confidence
+
+
+def _check_claim(text: object, confidence: object, valid: object,
+                 rationale: object) -> tuple[float, bool | None]:
+    """The checked confidence and label of one claim."""
+    if not isinstance(text, str):
+        raise DataError("claim text missing or not a string")
+    _check_number("claim confidence", confidence)
+    if valid is not None:
+        valid = _check_flag("claim valid", valid)
+    _check_text("claim rationale", rationale)
+    return _check_unit("claim confidence", confidence), valid
+
+
+def _check_meta(meta: object) -> None:
+    if not isinstance(meta, dict):
+        raise DataError("meta must be an object")
+    for key, value in meta.items():
+        if not isinstance(key, str):
+            raise DataError(f"meta keys must be strings (key {key!r})")
+        if not isinstance(value, str):
+            raise DataError(f"meta values must be strings (key {key!r})")
+
+
+# ---------------------------------------------------------------------------
+# rows
 
 @dataclass(frozen=True)
 class ClaimRecord:
@@ -60,15 +151,18 @@ class ClaimRecord:
     rationale: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "confidence",
-                           _check_unit("claim confidence", self.confidence))
+        confidence, valid = _check_claim(self.text, self.confidence, self.valid,
+                                         self.rationale)
+        object.__setattr__(self, "confidence", confidence)
+        object.__setattr__(self, "valid", valid)
 
 
 @dataclass(frozen=True)
 class PredictionRecord:
     """One model response with its correctness label and stated confidence.
 
-    Checks the types of id, valid, confidence, group and answer; stores a numpy bool as bool.
+    Every field is checked as it would be in JSONL; a numpy bool is stored as
+    bool, a numpy number as float.
     """
 
     id: str
@@ -80,65 +174,215 @@ class PredictionRecord:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.valid, bool):
-            if not isinstance(self.valid, np.bool_):
-                raise DataError("missing required field valid" if self.valid is None
-                                else "valid must be boolean")
-            object.__setattr__(self, "valid", bool(self.valid))
-        if self.group is not None and not isinstance(self.group, str):
-            raise DataError("group must be a string")
-        if self.answer is not None and not isinstance(self.answer, str):
-            raise DataError("answer must be a string")
-        if not isinstance(self.id, str) or not self.id:
-            raise DataError("record id must be a non-empty string")
-        if self.confidence is not None:
-            _check_number("confidence", self.confidence)
-            object.__setattr__(self, "confidence", _check_unit(
-                f"record {self.id!r}: confidence", self.confidence))
-        object.__setattr__(self, "claims", tuple(self.claims))
+        valid, confidence = _check_record(self.id, self.valid, self.confidence,
+                                          self.group, self.answer)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "confidence", confidence)
+        claims = tuple(self.claims)
+        if not all(isinstance(c, ClaimRecord) for c in claims):
+            raise DataError("claims must be ClaimRecord objects")
+        object.__setattr__(self, "claims", claims)
+        _check_meta(self.meta)
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# columns
+
+def _codes(values: Iterable[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Integer codes in order of first appearance, -1 for None, and the name table."""
+    table: dict[str, int] = {}
+    codes = [-1 if v is None else table.setdefault(v, len(table)) for v in values]
+    return np.array(codes, dtype=np.int64), tuple(table)
+
+
+def _names(codes: np.ndarray, table: tuple[str, ...]) -> list[str | None]:
+    """The name of each code, None for -1."""
+    table = table + (None,)  # code -1 indexes this last entry
+    return [table[c] for c in codes.tolist()]
+
+
+class _Columns:
+    """Checked fields appended one record at a time, one list per column."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.valid: list[bool] = []
+        self.confidence: list[float | None] = []
+        self.group: list[str | None] = []
+        self.answer: list[str | None] = []
+        self.meta: list[dict[str, str]] = []
+        self.claim_offsets = [0]
+        self.claim_confidence: list[float] = []
+        self.claim_valid: list[bool | None] = []
+        self.claim_text: list[str] = []
+        self.claim_rationale: list[str | None] = []
+        self.seen: set[str] = set()
+
+    def _claim(self, confidence: float, valid: bool | None, text: str,
+               rationale: str | None) -> None:
+        self.claim_confidence.append(confidence)
+        self.claim_valid.append(valid)
+        self.claim_text.append(text)
+        self.claim_rationale.append(rationale)
+
+    def _record(self, rid: str, valid: bool, confidence: float | None, group: str | None,
+                answer: str | None, meta: dict[str, str]) -> None:
+        if rid in self.seen:
+            raise DataError(f"duplicate id {rid!r}")
+        self.seen.add(rid)
+        self.ids.append(rid)
+        self.valid.append(valid)
+        self.confidence.append(confidence)
+        self.group.append(group)
+        self.answer.append(answer)
+        self.meta.append(meta)
+        self.claim_offsets.append(len(self.claim_text))
+
+    def add_object(self, obj: object) -> None:
+        """Check one decoded JSONL object field by field and append it."""
+        if not isinstance(obj, dict):
+            raise DataError("expected a JSON object")
+        claims = obj.get("claims")
+        if claims is not None:
+            if not isinstance(claims, list):
+                raise DataError("claims must be an array")
+            for claim in claims:
+                if not isinstance(claim, dict):
+                    raise DataError("claim must be an object")
+                if not claim.keys() <= _CLAIM_FIELDS:
+                    key = next(k for k in claim if k not in _CLAIM_FIELDS)
+                    raise DataError(f"unknown claim field {key!r}")
+                text = claim.get("text")
+                rationale = claim.get("rationale")
+                confidence, valid = _check_claim(text, claim.get("confidence"),
+                                                 claim.get("valid"), rationale)
+                self._claim(confidence, valid, text, rationale)
+        meta = obj.get("meta")
+        if meta is None:
+            meta = {}
+        else:
+            _check_meta(meta)
+        if not obj.keys() <= _KNOWN_FIELDS:
+            # unknown top-level fields are preserved, not dropped
+            for key, value in obj.items():
+                if key in _KNOWN_FIELDS:
+                    continue
+                if key in meta:
+                    raise DataError(f"field {key!r} collides with a meta key")
+                meta[key] = value if isinstance(value, str) else json.dumps(
+                    value, sort_keys=True, separators=(",", ":"))
+        rid, group, answer = obj.get("id"), obj.get("group"), obj.get("answer")
+        valid, confidence = _check_record(rid, obj.get("valid"), obj.get("confidence"),
+                                          group, answer)
+        self._record(rid, valid, confidence, group, answer, meta)
+
+    def add_record(self, rec: PredictionRecord) -> None:
+        """Append a row whose fields its constructor has checked."""
+        for c in rec.claims:
+            self._claim(c.confidence, c.valid, c.text, c.rationale)
+        self._record(rec.id, rec.valid, rec.confidence, rec.group, rec.answer, rec.meta)
+
+    def columns(self) -> dict:
+        group, group_names = _codes(self.group)
+        answer, answer_names = _codes(self.answer)
+        confidence = np.array(self.confidence, dtype=float)  # None becomes NaN
+        return {
+            "ids": tuple(self.ids), "valid": np.array(self.valid, dtype=bool),
+            "confidence": confidence, "has_confidence": ~np.isnan(confidence),
+            "group": group, "group_names": group_names,
+            "answer": answer, "answer_names": answer_names,
+            "claim_offsets": np.array(self.claim_offsets, dtype=np.int64),
+            "claim_confidence": np.array(self.claim_confidence, dtype=float),
+            "claim_valid": np.array(self.claim_valid, dtype=bool),  # None becomes False
+            "claim_labeled": np.array([v is not None for v in self.claim_valid], dtype=bool),
+            "claim_text": tuple(self.claim_text),
+            "claim_rationale": tuple(self.claim_rationale),
+            "meta": tuple(self.meta),
+        }
+
+
 class Dataset:
-    """Immutable collection of prediction records; safe to share across workers."""
+    """Immutable collection of prediction records, stored as columns.
 
-    records: tuple[PredictionRecord, ...]
-    label: str = ""
+    Dataset(records) takes PredictionRecord rows; the column layout is in the
+    module docstring. Safe to share across workers.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.id in seen:
-                raise DataError(f"duplicate id {rec.id!r}")
-            seen.add(rec.id)
+    def __init__(self, records: Iterable[PredictionRecord] = (), label: str = "") -> None:
+        rows = tuple(records)
+        cols = _Columns()
+        for rec in rows:
+            cols.add_record(rec)
+        self._set(cols.columns(), label)
+        self._rows = rows
+
+    @classmethod
+    def _from_columns(cls, columns: dict, label: str) -> Dataset:
+        """A dataset over columns whose fields are already checked."""
+        ds = cls.__new__(cls)
+        ds._set(columns, label)
+        return ds
+
+    def _set(self, columns: dict, label: str) -> None:
+        for name in _COLUMNS:
+            value = columns[name]
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            setattr(self, name, value)
+        self.label = label
+        self._rows = None
+
+    def columns(self) -> dict:
+        """Every column by name (see the module docstring)."""
+        return {name: getattr(self, name) for name in _COLUMNS}
+
+    @property
+    def records(self) -> tuple[PredictionRecord, ...]:
+        """The rows as PredictionRecord objects, built on first access."""
+        if self._rows is None:
+            conf = self.confidence.tolist()
+            has = self.has_confidence.tolist()
+            group = _names(self.group, self.group_names)
+            answer = _names(self.answer, self.answer_names)
+            claims = [ClaimRecord(text=t, confidence=c, valid=v if lab else None,
+                                  rationale=r)
+                      for t, c, v, lab, r in zip(
+                          self.claim_text, self.claim_confidence.tolist(),
+                          self.claim_valid.tolist(), self.claim_labeled.tolist(),
+                          self.claim_rationale)]
+            offsets = self.claim_offsets.tolist()
+            self._rows = tuple(
+                PredictionRecord(id=rid, valid=valid, confidence=conf[i] if has[i] else None,
+                                 group=group[i], answer=answer[i],
+                                 claims=claims[offsets[i]:offsets[i + 1]], meta=self.meta[i])
+                for i, (rid, valid) in enumerate(zip(self.ids, self.valid.tolist())))
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[PredictionRecord]:
         return iter(self.records)
 
     def require_nonempty(self) -> None:
-        if not self.records:
+        if not self.ids:
             raise DataError("dataset is empty, nothing to compute")
 
     def confidences(self) -> np.ndarray:
-        """Response-level confidences as a float array.
+        """The response-level confidence column.
 
         Rejects the dataset if any record lacks a confidence; claim-only
         records must go through aggregation first.
         """
         self.require_nonempty()
-        for rec in self.records:
-            if rec.confidence is None:
-                raise DataError(
-                    f"record {rec.id!r} has no response-level confidence")
-        return np.array([rec.confidence for rec in self.records], dtype=float)
+        if not self.has_confidence.all():
+            rid = self.ids[int(np.argmin(self.has_confidence))]
+            raise DataError(f"record {rid!r} has no response-level confidence")
+        return self.confidence
 
     def valids(self) -> np.ndarray:
         self.require_nonempty()
-        return np.array([rec.valid for rec in self.records], dtype=bool)
+        return self.valid
 
 
 @dataclass(frozen=True)
@@ -161,60 +405,8 @@ class ValidationSummary:
         }
 
 
-def _parse_claim(obj: object) -> ClaimRecord:
-    if not isinstance(obj, dict):
-        raise DataError("claim must be an object")
-    for key in obj:
-        if key not in _CLAIM_FIELDS:
-            raise DataError(f"unknown claim field {key!r}")
-    text = obj.get("text")
-    if not isinstance(text, str):
-        raise DataError("claim text missing or not a string")
-    conf = obj.get("confidence")
-    _check_number("claim confidence", conf)
-    valid = obj.get("valid")
-    if valid is not None and not isinstance(valid, bool):
-        raise DataError("claim valid must be boolean")
-    rationale = obj.get("rationale")
-    if rationale is not None and not isinstance(rationale, str):
-        raise DataError("claim rationale must be a string")
-    return ClaimRecord(text=text, confidence=conf, valid=valid, rationale=rationale)
-
-
-def _parse_record(obj: object) -> PredictionRecord:
-    """JSON-shape checks of claims and meta; PredictionRecord checks its own fields."""
-    if not isinstance(obj, dict):
-        raise DataError("expected a JSON object")
-    raw_claims = obj.get("claims", [])
-    if raw_claims is None:
-        raw_claims = []
-    if not isinstance(raw_claims, list):
-        raise DataError("claims must be an array")
-    claims = tuple(_parse_claim(c) for c in raw_claims)
-
-    meta_obj = obj.get("meta", {})
-    if meta_obj is None:
-        meta_obj = {}
-    if not isinstance(meta_obj, dict):
-        raise DataError("meta must be an object")
-    meta: dict[str, str] = {}
-    for key, value in meta_obj.items():
-        if not isinstance(value, str):
-            raise DataError(f"meta values must be strings (key {key!r})")
-        meta[str(key)] = value
-    # unknown top-level fields are preserved, not dropped
-    for key, value in obj.items():
-        if key in _KNOWN_FIELDS:
-            continue
-        if key in meta:
-            raise DataError(f"field {key!r} collides with a meta key")
-        meta[key] = value if isinstance(value, str) else json.dumps(
-            value, sort_keys=True, separators=(",", ":"))
-
-    return PredictionRecord(id=obj.get("id"), valid=obj.get("valid"),
-                            confidence=obj.get("confidence"), group=obj.get("group"),
-                            answer=obj.get("answer"), claims=claims, meta=meta)
-
+# ---------------------------------------------------------------------------
+# JSONL
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
@@ -228,13 +420,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _parse_line(line: str | bytes) -> PredictionRecord | None:
-    """One JSONL line as a record, None when blank; every failure is a DataError."""
+def _parse_line(line: str | bytes, cols: _Columns) -> None:
+    """Append one JSONL line's record to cols, nothing for a blank line.
+
+    Every failure is a DataError.
+    """
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         if not line.strip():
-            return None
+            return
         obj = _DECODER.decode(line)
         if "\\u" in line:
             # a \uD800-style escape decodes to a lone surrogate, which no
@@ -247,7 +442,7 @@ def _parse_line(line: str | bytes) -> PredictionRecord | None:
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, integer literals past the digit limit, deep nesting
         raise DataError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None
-    return _parse_record(obj)
+    cols.add_object(obj)
 
 
 def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
@@ -258,20 +453,13 @@ def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
     DataError naming the source and the line is raised. Never silently drops
     a record.
     """
-    records: list[PredictionRecord] = []
-    ids: set[str] = set()
+    cols = _Columns()
     for lineno, line in enumerate(lines, start=1):
         try:
-            rec = _parse_line(line)
-            if rec is None:
-                continue
-            if rec.id in ids:
-                raise DataError(f"duplicate id {rec.id!r}")
+            _parse_line(line, cols)
         except DataError as exc:
             raise DataError(f"{source}: {exc} at line {lineno}") from None
-        ids.add(rec.id)
-        records.append(rec)
-    return Dataset(records=tuple(records), label=source if label is None else label)
+    return Dataset._from_columns(cols.columns(), source if label is None else label)
 
 
 def load_jsonl(path: str, label: str | None = None) -> Dataset:
@@ -282,34 +470,42 @@ def load_jsonl(path: str, label: str | None = None) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def record_to_obj(rec: PredictionRecord) -> dict:
-    """Serialize one record to a plain dict with a fixed key order."""
-    obj: dict = {"id": rec.id}
-    if rec.group is not None:
-        obj["group"] = rec.group
-    obj["valid"] = rec.valid
-    if rec.confidence is not None:
-        obj["confidence"] = rec.confidence
-    if rec.answer is not None:
-        obj["answer"] = rec.answer
-    if rec.claims:
-        obj["claims"] = []
-        for c in rec.claims:
-            cobj: dict = {"text": c.text, "confidence": c.confidence}
-            if c.valid is not None:
-                cobj["valid"] = c.valid
-            if c.rationale is not None:
-                cobj["rationale"] = c.rationale
-            obj["claims"].append(cobj)
-    if rec.meta:
-        obj["meta"] = dict(sorted(rec.meta.items()))
-    return obj
-
-
 def dump_jsonl(dataset: Dataset, fh: IO[str]) -> None:
-    """Write one compact JSON object per record. Round-trips through read_jsonl."""
-    for rec in dataset.records:
-        fh.write(json.dumps(record_to_obj(rec), separators=(",", ":"), ensure_ascii=False))
+    """Write one compact JSON object per record, keys in a fixed order.
+
+    Round-trips through read_jsonl.
+    """
+    ds = dataset
+    text, rationale = ds.claim_text, ds.claim_rationale
+    claim_conf = ds.claim_confidence.tolist()
+    claim_valid = ds.claim_valid.tolist()
+    labeled = ds.claim_labeled.tolist()
+    group = _names(ds.group, ds.group_names)
+    answer = _names(ds.answer, ds.answer_names)
+    conf = ds.confidence.tolist()
+    has = ds.has_confidence.tolist()
+    offsets = ds.claim_offsets.tolist()
+    for i, (rid, valid, meta) in enumerate(zip(ds.ids, ds.valid.tolist(), ds.meta)):
+        obj: dict = {"id": rid}
+        if group[i] is not None:
+            obj["group"] = group[i]
+        obj["valid"] = valid
+        if has[i]:
+            obj["confidence"] = conf[i]
+        if answer[i] is not None:
+            obj["answer"] = answer[i]
+        if offsets[i] < offsets[i + 1]:
+            obj["claims"] = claims = []
+            for j in range(offsets[i], offsets[i + 1]):
+                claim: dict = {"text": text[j], "confidence": claim_conf[j]}
+                if labeled[j]:
+                    claim["valid"] = claim_valid[j]
+                if rationale[j] is not None:
+                    claim["rationale"] = rationale[j]
+                claims.append(claim)
+        if meta:
+            obj["meta"] = dict(sorted(meta.items()))
+        fh.write(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
         fh.write("\n")
 
 
@@ -319,31 +515,28 @@ def validate(dataset: Dataset) -> ValidationSummary:
     Warnings cover records without response-level confidence, groups of size
     one, and records with unlabeled claims; an empty dataset is fatal-level.
     """
+    ds = dataset
     warnings: list[tuple[str, str]] = []
-    if not dataset.records:
+    if not ds.ids:
         warnings.append(("fatal", "dataset is empty: no metrics can be computed"))
-    n_claims = 0
-    n_labeled = 0
-    group_sizes: dict[str, int] = {}
-    for rec in dataset.records:
-        if rec.confidence is None:
-            warnings.append(("warning", f"record {rec.id!r}: no response-level confidence"))
-        labeled = sum(1 for c in rec.claims if c.valid is not None)
-        n_claims += len(rec.claims)
-        n_labeled += labeled
-        if rec.claims and labeled < len(rec.claims):
+    labeled_before = np.concatenate(([0], np.cumsum(ds.claim_labeled, dtype=np.int64)))
+    claims = np.diff(ds.claim_offsets)
+    labeled = np.diff(labeled_before[ds.claim_offsets])
+    for i in np.flatnonzero(~ds.has_confidence | (labeled < claims)).tolist():
+        rid, n_claims, n_labeled = ds.ids[i], int(claims[i]), int(labeled[i])
+        if not ds.has_confidence[i]:
+            warnings.append(("warning", f"record {rid!r}: no response-level confidence"))
+        if n_labeled < n_claims:
             warnings.append((
                 "warning",
-                f"record {rec.id!r}: {len(rec.claims) - labeled} of {len(rec.claims)} "
-                f"claims unlabeled"))
-        if rec.group is not None:
-            group_sizes[rec.group] = group_sizes.get(rec.group, 0) + 1
-    for name in sorted(g for g, size in group_sizes.items() if size == 1):
+                f"record {rid!r}: {n_claims - n_labeled} of {n_claims} claims unlabeled"))
+    sizes = np.bincount(ds.group[ds.group >= 0], minlength=len(ds.group_names))
+    for name in sorted(g for g, size in zip(ds.group_names, sizes.tolist()) if size == 1):
         warnings.append(("warning", f"group {name!r}: only one sample"))
     return ValidationSummary(
-        n_records=len(dataset.records),
-        n_claims=n_claims,
-        n_labeled_claims=n_labeled,
-        n_groups=len(group_sizes),
+        n_records=len(ds),
+        n_claims=len(ds.claim_text),
+        n_labeled_claims=int(np.count_nonzero(ds.claim_labeled)),
+        n_groups=int(np.count_nonzero(sizes)),
         warnings=tuple(warnings),
     )

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, DomainError, UsageError
-from .model import ClaimRecord, Dataset, PredictionRecord
+from .model import ClaimRecord, Dataset
 from .rewards import RiskPrior, expected_reward
 
 RNG_ALGORITHM = "philox4x64-10"
@@ -193,28 +193,27 @@ def generate(spec: AgentSpec, label: str = "sim") -> Dataset:
     n = spec.n_questions
     q = spec.difficulty_prior.sample(rng, n)
     conf = spec.report_map.apply(q)
-    records = []
-    if spec.n_claims is None:
-        valid = rng.random(n) < q
-        for i in range(n):
-            records.append(PredictionRecord(
-                id=f"q{i}", valid=bool(valid[i]), confidence=float(conf[i]),
-                meta={"q": repr(float(q[i]))}))
-    else:
-        k = spec.n_claims
+    k = spec.n_claims or 0
+    if k:
         qc = np.power(q, 1.0 / k)[:, None]
         claim_valid = rng.random((n, k)) < qc
         claim_conf = spec.report_map.apply(np.broadcast_to(qc, (n, k)))
-        final_valid = claim_valid.all(axis=1)
-        for i in range(n):
-            claims = tuple(
-                ClaimRecord(text=f"step {j + 1}", confidence=float(claim_conf[i, j]),
-                            valid=bool(claim_valid[i, j]))
-                for j in range(k))
-            records.append(PredictionRecord(
-                id=f"q{i}", valid=bool(final_valid[i]), confidence=float(conf[i]),
-                claims=claims, meta={"q": repr(float(q[i]))}))
-    return Dataset(records=tuple(records), label=label)
+        valid = claim_valid.all(axis=1)
+    else:
+        valid = rng.random(n) < q
+        claim_valid, claim_conf = np.empty(0, dtype=bool), np.empty(0)
+    return Dataset._from_columns({
+        "ids": tuple(f"q{i}" for i in range(n)), "valid": valid,
+        "confidence": conf, "has_confidence": np.ones(n, dtype=bool),
+        "group": np.full(n, -1), "group_names": (),
+        "answer": np.full(n, -1), "answer_names": (),
+        "claim_offsets": np.arange(n + 1) * k,
+        "claim_confidence": claim_conf.ravel(), "claim_valid": claim_valid.ravel(),
+        "claim_labeled": np.ones(n * k, dtype=bool),
+        "claim_text": tuple(f"step {j + 1}" for j in range(k)) * n,
+        "claim_rationale": (None,) * (n * k),
+        "meta": tuple({"q": repr(x)} for x in q.tolist()),
+    }, label)
 
 
 def generate_claims(q_chain, seed: int,
@@ -257,17 +256,27 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
     if not (0.0 <= lo <= hi <= 1.0):
         raise DomainError(f"bad base range: {base_range!r}")
     rng = _rng([check_seed(seed), 2])
-    records = []
+    n = n_groups * n_samples
+    conf, valid, answer = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    answers: dict[str, int] = {}  # answer codes in order of first appearance
     for g in range(n_groups):
         base = lo + (hi - lo) * rng.random()
-        for s in range(n_samples):
+        for i in range(g * n_samples, (g + 1) * n_samples):
             qs = float(np.clip(base + jitter * (2.0 * rng.random() - 1.0), 0.05, 0.95))
-            valid = bool(rng.random() < qs)
-            answer = "A" if valid else f"W{int(rng.integers(0, n_wrong_answers))}"
-            records.append(PredictionRecord(
-                id=f"g{g}s{s}", group=f"g{g}", valid=valid, confidence=qs,
-                answer=answer))
-    return Dataset(records=tuple(records), label=label)
+            conf[i], valid[i] = qs, rng.random() < qs
+            name = "A" if valid[i] else f"W{int(rng.integers(0, n_wrong_answers))}"
+            answer[i] = answers.setdefault(name, len(answers))
+    return Dataset._from_columns({
+        "ids": tuple(f"g{g}s{s}" for g in range(n_groups) for s in range(n_samples)),
+        "valid": valid, "confidence": conf, "has_confidence": np.ones(n, dtype=bool),
+        "group": np.repeat(np.arange(n_groups), n_samples),
+        "group_names": tuple(f"g{g}" for g in range(n_groups)),
+        "answer": answer, "answer_names": tuple(answers),
+        "claim_offsets": np.zeros(n + 1, dtype=np.int64),
+        "claim_confidence": np.empty(0), "claim_valid": np.empty(0, dtype=bool),
+        "claim_labeled": np.empty(0, dtype=bool), "claim_text": (), "claim_rationale": (),
+        "meta": tuple({} for _ in range(n)),
+    }, label)
 
 
 # ---------------------------------------------------------------------------

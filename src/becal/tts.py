@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataError, DomainError
-from .model import Dataset
+from .model import Dataset, _names
 from .simulate import _rng, check_count, check_seed
 
 STRATEGIES = ("mean", "best", "majority", "maxconf", "majconf")
@@ -74,29 +74,41 @@ class SampleGroup:
         return len(self.samples)
 
 
-def _sample_key(sample: tuple[str | None, float | None, bool]):
-    answer, conf, valid = sample
-    return (answer is None, answer or "", -1.0 if conf is None else conf, valid)
+def _ranks(table: tuple[str, ...]) -> np.ndarray:
+    """Each name's position in sorted order, and len(table) for code -1 (no name)."""
+    ranks = np.empty(len(table) + 1, dtype=np.int64)
+    ranks[sorted(range(len(table)), key=table.__getitem__)] = np.arange(len(table))
+    ranks[-1] = len(table)
+    return ranks
 
 
 def group_records(dataset: Dataset) -> list[SampleGroup]:
     """Bucket records by group key, canonically ordered.
 
+    One stable sort orders the records by group name, then answer (samples
+    without one last), confidence (samples without one first) and validity,
+    so datasets differing only in record order give identical groups.
     Errors if grouped and ungrouped records are mixed or no record carries a
     group key.
     """
     dataset.require_nonempty()
-    missing = [r.id for r in dataset if r.group is None]
-    if missing and len(missing) < len(dataset):
-        raise DataError(f"records mix grouped and ungrouped: "
-                        f"{missing[0]!r} has no group")
-    if missing:
+    missing = dataset.group < 0
+    if missing.all():
         raise DataError("no record carries a group key")
-    buckets: dict[str, list] = {}
-    for r in dataset:
-        buckets.setdefault(r.group, []).append((r.answer, r.confidence, r.valid))
-    return [SampleGroup(group=g, samples=tuple(sorted(buckets[g], key=_sample_key)))
-            for g in sorted(buckets)]
+    if missing.any():
+        raise DataError(f"records mix grouped and ungrouped: "
+                        f"{dataset.ids[int(np.argmax(missing))]!r} has no group")
+    group_rank = _ranks(dataset.group_names)[dataset.group]
+    confidence = np.where(dataset.has_confidence, dataset.confidence, -1.0)
+    order = np.lexsort((dataset.valid, confidence,
+                        _ranks(dataset.answer_names)[dataset.answer], group_rank))
+    samples = list(zip(_names(dataset.answer[order], dataset.answer_names),
+                       [None if c < 0 else c for c in confidence[order].tolist()],
+                       dataset.valid[order].tolist()))
+    edges = np.flatnonzero(np.diff(group_rank[order])) + 1
+    return [SampleGroup(group=dataset.group_names[dataset.group[order[lo]]],
+                        samples=tuple(samples[lo:hi]))
+            for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(samples)])]
 
 
 def _check_strategy(strategy: str, groups) -> None:

@@ -38,3 +38,14 @@ def random_dataset(rng: np.random.Generator, n: int, quantize: int | None = None
         v = rng.random(n) < (p if calibrated else 0.5)
         if v.any() and not v.all():
             return make_dataset(zip(p, v))
+
+
+def assert_same_columns(a: Dataset, b: Dataset) -> None:
+    """Every column of a equals b's: arrays by dtype and value, the rest by ==."""
+    for name, column in a.columns().items():
+        other = b.columns()[name]
+        if isinstance(column, np.ndarray):
+            assert column.dtype == other.dtype, name
+            assert np.array_equal(column, other, equal_nan=True), name
+        else:
+            assert column == other, name

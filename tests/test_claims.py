@@ -1,5 +1,8 @@
 """Claim markup parsing and confidence aggregation."""
 
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,9 @@ from hypothesis import strategies as st
 from becal.claims import (aggregate_min, aggregate_product, apply_aggregation,
                           parse_claims)
 from becal.errors import DataError
-from becal.model import ClaimRecord, Dataset, PredictionRecord
+from becal.model import ClaimRecord, Dataset, PredictionRecord, dump_jsonl, read_jsonl
+
+from conftest import assert_same_columns, make_claims
 
 
 # markup fragments mixed with any code point, lone surrogates included
@@ -220,3 +225,27 @@ class TestApplyAggregation:
         listed = [0.9, 0.7, 0.95]
         assert aggregate_product(doc.confidences()) == aggregate_product(listed)
         assert aggregate_min(doc.confidences()) == aggregate_min(listed)
+
+
+# ragged claim lists whose confidences hit 0.0, -0.0 and 1.0 often
+RAGGED = st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=12), min_size=1, max_size=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RAGGED)
+def test_aggregation_folds_each_record(chains):
+    """reduceat over the claim columns is bit-identical to math.prod and min
+    per record, on rows built in code and on their JSONL round trip."""
+    rows = tuple(PredictionRecord(id=f"r{i}", valid=True, claims=make_claims(chain))
+                 for i, chain in enumerate(chains))
+    buf = io.StringIO()
+    dump_jsonl(Dataset(records=rows), buf)
+    again = read_jsonl(buf.getvalue().splitlines())
+    assert_same_columns(again, Dataset(records=rows))
+    assert again.records == rows
+    for kind, fold in (("product", math.prod), ("min", min)):
+        want = [float(fold(c.confidence for c in rec.claims)).hex() for rec in rows]
+        for ds in (Dataset(records=rows), again):
+            got = apply_aggregation(ds, kind).confidence.tolist()
+            assert [p.hex() for p in got] == want, kind

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from becal.cli import REWARDS, build_parser, main
+from becal.model import ClaimRecord, PredictionRecord
 
 
 def write_jsonl(path, rows):
@@ -453,6 +454,30 @@ class TestDeterminism:
         for downstream in (["metrics", str(src)],
                            ["sweep", str(src), "--grid", "26"]):
             assert self.run_cli(downstream) == self.run_cli(downstream)
+
+
+def test_commands_never_build_row_objects(tmp_path, monkeypatch):
+    """Every command works on the dataset's columns; no PredictionRecord or
+    ClaimRecord is ever constructed."""
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(PredictionRecord, "__post_init__", refuse)
+    monkeypatch.setattr(ClaimRecord, "__post_init__", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--n", "200", "--n-claims", "8", "--out", "chain.jsonl"]) == 0
+    assert main(["simulate", "--groups", "6", "--samples-per-group", "4",
+                 "--out", "ens.jsonl"]) == 0
+    product = ["--confidence-from", "product"]
+    for argv in (["reward", "chain.jsonl", *product, "--format", "jsonl"],
+                 ["reward", "chain.jsonl", *product, "--reward", "integrated"],
+                 ["sweep", "chain.jsonl", *product],
+                 ["objectives", "chain.jsonl", *product],
+                 ["metrics", "chain.jsonl", *product],
+                 ["report", "chain.jsonl", *product],
+                 ["validate", "chain.jsonl"],
+                 ["tts", "ens.jsonl", "--k", "1,2"]):
+        assert main([*argv, "--out", "out"]) == 0, argv
 
 
 def test_no_option_has_a_single_choice():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from becal.errors import DataError
 from becal.model import (ClaimRecord, Dataset, PredictionRecord, dump_jsonl,
-                         load_jsonl, read_jsonl, record_to_obj, validate)
+                         load_jsonl, read_jsonl, validate)
 
-from conftest import make_dataset
+from conftest import assert_same_columns, make_dataset
 
 
 def read_lines(*lines):
@@ -111,11 +111,38 @@ class TestRecordFields:
         with pytest.raises(DataError, match=message):
             PredictionRecord(id="a", **fields)
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"text": 1, "confidence": 0.5, "valid": "no"}, "claim text missing or not a string"),
+        ({"text": "s", "confidence": 0.5, "valid": "no"}, "claim valid must be boolean"),
+        ({"text": "s", "confidence": "0.5"}, "claim confidence must be numeric"),
+        ({"text": "s", "confidence": 0.5, "rationale": 3}, "claim rationale must be a string"),
+        ({"text": "s", "confidence": 1.5}, "claim confidence out of range"),
+    ])
+    def test_wrong_claim_types_rejected(self, fields, message):
+        with pytest.raises(DataError, match=message):
+            ClaimRecord(**fields)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"meta": {"k": 1}}, "meta values must be strings"),
+        ({"meta": {1: "v"}}, "meta keys must be strings"),
+        ({"meta": ["k"]}, "meta must be an object"),
+        ({"claims": ["x"]}, "claims must be ClaimRecord objects"),
+    ])
+    def test_wrong_meta_and_claims_rejected(self, fields, message):
+        with pytest.raises(DataError, match=message):
+            PredictionRecord(id="a", valid=True, **fields)
+
     def test_numpy_scalars_accepted(self):
         rec = PredictionRecord(id="a", valid=np.True_, confidence=np.float32(0.5))
         assert rec.valid is True and rec.confidence == 0.5
         assert type(rec.confidence) is float
         assert PredictionRecord(id="b", valid=np.False_).valid is False
+        assert ClaimRecord(text="s", confidence=0.5, valid=np.False_).valid is False
+
+    def test_negative_zero_stored_as_zero(self):
+        ds = read_lines('{"id":"a","valid":true,"confidence":-0.0,'
+                        '"claims":[{"text":"s","confidence":-0.0}]}')
+        assert str(ds.confidence[0]) == str(ds.claim_confidence[0]) == "0.0"
 
     def test_jsonl_messages_name_the_line(self):
         with pytest.raises(DataError, match="group must be a string at line 2"):
@@ -148,11 +175,14 @@ class TestRoundTrip:
         ds = load_jsonl(str(path))
         assert len(ds) == 1 and ds.label == str(path)
 
-    def test_record_to_obj_key_order_stable(self):
+    def test_dump_key_order_stable(self):
         rec = PredictionRecord(id="a", valid=True, confidence=0.5,
                                meta={"z": "1", "a": "2"})
-        assert list(record_to_obj(rec)) == ["id", "valid", "confidence", "meta"]
-        assert list(record_to_obj(rec)["meta"]) == ["a", "z"]
+        buf = io.StringIO()
+        dump_jsonl(Dataset(records=(rec,)), buf)
+        obj = json.loads(buf.getvalue())
+        assert list(obj) == ["id", "valid", "confidence", "meta"]
+        assert list(obj["meta"]) == ["a", "z"]
 
 
 JSON_VALUES = st.recursive(
@@ -211,7 +241,9 @@ def test_dump_read_round_trip(ds):
     buf = io.StringIO()
     dump_jsonl(ds, buf)
     again = read_jsonl(io.BytesIO(buf.getvalue().encode("utf-8")))
+    assert_same_columns(again, ds)
     assert again.records == ds.records
+    assert Dataset._from_columns(ds.columns(), "").records == ds.records
 
 
 class TestDataset:
