@@ -33,11 +33,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
+from typing import IO, Callable
 
 from . import __version__
 from .errors import DataError, DomainError, ToolkitError, UsageError
@@ -264,36 +264,39 @@ def _clean(obj):
     return obj
 
 
-def _emit(ns: argparse.Namespace, text: str, out: str | None = None,
-          sidecar: bool = True) -> None:
-    """Write text to `out` (default ns.out) with a config sidecar, or without
-    one for a JSON document, which embeds its config.
+def _emit(ns: argparse.Namespace, write: Callable[[IO[str]], object],
+          out: str | None = None, sidecar: bool = True) -> None:
+    """Write `out` (default ns.out) by calling write(fh) on an open text file,
+    with a config sidecar, or without one for a JSON document, which embeds
+    its config. The writer streams its output, so no copy of it is held.
 
     Files appear complete or not at all: each is written to a temporary file
     beside its target and moved into place only after every write succeeded,
-    the sidecar before the output, so a failure leaves the old output intact.
-    A symlink, pipe or device (say /dev/stdout) is written through instead,
+    the sidecar before the output, so a failure, in the writer or in the file
+    system, leaves the old output intact and no temporary file behind. A
+    symlink, pipe or device (say /dev/stdout) is written through instead,
     since replacing it would replace the link or device node itself. A target
     that is not a regular file after following links gets no sidecar.
     """
     target = ns.out if out is None else out
     if target == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
-    files = [(target, text)]
+    files = [(target, write)]
     if sidecar and (os.path.isfile(target) or not os.path.exists(target)):
-        files.append((target + ".meta.json", _json_text({"config": _config_header(ns)})))
+        header = _json_text({"config": _config_header(ns)})
+        files.append((target + ".meta.json", lambda fh: fh.write(header)))
     moves = []
     try:
-        for path, content in files:
+        for path, writer in files:
             if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(content)
+                    writer(fh)
                 continue
             temp = f"{path}.{os.getpid()}.tmp"
             with open(temp, "x", encoding="utf-8") as fh:
                 moves.append((temp, path))
-                fh.write(content)
+                writer(fh)
         for temp, path in reversed(moves):
             os.replace(temp, path)
     except OSError as exc:
@@ -310,19 +313,18 @@ def _json_text(payload: dict) -> str:
 
 def _write_json(ns: argparse.Namespace, payload: dict) -> None:
     """The command's JSON document: "command", the payload, then the header as "config"."""
-    _emit(ns, _json_text({"command": ns.command, **payload,
-                          "config": _config_header(ns)}), sidecar=False)
+    text = _json_text({"command": ns.command, **payload, "config": _config_header(ns)})
+    _emit(ns, lambda fh: fh.write(text), sidecar=False)
 
 
 def _write_csv(ns: argparse.Namespace, header, rows, out: str | None = None) -> None:
     """A CSV file (NaN cells left empty) with its config sidecar."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if isinstance(x, float) and math.isnan(x) else x
-                         for x in row])
-    _emit(ns, buf.getvalue(), out)
+    def write(fh: IO[str]) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(["" if isinstance(x, float) and math.isnan(x) else x for x in row]
+                         for row in rows)
+    _emit(ns, write, out)
 
 
 def _load(ns: argparse.Namespace) -> Dataset:
@@ -356,9 +358,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                          n_questions=ns.n, n_claims=ns.n_claims,
                          seed=ns.seed)
         ds = generate(spec)
-    buf = io.StringIO()
-    dump_jsonl(ds, buf)
-    _emit(ns, buf.getvalue())
+    _emit(ns, lambda fh: dump_jsonl(ds, fh))
     return 0
 
 
@@ -377,8 +377,8 @@ def _cmd_reward(ns: argparse.Namespace) -> int:
     else:
         scores = reward_integrated(v, p, parse_prior(ns.prior)).tolist()
     if ns.format == "jsonl":
-        _emit(ns, "".join(json.dumps({"id": rid, "reward": r}) + "\n"
-                          for rid, r in zip(ds.ids, scores)))
+        _emit(ns, lambda fh: fh.writelines(json.dumps({"id": rid, "reward": r}) + "\n"
+                                           for rid, r in zip(ds.ids, scores)))
     else:
         total = sum(scores)
         _write_json(ns, {"n": len(scores), "mean": total / len(scores),

@@ -31,17 +31,25 @@ checked once when its column is filled:
     claim_labeled       bool[m]
     claim_text          m strings
     claim_rationale     m strings or None
-    meta                n dicts of strings
+    meta                a MetaColumn: every record's meta pairs, held like the
+                        claims as offsets into flat key and value sequences;
+                        meta[i] is record i's pairs as a dict
 
-The arrays are read-only and the sequences are tuples. Ingest, aggregation,
-simulation, scoring and output all work on the columns; `Dataset.records`
-builds PredictionRecord rows, with ClaimRecord claims, only when it is asked
-for, and keeps them.
+The arrays are read-only and the sequences are tuples. Ingest appends each
+checked number, flag and code to a typed buffer that becomes its column
+without a copy, so it keeps no Python object per record beyond the strings.
+Ingest, aggregation, simulation, scoring and output all work on the columns;
+`Dataset.records` builds PredictionRecord rows, with ClaimRecord claims, only
+when it is asked for, and keeps them. dump_jsonl renders a chunk of records
+at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -109,7 +117,10 @@ def _check_record(rid: object, valid: object, confidence: object, group: object,
         raise DataError("record id must be a non-empty string")
     if confidence is not None:
         _check_number("confidence", confidence)
-        confidence = _check_unit(f"record {rid!r}: confidence", confidence)
+        try:
+            confidence = _check_unit("confidence", confidence)
+        except DataError:  # the record's name is built only for a bad value
+            raise DataError(f"record {rid!r}: confidence out of range") from None
     return valid, confidence
 
 
@@ -188,40 +199,81 @@ class PredictionRecord:
 # ---------------------------------------------------------------------------
 # columns
 
-def _codes(values: Iterable[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Integer codes in order of first appearance, -1 for None, and the name table."""
-    table: dict[str, int] = {}
-    codes = [-1 if v is None else table.setdefault(v, len(table)) for v in values]
-    return np.array(codes, dtype=np.int64), tuple(table)
-
-
 def _names(codes: np.ndarray, table: tuple[str, ...]) -> list[str | None]:
     """The name of each code, None for -1."""
     table = table + (None,)  # code -1 indexes this last entry
     return [table[c] for c in codes.tolist()]
 
 
+class MetaColumn(Sequence):
+    """The meta column: every record's key/value string pairs, with no object
+    per record. Indexing gives one record's pairs as a new dict, empty when it
+    has none.
+
+    Record i owns pairs offsets[i]:offsets[i + 1] of keys and values, in the
+    order they were read. values holds strings, or is a float64 array whose
+    numbers are rendered with repr: simulated data keeps its difficulty q as
+    a number column and turns it into strings only on output.
+    """
+
+    def __init__(self, offsets: np.ndarray, keys: tuple[str, ...], values) -> None:
+        for column in (offsets, values):
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+        self.offsets, self.keys, self.values = offsets, keys, values
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> dict[str, str]:
+        i = range(len(self))[i]  # negative indices count from the end
+        return self.dicts(i, i + 1)[0]
+
+    def __iter__(self) -> Iterator[dict[str, str]]:
+        return iter(self.dicts(0, len(self)))
+
+    def dicts(self, start: int, stop: int) -> list[dict[str, str]]:
+        """The pairs of records start to stop - 1, one new dict each."""
+        bounds = self.offsets[start:stop + 1].tolist()
+        lo, hi = bounds[0], bounds[-1]
+        keys, values = self.keys[lo:hi], self.values[lo:hi]
+        if isinstance(values, np.ndarray):
+            values = [repr(x) for x in values.tolist()]
+        return [dict(zip(keys[a - lo:b - lo], values[a - lo:b - lo]))
+                for a, b in zip(bounds, bounds[1:])]
+
+
 class _Columns:
-    """Checked fields appended one record at a time, one list per column."""
+    """Checked fields appended one record at a time.
+
+    Numbers, flags and codes go straight into typed buffers (array.array and
+    bytearray) that columns() wraps without a copy, so no Python float, bool
+    or None per field is kept; strings go into lists.
+    """
 
     def __init__(self) -> None:
         self.ids: list[str] = []
-        self.valid: list[bool] = []
-        self.confidence: list[float | None] = []
-        self.group: list[str | None] = []
-        self.answer: list[str | None] = []
-        self.meta: list[dict[str, str]] = []
-        self.claim_offsets = [0]
-        self.claim_confidence: list[float] = []
-        self.claim_valid: list[bool | None] = []
+        self.seen: set[str] = set()
+        self.valid = bytearray()
+        self.confidence = array("d")  # NaN for no confidence
+        self.group = array("q")  # codes in order of first appearance, -1 for none
+        self.answer = array("q")
+        self.group_codes: dict[str, int] = {}
+        self.answer_codes: dict[str, int] = {}
+        self.claim_offsets = array("q", [0])
+        self.claim_confidence = array("d")
+        self.claim_valid = array("b")  # 1 valid, 0 invalid, -1 unlabeled
         self.claim_text: list[str] = []
         self.claim_rationale: list[str | None] = []
-        self.seen: set[str] = set()
+        self.meta_offsets = array("q", [0])
+        self.meta_keys: list[str] = []
+        self.meta_values: list[str] = []
+        self.key_names: dict[str, str] = {}  # one object per distinct meta key
 
     def _claim(self, confidence: float, valid: bool | None, text: str,
                rationale: str | None) -> None:
         self.claim_confidence.append(confidence)
-        self.claim_valid.append(valid)
+        self.claim_valid.append(-1 if valid is None else valid)
         self.claim_text.append(text)
         self.claim_rationale.append(rationale)
 
@@ -232,11 +284,16 @@ class _Columns:
         self.seen.add(rid)
         self.ids.append(rid)
         self.valid.append(valid)
-        self.confidence.append(confidence)
-        self.group.append(group)
-        self.answer.append(answer)
-        self.meta.append(meta)
+        self.confidence.append(math.nan if confidence is None else confidence)
+        codes = self.group_codes
+        self.group.append(-1 if group is None else codes.setdefault(group, len(codes)))
+        codes = self.answer_codes
+        self.answer.append(-1 if answer is None else codes.setdefault(answer, len(codes)))
         self.claim_offsets.append(len(self.claim_text))
+        for key, value in meta.items():
+            self.meta_keys.append(self.key_names.setdefault(key, key))
+            self.meta_values.append(value)
+        self.meta_offsets.append(len(self.meta_keys))
 
     def add_object(self, obj: object) -> None:
         """Check one decoded JSONL object field by field and append it."""
@@ -283,21 +340,23 @@ class _Columns:
         self._record(rec.id, rec.valid, rec.confidence, rec.group, rec.answer, rec.meta)
 
     def columns(self) -> dict:
-        group, group_names = _codes(self.group)
-        answer, answer_names = _codes(self.answer)
-        confidence = np.array(self.confidence, dtype=float)  # None becomes NaN
+        self.seen.clear()  # ingest is over: free the id set before the copies below
+        confidence = np.frombuffer(self.confidence)
+        claim_valid = np.frombuffer(self.claim_valid, dtype=np.int8)
         return {
-            "ids": tuple(self.ids), "valid": np.array(self.valid, dtype=bool),
+            "ids": tuple(self.ids), "valid": np.frombuffer(self.valid, dtype=bool),
             "confidence": confidence, "has_confidence": ~np.isnan(confidence),
-            "group": group, "group_names": group_names,
-            "answer": answer, "answer_names": answer_names,
-            "claim_offsets": np.array(self.claim_offsets, dtype=np.int64),
-            "claim_confidence": np.array(self.claim_confidence, dtype=float),
-            "claim_valid": np.array(self.claim_valid, dtype=bool),  # None becomes False
-            "claim_labeled": np.array([v is not None for v in self.claim_valid], dtype=bool),
+            "group": np.frombuffer(self.group, dtype=np.int64),
+            "group_names": tuple(self.group_codes),
+            "answer": np.frombuffer(self.answer, dtype=np.int64),
+            "answer_names": tuple(self.answer_codes),
+            "claim_offsets": np.frombuffer(self.claim_offsets, dtype=np.int64),
+            "claim_confidence": np.frombuffer(self.claim_confidence),
+            "claim_valid": claim_valid == 1, "claim_labeled": claim_valid >= 0,
             "claim_text": tuple(self.claim_text),
             "claim_rationale": tuple(self.claim_rationale),
-            "meta": tuple(self.meta),
+            "meta": MetaColumn(np.frombuffer(self.meta_offsets, dtype=np.int64),
+                               tuple(self.meta_keys), tuple(self.meta_values)),
         }
 
 
@@ -351,10 +410,11 @@ class Dataset:
                           self.claim_valid.tolist(), self.claim_labeled.tolist(),
                           self.claim_rationale)]
             offsets = self.claim_offsets.tolist()
+            meta = self.meta.dicts(0, len(self))
             self._rows = tuple(
                 PredictionRecord(id=rid, valid=valid, confidence=conf[i] if has[i] else None,
                                  group=group[i], answer=answer[i],
-                                 claims=claims[offsets[i]:offsets[i + 1]], meta=self.meta[i])
+                                 claims=claims[offsets[i]:offsets[i + 1]], meta=meta[i])
                 for i, (rid, valid) in enumerate(zip(self.ids, self.valid.tolist())))
         return self._rows
 
@@ -416,8 +476,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# built once: a decoder per line would add about a tenth to the decode time
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# built once: a decoder per line would add about a tenth to the decode time.
+# _parse_line calls its scanner directly, skipping the JSON whitespace itself,
+# which takes another eighth off the time per line
+_SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
+_JSON_SPACE = " \t\n\r"
 
 
 def _parse_line(line: str | bytes, cols: _Columns) -> None:
@@ -428,10 +491,16 @@ def _parse_line(line: str | bytes, cols: _Columns) -> None:
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
-        if not line.strip():
+        text = line.strip(_JSON_SPACE)
+        if not text.strip():
             return
-        obj = _DECODER.decode(line)
-        if "\\u" in line:
+        try:
+            obj, end = _SCAN(text, 0)
+        except StopIteration:
+            raise json.JSONDecodeError("Expecting value", text, 0) from None
+        if end < len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+        if "\\u" in text:
             # a \uD800-style escape decodes to a lone surrogate, which no
             # UTF-8 output can hold; only escaped lines can carry one
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
@@ -470,22 +539,36 @@ def load_jsonl(path: str, label: str | None = None) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
+# records rendered per .tolist() and write, so output memory does not grow with n
+_DUMP_CHUNK = 256
+_ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def dump_jsonl(dataset: Dataset, fh: IO[str]) -> None:
     """Write one compact JSON object per record, keys in a fixed order.
 
-    Round-trips through read_jsonl.
+    Round-trips through read_jsonl. Records are rendered and written a chunk
+    at a time.
     """
-    ds = dataset
-    text, rationale = ds.claim_text, ds.claim_rationale
-    claim_conf = ds.claim_confidence.tolist()
-    claim_valid = ds.claim_valid.tolist()
-    labeled = ds.claim_labeled.tolist()
-    group = _names(ds.group, ds.group_names)
-    answer = _names(ds.answer, ds.answer_names)
-    conf = ds.confidence.tolist()
-    has = ds.has_confidence.tolist()
-    offsets = ds.claim_offsets.tolist()
-    for i, (rid, valid, meta) in enumerate(zip(ds.ids, ds.valid.tolist(), ds.meta)):
+    for start in range(0, len(dataset), _DUMP_CHUNK):
+        fh.write(_jsonl_chunk(dataset, start, min(start + _DUMP_CHUNK, len(dataset))))
+
+
+def _jsonl_chunk(ds: Dataset, start: int, stop: int) -> str:
+    """The JSONL lines of records start to stop - 1."""
+    offsets = ds.claim_offsets[start:stop + 1].tolist()
+    lo, hi = offsets[0], offsets[-1]
+    text, rationale = ds.claim_text[lo:hi], ds.claim_rationale[lo:hi]
+    claim_conf = ds.claim_confidence[lo:hi].tolist()
+    claim_valid = ds.claim_valid[lo:hi].tolist()
+    labeled = ds.claim_labeled[lo:hi].tolist()
+    group = _names(ds.group[start:stop], ds.group_names)
+    answer = _names(ds.answer[start:stop], ds.answer_names)
+    conf = ds.confidence[start:stop].tolist()
+    has = ds.has_confidence[start:stop].tolist()
+    lines = []
+    for i, (rid, valid, meta) in enumerate(zip(ds.ids[start:stop], ds.valid[start:stop].tolist(),
+                                               ds.meta.dicts(start, stop))):
         obj: dict = {"id": rid}
         if group[i] is not None:
             obj["group"] = group[i]
@@ -496,7 +579,7 @@ def dump_jsonl(dataset: Dataset, fh: IO[str]) -> None:
             obj["answer"] = answer[i]
         if offsets[i] < offsets[i + 1]:
             obj["claims"] = claims = []
-            for j in range(offsets[i], offsets[i + 1]):
+            for j in range(offsets[i] - lo, offsets[i + 1] - lo):
                 claim: dict = {"text": text[j], "confidence": claim_conf[j]}
                 if labeled[j]:
                     claim["valid"] = claim_valid[j]
@@ -505,8 +588,9 @@ def dump_jsonl(dataset: Dataset, fh: IO[str]) -> None:
                 claims.append(claim)
         if meta:
             obj["meta"] = dict(sorted(meta.items()))
-        fh.write(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
-        fh.write("\n")
+        lines.append(_ENCODE(obj))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def validate(dataset: Dataset) -> ValidationSummary:

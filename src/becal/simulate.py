@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, DomainError, UsageError
-from .model import ClaimRecord, Dataset
+from .model import ClaimRecord, Dataset, MetaColumn
 from .rewards import RiskPrior, expected_reward
 
 RNG_ALGORITHM = "philox4x64-10"
@@ -212,7 +212,7 @@ def generate(spec: AgentSpec, label: str = "sim") -> Dataset:
         "claim_labeled": np.ones(n * k, dtype=bool),
         "claim_text": tuple(f"step {j + 1}" for j in range(k)) * n,
         "claim_rationale": (None,) * (n * k),
-        "meta": tuple({"q": repr(x)} for x in q.tolist()),
+        "meta": MetaColumn(np.arange(n + 1), ("q",) * n, q),
     }, label)
 
 
@@ -275,7 +275,7 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
         "claim_offsets": np.zeros(n + 1, dtype=np.int64),
         "claim_confidence": np.empty(0), "claim_valid": np.empty(0, dtype=bool),
         "claim_labeled": np.empty(0, dtype=bool), "claim_text": (), "claim_rationale": (),
-        "meta": tuple({} for _ in range(n)),
+        "meta": MetaColumn(np.zeros(n + 1, dtype=np.int64), (), ()),
     }, label)
 
 

@@ -48,4 +48,4 @@ def assert_same_columns(a: Dataset, b: Dataset) -> None:
             assert column.dtype == other.dtype, name
             assert np.array_equal(column, other, equal_nan=True), name
         else:
-            assert column == other, name
+            assert list(column) == list(other), name

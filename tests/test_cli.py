@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+from becal import cli
 from becal.cli import REWARDS, build_parser, main
 from becal.model import ClaimRecord, PredictionRecord
 
@@ -217,6 +219,35 @@ class TestSweepOutput:
         assert out.read_bytes() == b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "in.jsonl", "x.csv", "x.csv.meta.json"]
+
+    @pytest.mark.parametrize("error,code", [(OSError(28, "No space left on device"), 1),
+                                            (MemoryError(), 3)])
+    def test_writer_failing_partway_keeps_the_old_output(self, error, code, tmp_path,
+                                                         monkeypatch):
+        out = tmp_path / "sim.jsonl"
+        out.write_bytes(b"old bytes\n")
+        (tmp_path / "sim.jsonl.meta.json").write_bytes(b"old sidecar\n")
+
+        def dump_then_fail(dataset, fh):
+            fh.write('{"id":"q0"}\n' * 10_000)  # past the file buffer, onto the disk
+            raise error
+
+        monkeypatch.setattr(cli, "dump_jsonl", dump_then_fail)
+        assert main(["simulate", "--n", "5", "--out", str(out)]) == code
+        assert out.read_bytes() == b"old bytes\n"
+        assert (tmp_path / "sim.jsonl.meta.json").read_bytes() == b"old sidecar\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.jsonl",
+                                                              "sim.jsonl.meta.json"]
+
+    def test_stdout_and_dev_stdout_write_the_same_bytes(self):
+        """Through a pipe, --out - and --out /dev/stdout give the same bytes, and
+        the device gets no sidecar."""
+        argv = [sys.executable, "-m", "becal", "simulate", "--n", "30", "--n-claims", "2",
+                "--seed", "8", "--out"]
+        dash = subprocess.run([*argv, "-"], capture_output=True, check=True).stdout
+        device = subprocess.run([*argv, "/dev/stdout"], capture_output=True, check=True).stdout
+        assert dash == device and dash.count(b"\n") == 30
+        assert not os.path.lexists("/dev/stdout.meta.json")
 
     def test_symlink_output_is_written_through(self, small_input, tmp_path):
         (tmp_path / "link.csv").symlink_to(tmp_path / "real.csv")

@@ -1,0 +1,81 @@
+"""Memory bounds, measured in process with tracemalloc so they repeat exactly.
+
+tracemalloc counts every Python and numpy allocation, not the interpreter's
+own footprint, so each bound is about what becal itself holds.
+"""
+
+import gc
+import io
+import tracemalloc
+
+import pytest
+
+from becal.cli import main
+from becal.model import dump_jsonl, read_jsonl
+from becal.simulate import AgentSpec, IdentityReport, UniformDifficulty, generate
+
+N = 20_000
+
+# Measured at 190 bytes per record (flat simulated records, 95 bytes per JSONL
+# line): an id string, a difficulty string in the meta column and 33 bytes of
+# numeric columns. A Python float, bool or dict per record would add at least
+# 24 bytes each, which the 20 % margin does not absorb.
+HELD_BYTES_PER_RECORD = 230
+
+
+def _traced(fn):
+    """fn()'s result, the bytes it still holds when it returns, and its peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_ingest_holds_no_object_per_field():
+    buf = io.StringIO()
+    dump_jsonl(generate(AgentSpec(UniformDifficulty(), IdentityReport(),
+                                  n_questions=N, seed=1)), buf)
+    lines = buf.getvalue().encode("utf-8").splitlines(keepends=True)
+    del buf
+    ds, held, _ = _traced(lambda: read_jsonl(lines))
+    assert len(ds) == N
+    assert held / N <= HELD_BYTES_PER_RECORD
+
+
+def test_simulate_streams_its_output(tmp_path):
+    """simulate holds the dataset's columns but never the text it writes:
+    its peak stays below the size of the file (measured at 0.65 of it; a
+    whole-file buffer makes it several times the file)."""
+    out = tmp_path / "chain.jsonl"
+    argv = ["simulate", "--n", str(N), "--n-claims", "4", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0  # warm: first-call caches are not the command's
+    rc, _, peak = _traced(lambda: main(argv))
+    assert rc == 0
+    assert peak < out.stat().st_size
+
+
+@pytest.mark.parametrize("lines", [
+    ['{"id":"a","valid":true,"meta":{"z":"1","a":"2"},"step":3}',
+     '{"id":"b","valid":false}',
+     '{"id":"c","valid":true,"model":"m"}'],
+    [],
+])
+def test_meta_column_gives_a_dict_per_record(lines):
+    ds = read_jsonl(lines)
+    assert list(ds.meta) == [r.meta for r in ds.records]
+    assert len(ds.meta) == len(ds)
+    if lines:
+        assert ds.meta[0] == {"z": "1", "a": "2", "step": "3"}
+        assert ds.meta[1] == {} and ds.meta[-1] == {"model": "m"}
+    with pytest.raises(IndexError):
+        ds.meta[len(ds)]
+
+
+def test_generated_meta_renders_the_difficulty_column():
+    spec = AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=5, seed=4)
+    ds = generate(spec)
+    assert [m["q"] for m in ds.meta] == [repr(x) for x in ds.confidence.tolist()]
