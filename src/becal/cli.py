@@ -20,9 +20,9 @@ by the same subparser as the flags. `-` means stdin or stdout.
 
 JSON outputs embed the command's resolved options under "config"; CSV and
 JSONL files get a `<out>.meta.json` sidecar instead, unless `<out>` is a
-device or pipe. The header lists exactly the options of the command that
-ran, under config-file keys, plus command, rng and version, so written back
-as a config file it replays the run.
+symlink, device or pipe. The header lists exactly the options of the command
+that ran, under config-file keys, plus command, rng and version, so written
+back as a config file it replays the run.
 
 Exit codes: 1 usage, 2 data, 3 numeric domain or a size that does not fit in
 memory.
@@ -264,6 +264,11 @@ def _clean(obj):
     return obj
 
 
+def _written_through(path: str) -> bool:
+    """A symlink, pipe or device: anything there but a regular file."""
+    return os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path))
+
+
 def _emit(ns: argparse.Namespace, write: Callable[[IO[str]], object],
           out: str | None = None, sidecar: bool = True) -> None:
     """Write `out` (default ns.out) by calling write(fh) on an open text file,
@@ -275,21 +280,21 @@ def _emit(ns: argparse.Namespace, write: Callable[[IO[str]], object],
     the sidecar before the output, so a failure, in the writer or in the file
     system, leaves the old output intact and no temporary file behind. A
     symlink, pipe or device (say /dev/stdout) is written through instead,
-    since replacing it would replace the link or device node itself. A target
-    that is not a regular file after following links gets no sidecar.
+    since replacing it would replace the link or device node itself, and gets
+    no sidecar: /dev/stdout, say, is a link even when it leads to a file.
     """
     target = ns.out if out is None else out
     if target == "-":
         write(sys.stdout)
         return
     files = [(target, write)]
-    if sidecar and (os.path.isfile(target) or not os.path.exists(target)):
+    if sidecar and not _written_through(target):
         header = _json_text({"config": _config_header(ns)})
         files.append((target + ".meta.json", lambda fh: fh.write(header)))
     moves = []
     try:
         for path, writer in files:
-            if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+            if _written_through(path):
                 with open(path, "w", encoding="utf-8") as fh:
                     writer(fh)
                 continue
@@ -440,7 +445,10 @@ def _cmd_tts(ns: argparse.Namespace) -> int:
     if ns.format == "json":
         _write_json(ns, {"curves": {
             name: [{"k": pt.k, "accuracy": pt.mean, "stderr": pt.stderr,
-                    "exact": pt.exact}
+                    "exact": pt.exact,
+                    "groups": {"closed_form": pt.closed_form, "tabled": pt.tabled,
+                               "drawn": pt.drawn},
+                    "states": pt.states, "draws": pt.draws}
                    for pt in curve]
             for name, curve in curves.items()}})
     else:

@@ -255,6 +255,25 @@ class TestSweepOutput:
         assert (tmp_path / "link.csv").is_symlink()
         assert (tmp_path / "real.csv").read_text().startswith("t,acc,")
 
+    def test_symlink_to_a_regular_file_gets_no_sidecar(self, small_input, tmp_path):
+        (tmp_path / "real.csv").write_text("old\n")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "real.csv")
+        assert main(["sweep", small_input, "--out", str(tmp_path / "link.csv")]) == 0
+        assert (tmp_path / "real.csv").read_text().startswith("t,acc,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "link.csv",
+                                                              "real.csv"]
+
+    def test_dev_stdout_redirected_to_a_file_gets_no_sidecar(self, tmp_path):
+        """/dev/stdout leads to the redirected file, but is still written
+        through with no sidecar beside it."""
+        out = tmp_path / "out.jsonl"
+        with open(out, "wb") as fh:
+            subprocess.run([sys.executable, "-m", "becal", "simulate", "--n", "3",
+                            "--out", "/dev/stdout"], stdout=fh, check=True)
+        assert out.read_bytes().count(b"\n") == 3
+        assert not os.path.lexists("/dev/stdout.meta.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
 
     def test_device_target_gets_no_sidecar(self, tmp_path):
         link = tmp_path / "null.jsonl"
@@ -363,10 +382,10 @@ class TestTtsOutput:
         assert {(r[3], r[4]) for r in rows[1:]} == {("0.0", "true")}
 
     def test_exact_and_drawn_points_repeat_byte_for_byte(self, tmp_path, monkeypatch):
-        # 3 samples per group: C(3, 2) = 3 subsets fit 8 per draw at one
-        # resample; 9 samples: C(9, 2) = 36 subsets do not, so they are drawn
+        # group g (3 samples) is tabled; h has 63, past the 62 whose subset
+        # counts fit int64, so it is drawn at every k
         rows = [(g, "AB"[s % 2], 0.5 + 0.05 * (s % 3), s % 2 == 0)
-                for g, size in (("g", 3), ("h", 9)) for s in range(size)]
+                for g, size in (("g", 3), ("h", 63)) for s in range(size)]
         path = write_jsonl(tmp_path / "g.jsonl", grouped_rows(rows))
         for run in ("first", "second"):
             (tmp_path / run).mkdir()
@@ -379,16 +398,40 @@ class TestTtsOutput:
             assert (tmp_path / "first" / name).read_bytes() == \
                 (tmp_path / "second" / name).read_bytes(), name
         curves = json.loads((tmp_path / "first" / "t.json").read_text())["curves"]
-        assert [pt["exact"] for pt in curves["majority"]] == [True, False, False]
+        assert [pt["exact"] for pt in curves["majority"]] == [False, False, False]
         assert [pt["exact"] for pt in curves["maxconf"]] == [True, True, True]
         for curve in curves.values():
             for pt in curve:
                 assert (pt["stderr"] == 0.0) == pt["exact"]
+        # g's table: A has {}, {0.5}, {0.6}, {0.5, 0.6}; B has {}, {0.55}
+        assert [(pt["groups"], pt["states"], pt["draws"]) for pt in curves["majority"]] == \
+            [({"closed_form": 0, "tabled": 1, "drawn": 1}, 6, 2)] * 3
+        assert [(pt["groups"], pt["states"], pt["draws"]) for pt in curves["maxconf"]] == \
+            [({"closed_form": 2, "tabled": 0, "drawn": 0}, 0, 0)] * 3
         csv_text = (tmp_path / "first" / "t.csv").read_text()
         csv_rows = list(csv.DictReader(io.StringIO(csv_text)))
         assert [r["exact"] for r in csv_rows] == [
             "true" if pt["exact"] else "false"
             for name in ("majority", "maxconf") for pt in curves[name]]
+
+    def test_json_diagnostics_count_groups(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "g.jsonl", grouped_rows(
+            [(g, "AB"[s % 2], 0.25 * (s % 4), s % 3 == 0)
+             for g in ("g", "h", "i") for s in range(6)]))
+        outputs = []
+        for _ in range(2):
+            assert main(["tts", path, "--k", "2,6", "--resamples", "3",
+                         "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        curves = json.loads(outputs[0])["curves"]
+        for name, curve in curves.items():
+            vote = name in ("majority", "majconf")
+            for pt in curve:
+                assert pt["exact"] and pt["draws"] == 0
+                assert pt["groups"] == {"closed_form": 0 if vote else 3,
+                                        "tabled": 3 if vote else 0, "drawn": 0}
+                assert (pt["states"] > 0) == vote
 
     def test_unknown_strategy(self, tmp_path):
         path = write_jsonl(tmp_path / "g.jsonl",

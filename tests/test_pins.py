@@ -4,6 +4,11 @@ The digests were computed at commit d39b40eb1082e6d570671ae68704c9f55d25f4d1,
 where a Dataset was a tuple of PredictionRecord objects, by running the same
 commands there. Each command runs in process, in a fresh directory, with
 relative paths, because JSON outputs embed their options.
+
+The tts.csv digest was recomputed when majority/majconf points became exact
+from per-answer vote tables: its majority,4 and majconf,4 rows, drawn before
+(0.4333333333333333,0.04082482904638631,false), are now
+0.5047619047619047,0.0,true, which is float(exact_expected_accuracy) = 53/105.
 """
 
 import hashlib
@@ -34,7 +39,7 @@ PINS = (
     (("objectives", "chain.jsonl", *PRODUCT), "objectives.json",
      "b78fed202893596882ebfee81e07bde737a4cebae736152310c192709a70b666"),
     (("tts", "ens.jsonl", "--k", "1,2,4,8", "--resamples", "5", "--seed", "3"), "tts.csv",
-     "861b362f41ad28679c67f5a3a055405f013dca89d53f4c5106b1bf3bd46dcacf"),
+     "a04cf3532fed22f5584ff83f8194ecea1e4654cd9e93b71382f7e3f0eb055aae"),
 )
 
 

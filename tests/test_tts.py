@@ -1,6 +1,7 @@
 """Test-time scaling strategies and their exact-enumeration oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 from becal import tts
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
-from becal.tts import (STRATEGIES, SampleGroup, _closed_form, _enumerated, _score,
-                       exact_expected_accuracy, group_records, scaling_curve)
+from becal.simulate import generate_ensemble
+from becal.tts import (STRATEGIES, SampleGroup, _batches, _closed_form, _score,
+                       _vote_hits, exact_expected_accuracy, group_records, scaling_curve)
 
 from conftest import make_dataset, make_grouped
 
@@ -18,10 +20,24 @@ from conftest import make_dataset, make_grouped
 def at_k(groups, strategy, k, seed=0):
     """Accuracy at k from a one-point, one-resample curve.
 
-    Exact unless a majority/majconf group has more than SUBSETS_PER_DRAW
-    subsets of size k; then it is one paired draw for that group.
+    Exact unless a majority/majconf group has more than STATES_PER_DRAW
+    states; then it is one paired draw for that group.
     """
     return scaling_curve(groups, strategy, [k], 1, seed)[0].mean
+
+
+def enumerated(grp, strategy, k):
+    """Exact majority or majconf accuracy of one group: the mean over its k-subsets."""
+    hits = sum(_score(subset, strategy)[0]
+               for subset in itertools.combinations(grp.samples, k))
+    return Fraction(hits, math.comb(grp.size, k))
+
+
+def tabled(grp, strategy, ks):
+    """The table path's exact value of one group at each k."""
+    (_, table), = _batches([grp], cap=math.inf)
+    hits, = _vote_hits(table, strategy, list(ks))
+    return [Fraction(int(h), math.comb(grp.size, k)) for h, k in zip(hits, ks)]
 
 
 def paradox_groups():
@@ -187,8 +203,8 @@ def grid_groups(rng, n_groups, size):
 
 @pytest.fixture()
 def forced_draws(monkeypatch):
-    """Every majority/majconf group is drawn, none enumerated."""
-    monkeypatch.setattr(tts, "SUBSETS_PER_DRAW", 0)
+    """Every majority/majconf group is drawn, none tabled."""
+    monkeypatch.setattr(tts, "STATES_PER_DRAW", 0)
 
 
 class TestOrderFreeVotes:
@@ -216,16 +232,18 @@ def ragged_groups(rng, n_groups, sizes=(1, 7)):
 
 
 class TestExactPaths:
-    """Closed forms and subset enumeration agree with the permutation oracle."""
+    """Closed forms and vote tables agree with the permutation oracle."""
 
     def test_every_strategy_every_k(self):
         for grp in ragged_groups(random.Random(3), 40):
             ks = range(1, grp.size + 1)
             for strategy in STRATEGIES:
-                exact = _enumerated if strategy in ("majority", "majconf") else _closed_form
                 oracle = [exact_expected_accuracy([grp], k, strategy) for k in ks]
-                assert [exact(grp, strategy, k) for k in ks] == oracle, strategy
-                # C(7, 3) = 35 subsets at most, within 8 per draw at 5 resamples
+                if strategy in ("majority", "majconf"):
+                    assert tabled(grp, strategy, ks) == oracle, strategy
+                else:
+                    assert [_closed_form(grp, strategy, k) for k in ks] == oracle, strategy
+                # n samples give at most 2^n states, within 32 x 5 resamples x n k
                 curve = scaling_curve([grp], strategy, ks, n_resamples=5)
                 assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == \
                     [(float(f), 0.0, True) for f in oracle], strategy
@@ -238,23 +256,37 @@ class TestExactPaths:
                 (float(exact_expected_accuracy(groups, k, strategy)), 0.0, True)
                 for k in range(1, 7)], strategy
 
-    def test_subset_limit_is_inclusive(self):
-        limit = tts.SUBSETS_PER_DRAW * 2
-        for size, exact in ((limit, True), (limit + 1, False)):
+    def test_state_limit_is_inclusive(self):
+        # two answers at one confidence: sizes 0..m of each, size + 2 states
+        limit = tts.STATES_PER_DRAW * 2
+        for size, exact in ((limit - 2, True), (limit - 1, False)):
             groups = group_records(make_grouped(
                 ("g", "AB"[s % 2], 0.5, s % 2 == 0) for s in range(size)))
             point, = scaling_curve(groups, "majority", [1], n_resamples=2)
             assert point.exact is exact, size
+            assert (point.tabled, point.states) == ((1, limit) if exact else (0, 0))
 
-    def test_enumerated_and_drawn_groups_mix(self):
-        # at 5 resamples a group is enumerated up to 40 subsets: C(4, 3) = 4
-        # subsets are, C(10, 3) = 120 are not
+    def test_more_than_62_samples_are_drawn(self):
+        # counts of 63 samples' subsets need not fit int64, however few states
+        for size, exact in ((62, True), (63, False)):
+            groups = group_records(make_grouped(
+                (f"g{g}", "A", 0.5, s % 2 == 0) for g in range(4) for s in range(size)))
+            for strategy in ("majority", "majconf"):
+                curve = scaling_curve(groups, strategy, [1, 31, size], n_resamples=5)
+                assert [pt.exact for pt in curve] == [exact] * 3, size
+                if exact:  # the one answer always wins, so the vote is best's
+                    best = scaling_curve(groups, "best", [1, 31, size], n_resamples=5)
+                    assert [pt.mean for pt in curve] == [pt.mean for pt in best]
+
+    def test_tabled_and_drawn_groups_mix(self):
+        # the 63-sample groups are drawn, the 3- and 4-sample ones tabled
         small = ragged_groups(random.Random(5), 12, sizes=(3, 4))
         large = [SampleGroup(group="big" + grp.group, samples=grp.samples)
-                 for grp in ragged_groups(random.Random(6), 8, sizes=(10, 10))]
+                 for grp in ragged_groups(random.Random(6), 8, sizes=(63, 63))]
         for strategy in ("majority", "majconf"):
             point, = scaling_curve(small + large, strategy, [3], n_resamples=5, seed=9)
             assert not point.exact and point.stderr > 0.0
+            assert (point.tabled, point.drawn, point.draws) == (12, 8, 40)
             # each resample adds the exact small-group sum to the same draws
             drawn, = scaling_curve(large, strategy, [3], n_resamples=5, seed=9)
             known = sum(exact_expected_accuracy([g], 3, strategy) for g in small)
@@ -264,8 +296,81 @@ class TestExactPaths:
                 drawn.stderr * len(large) / len(small + large), abs=1e-12)
 
 
+class TestVoteTables:
+    """The table path equals subset enumeration as a fraction, group by group."""
+
+    @staticmethod
+    def assert_oracle(groups, ks=None):
+        """Tables against subset enumeration at every k, and against the
+        permutation oracle where it has at most 2,000 ordered draws."""
+        for grp in groups:
+            ks_g = list(ks or range(1, grp.size + 1))
+            for strategy in ("majority", "majconf"):
+                got = tabled(grp, strategy, ks_g)
+                assert got == [enumerated(grp, strategy, k) for k in ks_g], (grp, strategy)
+                for k, value in zip(ks_g, got):
+                    if math.perm(grp.size, k) <= 2_000:
+                        assert value == exact_expected_accuracy([grp], k, strategy)
+
+    def test_ragged_groups(self):
+        self.assert_oracle(ragged_groups(random.Random(11), 60, sizes=(1, 9)))
+
+    def test_grid_groups(self):
+        self.assert_oracle(grid_groups(random.Random(12), 20, 10))
+
+    def test_continuous_confidences(self):
+        self.assert_oracle(group_records(generate_ensemble(6, 12, seed=4)))
+
+    def test_answers_mix_valid_and_invalid_samples(self):
+        rng = random.Random(13)
+        self.assert_oracle(group_records(make_grouped(
+            (f"g{g}", rng.choice("AB"), rng.choice((0.25, 0.5, 0.75, 0.3)),
+             rng.random() < 0.5)
+            for g in range(30) for _ in range(rng.randint(2, 9)))))
+
+    def test_many_answers_and_k_subsets(self):
+        rng = random.Random(14)
+        self.assert_oracle(group_records(make_grouped(
+            (f"g{g}", rng.choice("ABCDEFG"), rng.randint(0, 4) / 4, rng.random() < 0.4)
+            for g in range(10) for _ in range(10))), ks=(2, 5, 7))
+
+    def test_batches_match_single_groups(self, monkeypatch):
+        groups = ragged_groups(random.Random(15), 50, sizes=(3, 8))
+        monkeypatch.setattr(tts, "_BATCH_STATES", 16)
+        assert len(list(_batches(groups, math.inf))) > 1
+        for strategy in ("majority", "majconf"):
+            curve = scaling_curve(groups, strategy, [1, 2, 3], n_resamples=5)
+            assert [pt.mean for pt in curve] == [
+                float(sum(enumerated(g, strategy, k) for g in groups) / len(groups))
+                for k in (1, 2, 3)]
+
+    def test_key_tie_broken_by_name_only(self):
+        # 0.3 + 0.2 and 0.25 + 0.25 are both exactly 0.5: equal counts and sums
+        rows = [("g", "A", 0.3, False), ("g", "A", 0.2, False),
+                ("g", "B", 0.25, True), ("g", "B", 0.25, True)]
+        grp, = group_records(make_grouped(rows))
+        for strategy in ("majority", "majconf"):
+            assert tabled(grp, strategy, [4]) == [0] == [enumerated(grp, strategy, 4)]
+        flipped, = group_records(make_grouped(
+            (g, "BA"["AB".index(a)], c, v) for g, a, c, v in rows))
+        for strategy in ("majority", "majconf"):
+            assert tabled(flipped, strategy, [4]) == [1]
+
+    def test_rounded_tie(self):
+        # B's exact sum is 1 + 2^-54, A's 1, but both fsum to 1.0: a tie, so A wins
+        low, high = 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53
+        assert math.fsum([low, high]) == 1.0 and Fraction(low) + Fraction(high) > 1
+        grp, = group_records(make_grouped(
+            [("g", "A", 0.5, False), ("g", "A", 0.5, False),
+             ("g", "B", low, True), ("g", "B", high, True)]))
+        for strategy in ("majority", "majconf"):
+            assert tabled(grp, strategy, [4]) == [0] == [enumerated(grp, strategy, 4)]
+            assert tabled(grp, strategy, [1, 2, 3]) == \
+                [enumerated(grp, strategy, k) for k in (1, 2, 3)]
+
+
 class TestForcedDraws:
-    """With enumeration off, votes are the paired draws of earlier releases, bit for bit."""
+    """With tables off, votes are the paired draws of earlier releases, bit for bit."""
 
     PINNED = {
         "majority": [(1, 0.46, 0.052915026221291815), (2, 0.5, 0.03829708431025353),
