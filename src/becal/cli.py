@@ -45,7 +45,7 @@ from .model import Dataset, dump_jsonl, load_jsonl, read_jsonl, validate
 from .claims import apply_aggregation
 from .rewards import (decide, parse_prior, reward_bounded, reward_brier,
                       reward_ce, reward_explicit, reward_integrated)
-from .metrics import MetricReport, calibration_diagram, metric_report
+from .metrics import MetricReport, _check_bandwidth, calibration_diagram, metric_report
 from .behavior import check_objectives, default_grid, sweep
 from .simulate import (RNG_ALGORITHM, AgentSpec, generate, generate_ensemble,
                        parse_difficulty, parse_report_map)
@@ -356,6 +356,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     if ensemble:
         if ns.groups is None or ns.samples_per_group is None:
             raise UsageError("--groups and --samples-per-group go together")
+        if ns.n_claims is not None:
+            raise UsageError("--n-claims does not apply to ensemble mode")
         ds = generate_ensemble(ns.groups, ns.samples_per_group, ns.seed)
     else:
         spec = AgentSpec(difficulty_prior=parse_difficulty(ns.difficulty),
@@ -392,20 +394,24 @@ def _cmd_reward(ns: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(ns: argparse.Namespace) -> int:
+    if ns.bandwidth is not None:
+        _check_bandwidth(ns.bandwidth)
     ds = _load(ns)
     report, bandwidth = metric_report(ds, nll_floor=ns.nll_floor,
                                       smece_grid=ns.smece_grid)
-    if ns.diagram_out is not None and ns.bandwidth is None and bandwidth is None:
-        raise DataError(f"--diagram-out needs --bandwidth: {report.undefined['smece']}")
+    if ns.diagram_out is not None:
+        if ns.bandwidth is None and bandwidth is None:
+            raise DataError(f"--diagram-out needs --bandwidth: {report.undefined['smece']}")
+        # display grid, at the smECE fixed-point bandwidth unless pinned; made
+        # before any file is written, so a failure here leaves none behind
+        diagram = calibration_diagram(ds, bandwidth if ns.bandwidth is None
+                                      else ns.bandwidth)
     if ns.format == "csv":
         _write_csv(ns, MetricReport.CSV_HEADER,
                    [[getattr(report, name) for name in MetricReport.CSV_HEADER]])
     else:
         _write_json(ns, {**report.to_dict(), "undefined": report.undefined})
     if ns.diagram_out is not None:
-        # display grid, at the smECE fixed-point bandwidth unless pinned
-        diagram = calibration_diagram(ds, bandwidth if ns.bandwidth is None
-                                      else ns.bandwidth)
         _write_csv(ns, ("grid", "smoothed_accuracy", "density"),
                    zip(diagram.grid.tolist(), diagram.smoothed_accuracy.tolist(),
                        diagram.density.tolist()), out=ns.diagram_out)

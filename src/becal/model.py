@@ -38,10 +38,11 @@ checked once when its column is filled:
 The arrays are read-only and the sequences are tuples. Ingest appends each
 checked number, flag and code to a typed buffer that becomes its column
 without a copy, so it keeps no Python object per record beyond the strings.
-Ingest, aggregation, simulation, scoring and output all work on the columns;
-`Dataset.records` builds PredictionRecord rows, with ClaimRecord claims, only
-when it is asked for, and keeps them. dump_jsonl renders a chunk of records
-at a time.
+Ingest, aggregation, simulation, scoring and output all work on the columns.
+One decoder turns them into each record's JSON object: dump_jsonl encodes a
+chunk of those at a time, and `Dataset.records` builds PredictionRecord
+rows, with ClaimRecord claims and meta keys in sorted order, from them only
+when it is asked for, and keeps them.
 """
 
 from __future__ import annotations
@@ -399,23 +400,10 @@ class Dataset:
     def records(self) -> tuple[PredictionRecord, ...]:
         """The rows as PredictionRecord objects, built on first access."""
         if self._rows is None:
-            conf = self.confidence.tolist()
-            has = self.has_confidence.tolist()
-            group = _names(self.group, self.group_names)
-            answer = _names(self.answer, self.answer_names)
-            claims = [ClaimRecord(text=t, confidence=c, valid=v if lab else None,
-                                  rationale=r)
-                      for t, c, v, lab, r in zip(
-                          self.claim_text, self.claim_confidence.tolist(),
-                          self.claim_valid.tolist(), self.claim_labeled.tolist(),
-                          self.claim_rationale)]
-            offsets = self.claim_offsets.tolist()
-            meta = self.meta.dicts(0, len(self))
             self._rows = tuple(
-                PredictionRecord(id=rid, valid=valid, confidence=conf[i] if has[i] else None,
-                                 group=group[i], answer=answer[i],
-                                 claims=claims[offsets[i]:offsets[i + 1]], meta=meta[i])
-                for i, (rid, valid) in enumerate(zip(self.ids, self.valid.tolist())))
+                PredictionRecord(**{**obj, "claims": tuple(
+                    ClaimRecord(**claim) for claim in obj.get("claims", ()))})
+                for obj in _objects(self, 0, len(self)))
         return self._rows
 
     def __len__(self) -> int:
@@ -551,11 +539,13 @@ def dump_jsonl(dataset: Dataset, fh: IO[str]) -> None:
     at a time.
     """
     for start in range(0, len(dataset), _DUMP_CHUNK):
-        fh.write(_jsonl_chunk(dataset, start, min(start + _DUMP_CHUNK, len(dataset))))
+        objects = _objects(dataset, start, min(start + _DUMP_CHUNK, len(dataset)))
+        fh.write("\n".join(map(_ENCODE, objects)) + "\n")
 
 
-def _jsonl_chunk(ds: Dataset, start: int, stop: int) -> str:
-    """The JSONL lines of records start to stop - 1."""
+def _objects(ds: Dataset, start: int, stop: int) -> Iterator[dict]:
+    """The JSON object of each of records start to stop - 1, keys in the
+    dump order and meta keys sorted, built one at a time."""
     offsets = ds.claim_offsets[start:stop + 1].tolist()
     lo, hi = offsets[0], offsets[-1]
     text, rationale = ds.claim_text[lo:hi], ds.claim_rationale[lo:hi]
@@ -566,7 +556,6 @@ def _jsonl_chunk(ds: Dataset, start: int, stop: int) -> str:
     answer = _names(ds.answer[start:stop], ds.answer_names)
     conf = ds.confidence[start:stop].tolist()
     has = ds.has_confidence[start:stop].tolist()
-    lines = []
     for i, (rid, valid, meta) in enumerate(zip(ds.ids[start:stop], ds.valid[start:stop].tolist(),
                                                ds.meta.dicts(start, stop))):
         obj: dict = {"id": rid}
@@ -588,9 +577,7 @@ def _jsonl_chunk(ds: Dataset, start: int, stop: int) -> str:
                 claims.append(claim)
         if meta:
             obj["meta"] = dict(sorted(meta.items()))
-        lines.append(_ENCODE(obj))
-    lines.append("")
-    return "\n".join(lines)
+        yield obj
 
 
 def validate(dataset: Dataset) -> ValidationSummary:

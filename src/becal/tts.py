@@ -30,12 +30,15 @@ grows, and at most _MAX_TABLED samples. Other groups are drawn: every (seed,
 k, resample, group) tuple gets its own Philox stream, so majority and majconf
 evaluated at the same tuple see the same draw and curves are paired. A point
 with no drawn group is exact and has stderr 0.
+
+exact_expected_accuracy is the same exact value, from the same closed forms
+and tables, for any group a table of at most _MAX_EXACT_STATES states holds.
+The brute-force oracle, every ordered draw scored in turn, is in the tests.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,8 +63,15 @@ STATES_PER_DRAW = 32
 # and a state's size fits the 6 low bits of its key
 _MAX_TABLED = 62
 
+# exact_expected_accuracy tables a vote group of at most this many states.
+# At the cap, 4 answers of 14 samples at distinct confidences, k = 56 takes
+# about 1.3 s and 160 MB (2-core x86)
+_MAX_EXACT_STATES = 1 << 16
+
 # Vote states scored at once; their arrays peak near 1.6 MB at max k = 16
 _BATCH_STATES = 1 << 12
+
+_CLOSED = ("mean", "best", "maxconf")  # valued by closed form, never drawn
 
 # (needs answers, needs confidences) preconditions per strategy
 _REQUIRES = {
@@ -145,14 +155,6 @@ def _check_strategy(strategy: str, groups) -> None:
                                 f"group {grp.group!r} has a sample without one")
 
 
-def _check_k(k: int, groups) -> None:
-    if k < 1:
-        raise DomainError(f"k must be >= 1: {k!r}")
-    for grp in groups:
-        if k > grp.size:
-            raise DomainError(f"k={k} exceeds group {grp.group!r} size {grp.size}")
-
-
 def _group_rng(seed: int, k: int, resample: int, group: str) -> np.random.Generator:
     digest = hashlib.sha256(group.encode("utf-8")).digest()[:8]
     return _rng([int(seed), int(k), int(resample), *digest])
@@ -163,19 +165,8 @@ def _draw(grp: SampleGroup, k: int, rng: np.random.Generator):
     return [grp.samples[int(i)] for i in idx]
 
 
-def _score(drawn, strategy: str) -> tuple[int, int]:
-    """Numerator and denominator of the group's accuracy contribution."""
-    if strategy == "mean":
-        return sum(1 for _, _, v in drawn if v), len(drawn)
-    if strategy == "best":
-        return (1 if any(v for _, _, v in drawn) else 0), 1
-    if strategy == "maxconf":
-        best = drawn[0]
-        for s in drawn[1:]:
-            if s[1] > best[1]:
-                best = s
-        return (1 if best[2] else 0), 1
-    # majority / majconf: one tally per answer, ranked by the strategy's key
+def _score(drawn, strategy: str) -> int:
+    """1 if a majority or majconf vote over the drawn samples goes to a valid one."""
     tally: dict[str, list[tuple[float, bool]]] = {}
     for answer, conf, valid in drawn:
         tally.setdefault(answer, []).append((0.0 if conf is None else conf, valid))
@@ -184,7 +175,7 @@ def _score(drawn, strategy: str) -> tuple[int, int]:
         keys = {a: (weight, count) for a, (count, weight) in keys.items()}
     top = max(keys.values())
     winner = min(a for a, key in keys.items() if key == top)
-    return (1 if any(v for _, v in tally[winner]) else 0), 1
+    return 1 if any(v for _, v in tally[winner]) else 0
 
 
 def _closed_form(grp: SampleGroup, strategy: str, k: int) -> Fraction:
@@ -374,6 +365,38 @@ def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
     return out
 
 
+def _exact(groups: list[SampleGroup], strategy: str, ks: list[int],
+           cap: float) -> tuple[dict[int, list[Fraction]], int]:
+    """Each exactly valued group's index -> its accuracy at each k, and the
+    table states behind them: every group by closed form, or each vote group
+    with at most cap states and _MAX_TABLED samples from its table."""
+    if strategy in _CLOSED:
+        return {index: [_closed_form(grp, strategy, k) for k in ks]
+                for index, grp in enumerate(groups)}, 0
+    exact, states = {}, 0
+    for indices, table in _batches(groups, cap):
+        states += len(table.size)
+        for index, hits in zip(indices, _vote_hits(table, strategy, ks).tolist()):
+            exact[index] = [Fraction(h, math.comb(groups[index].size, k))
+                            for h, k in zip(hits, ks)]
+    return exact, states
+
+
+def _checked(groups, strategy: str, ks: list[int]) -> list[SampleGroup]:
+    """groups as a list; an error if there are none or they do not suit the
+    strategy and every k."""
+    groups = list(groups)
+    if not groups:
+        raise DataError("no groups to evaluate")
+    _check_strategy(strategy, groups)
+    if min(ks) < 1:
+        raise DomainError(f"k must be >= 1: {min(ks)!r}")
+    for grp in groups:
+        if max(ks) > grp.size:
+            raise DomainError(f"k={max(ks)} exceeds group {grp.group!r} size {grp.size}")
+    return groups
+
+
 @dataclass(frozen=True)
 class ScalingPoint:
     """Accuracy at k, and how the groups behind it were valued."""
@@ -399,33 +422,17 @@ def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
     Each resample's accuracy is (sum of exact group values + sum of drawn
     group scores) / G; the point is their mean and its standard error.
     """
-    groups = list(groups)
-    if not groups:
-        raise DataError("no groups to evaluate")
     seed = check_seed(seed)
     check_count("n_resamples", n_resamples)
     ks = [int(k) for k in k_values]
     if not ks:
         raise DomainError("k_values must be non-empty")
-    _check_strategy(strategy, groups)
-    _check_k(min(ks), groups)
-    _check_k(max(ks), groups)
-    cap = STATES_PER_DRAW * n_resamples * len(ks)
-    closed = strategy in ("mean", "best", "maxconf")
-    exact: dict[int, list[Fraction]] = {}  # index of an exact group -> its value per k
-    states = 0
-    if closed:
-        for index, grp in enumerate(groups):
-            exact[index] = [_closed_form(grp, strategy, k) for k in ks]
-    else:
-        for indices, table in _batches(groups, cap):
-            states += len(table.size)
-            for index, hits in zip(indices, _vote_hits(table, strategy, ks).tolist()):
-                exact[index] = [Fraction(h, math.comb(groups[index].size, k))
-                                for h, k in zip(hits, ks)]
+    groups = _checked(groups, strategy, ks)
+    exact, states = _exact(groups, strategy, ks, STATES_PER_DRAW * n_resamples * len(ks))
     drawn = [grp for index, grp in enumerate(groups) if index not in exact]
     sums = [sum((values[i] for values in exact.values()), Fraction(0))
             for i in range(len(ks))]
+    closed = strategy in _CLOSED
     counts = {"closed_form": len(exact) if closed else 0,
               "tabled": 0 if closed else len(exact), "drawn": len(drawn),
               "states": states, "draws": len(drawn) * n_resamples}
@@ -437,7 +444,7 @@ def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
             continue
         # majority and majconf score a whole draw 0 or 1, so the sum is exact
         accs = np.array([float((exact_sum + sum(
-            _score(_draw(grp, k, _group_rng(seed, k, r, grp.group)), strategy)[0]
+            _score(_draw(grp, k, _group_rng(seed, k, r, grp.group)), strategy)
             for grp in drawn)) / len(groups)) for r in range(n_resamples)])
         stderr = 0.0 if n_resamples == 1 else float(
             accs.std(ddof=1) / math.sqrt(n_resamples))
@@ -445,28 +452,18 @@ def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
     return curve
 
 
-def exact_expected_accuracy(groups, k: int, strategy: str,
-                            max_permutations: int = 50_000) -> Fraction:
-    """Exact expectation over all ordered k-draws, as a fraction.
+def exact_expected_accuracy(groups, k: int, strategy: str) -> Fraction:
+    """Exact expected accuracy of k samples drawn without replacement, as a fraction.
 
-    Enumerates permutations (order matters for maxconf tie-breaking), so only
-    viable for small groups; errors out beyond max_permutations per group.
+    mean, best and maxconf come from their closed forms, majority and
+    majconf from vote tables: the values scaling_curve reports as exact. A
+    DomainError names a group whose vote table would pass _MAX_EXACT_STATES
+    states or _MAX_TABLED samples.
     """
-    groups = list(groups)
-    if not groups:
-        raise DataError("no groups to evaluate")
-    _check_strategy(strategy, groups)
-    _check_k(k, groups)
-    total = Fraction(0)
-    for grp in groups:
-        n = grp.size
-        n_perms = math.perm(n, k)
-        if n_perms > max_permutations:
-            raise DomainError(f"group {grp.group!r}: {n_perms} ordered draws "
-                              f"exceed the enumeration limit {max_permutations}")
-        acc = Fraction(0)
-        for drawn in itertools.permutations(grp.samples, k):
-            num, den = _score(list(drawn), strategy)
-            acc += Fraction(num, den)
-        total += acc / n_perms
-    return total / len(groups)
+    groups = _checked(groups, strategy, [k])
+    exact, _ = _exact(groups, strategy, [k], _MAX_EXACT_STATES)
+    for index, grp in enumerate(groups):
+        if index not in exact:
+            raise DomainError(f"group {grp.group!r}: more than {_MAX_TABLED} samples or "
+                              f"{_MAX_EXACT_STATES} vote states, too many to value exactly")
+    return sum(values[0] for values in exact.values()) / len(groups)

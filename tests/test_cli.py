@@ -73,6 +73,16 @@ class TestExitCodes:
     def test_ensemble_needs_both_flags(self):
         assert main(["simulate", "--groups", "3"]) == 1
 
+    def test_ensemble_has_no_claims(self, tmp_path, capsys):
+        out = tmp_path / "e.jsonl"
+        ensemble = ["simulate", "--groups", "2", "--samples-per-group", "3", "--out", str(out)]
+        assert main([*ensemble, "--n-claims", "4"]) == 1
+        assert "--n-claims" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-claims = 4\n")
+        assert main([*ensemble, "--config", str(cfg)]) == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_bad_agent_spec(self):
         assert main(["simulate", "--agent", "overconfident:2", "--n", "10"]) == 1
 
@@ -321,6 +331,17 @@ class TestMetricsOutput:
         assert set(payload["undefined"]) == undefined
         assert all(payload["metrics"][name] is None for name in undefined)
         assert len(payload["sweep"]) == 101
+
+    def test_bad_bandwidth_writes_nothing(self, small_input, tmp_path, capsys):
+        report, diagram = tmp_path / "m.json", tmp_path / "d.csv"
+        assert main(["metrics", small_input, "--out", str(report),
+                     "--diagram-out", str(diagram), "--bandwidth", "0"]) == 3
+        assert "bandwidth must be positive" in capsys.readouterr().err
+        assert not report.exists() and not diagram.exists()
+        # checked even when no diagram is asked for
+        assert main(["metrics", small_input, "--out", str(report),
+                     "--bandwidth", "-5"]) == 3
+        assert not report.exists()
 
     def test_diagram_needs_a_defined_smece(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "d.jsonl", plain_rows([(0.9, True)]))

@@ -71,6 +71,11 @@ class TestReadJsonl:
         assert meta["model"] == "m-7b"
         assert meta["step"] == "3"  # non-strings stored as compact JSON
 
+    def test_row_meta_keys_come_sorted(self):
+        ds = read_lines('{"id":"q1","valid":true,"meta":{"b":"1","c":"2"},"a":"3"}')
+        assert list(ds.meta[0]) == ["b", "c", "a"]  # the column keeps the read order
+        assert list(ds.records[0].meta) == ["a", "b", "c"]  # rows take the dump order
+
     def test_meta_collision_rejected(self):
         line = '{"id":"q1","valid":true,"meta":{"model":"a"},"model":"b"}'
         with pytest.raises(DataError, match="model"):

@@ -1,4 +1,4 @@
-"""Test-time scaling strategies and their exact-enumeration oracles."""
+"""Test-time scaling strategies and their brute-force oracles."""
 
 import itertools
 import math
@@ -28,9 +28,32 @@ def at_k(groups, strategy, k, seed=0):
 
 def enumerated(grp, strategy, k):
     """Exact majority or majconf accuracy of one group: the mean over its k-subsets."""
-    hits = sum(_score(subset, strategy)[0]
+    hits = sum(_score(subset, strategy)
                for subset in itertools.combinations(grp.samples, k))
     return Fraction(hits, math.comb(grp.size, k))
+
+
+def scored(drawn, strategy):
+    """One ordered draw's accuracy; maxconf's ties go to the first drawn."""
+    if strategy == "mean":
+        return Fraction(sum(v for _, _, v in drawn), len(drawn))
+    if strategy == "best":
+        return int(any(v for _, _, v in drawn))
+    if strategy == "maxconf":
+        best = drawn[0]
+        for sample in drawn[1:]:
+            if sample[1] > best[1]:
+                best = sample
+        return int(best[2])
+    return _score(drawn, strategy)
+
+
+def permuted(groups, k, strategy):
+    """Exact expected accuracy at k: every ordered k-draw of each group scored in turn."""
+    return sum(Fraction(sum(scored(drawn, strategy)
+                            for drawn in itertools.permutations(grp.samples, k)),
+                        math.perm(grp.size, k))
+               for grp in groups) / len(groups)
 
 
 def tabled(grp, strategy, ks):
@@ -238,7 +261,8 @@ class TestExactPaths:
         for grp in ragged_groups(random.Random(3), 40):
             ks = range(1, grp.size + 1)
             for strategy in STRATEGIES:
-                oracle = [exact_expected_accuracy([grp], k, strategy) for k in ks]
+                oracle = [permuted([grp], k, strategy) for k in ks]
+                assert [exact_expected_accuracy([grp], k, strategy) for k in ks] == oracle
                 if strategy in ("majority", "majconf"):
                     assert tabled(grp, strategy, ks) == oracle, strategy
                 else:
@@ -251,10 +275,23 @@ class TestExactPaths:
     def test_dataset_points(self):
         groups = grid_groups(random.Random(8), 30, 6)
         for strategy in STRATEGIES:
+            oracle = [permuted(groups, k, strategy) for k in range(1, 7)]
+            assert [exact_expected_accuracy(groups, k, strategy)
+                    for k in range(1, 7)] == oracle, strategy
             curve = scaling_curve(groups, strategy, range(1, 7), n_resamples=3, seed=2)
             assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == [
+                (float(f), 0.0, True) for f in oracle], strategy
+
+    def test_exact_value_at_every_benchmark_k(self):
+        # 16 samples at k = 8 have 518,918,400 ordered draws; the tables need
+        # no enumeration, and every point of the curves is the exact value
+        groups = grid_groups(random.Random(1), 20, 16)
+        ks = (1, 2, 4, 8, 16)
+        for strategy in STRATEGIES:
+            curve = scaling_curve(groups, strategy, ks, n_resamples=100)
+            assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == [
                 (float(exact_expected_accuracy(groups, k, strategy)), 0.0, True)
-                for k in range(1, 7)], strategy
+                for k in ks], strategy
 
     def test_state_limit_is_inclusive(self):
         # two answers at one confidence: sizes 0..m of each, size + 2 states
@@ -289,7 +326,7 @@ class TestExactPaths:
             assert (point.tabled, point.drawn, point.draws) == (12, 8, 40)
             # each resample adds the exact small-group sum to the same draws
             drawn, = scaling_curve(large, strategy, [3], n_resamples=5, seed=9)
-            known = sum(exact_expected_accuracy([g], 3, strategy) for g in small)
+            known = sum(permuted([g], 3, strategy) for g in small)
             assert point.mean == pytest.approx(
                 (float(known) + drawn.mean * len(large)) / len(small + large), abs=1e-12)
             assert point.stderr == pytest.approx(
@@ -301,16 +338,18 @@ class TestVoteTables:
 
     @staticmethod
     def assert_oracle(groups, ks=None):
-        """Tables against subset enumeration at every k, and against the
-        permutation oracle where it has at most 2,000 ordered draws."""
+        """Tables against subset enumeration and exact_expected_accuracy at
+        every k, and against the permutation oracle where it has at most
+        2,000 ordered draws."""
         for grp in groups:
             ks_g = list(ks or range(1, grp.size + 1))
             for strategy in ("majority", "majconf"):
                 got = tabled(grp, strategy, ks_g)
                 assert got == [enumerated(grp, strategy, k) for k in ks_g], (grp, strategy)
                 for k, value in zip(ks_g, got):
+                    assert value == exact_expected_accuracy([grp], k, strategy)
                     if math.perm(grp.size, k) <= 2_000:
-                        assert value == exact_expected_accuracy([grp], k, strategy)
+                        assert value == permuted([grp], k, strategy)
 
     def test_ragged_groups(self):
         self.assert_oracle(ragged_groups(random.Random(11), 60, sizes=(1, 9)))
@@ -427,11 +466,20 @@ class TestPreconditions:
         with pytest.raises(DataError):
             scaling_curve([], "mean", [1], 10)
 
-    def test_enumeration_guard(self):
-        rows = [("g", f"A{i}", 0.5, i == 0) for i in range(10)]
-        groups = group_records(make_grouped(rows))
-        with pytest.raises(DomainError, match="enumeration limit"):
-            exact_expected_accuracy(groups, 9, "mean")
+    def test_table_guard(self, monkeypatch):
+        # no vote table holds 63 samples; the closed forms need none
+        big = group_records(make_grouped(("big", "A", 0.5, s < 21) for s in range(63)))
+        for strategy in ("majority", "majconf"):
+            with pytest.raises(DomainError, match="group 'big': more than 62 samples"):
+                exact_expected_accuracy(big, 2, strategy)
+        assert exact_expected_accuracy(big, 2, "mean") == Fraction(1, 3)
+        # confidences 2^-1 .. 2^-6: each of one answer's 2^6 subsets has its own sum
+        many = group_records(make_grouped(("many", "A", 2.0 ** -s, True) for s in range(1, 7)))
+        monkeypatch.setattr(tts, "_MAX_EXACT_STATES", 2 ** 6)
+        assert exact_expected_accuracy(many, 3, "majority") == 1
+        monkeypatch.setattr(tts, "_MAX_EXACT_STATES", 2 ** 6 - 1)
+        with pytest.raises(DomainError, match="group 'many'"):
+            exact_expected_accuracy(many, 3, "majority")
 
 
 class TestDeterminism:
