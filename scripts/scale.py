@@ -2,8 +2,10 @@
 
     python3 scripts/scale.py [--sizes 10000,100000,1000000] [--out PATH]
 
-For each n it simulates n flat records and n four-claim chains, then runs
-validate, reward, metrics, sweep, objectives and report on the flat records.
+For each n it simulates n flat records and n four-claim chains, runs
+validate, reward, metrics, sweep, objectives and report on the flat records,
+then reward and sweep on the chains, with each record's confidence the
+product of its claims'.
 Every command is its own `python -m becal` child of this checkout's src/,
 reaped with os.wait4, so the wall time, CPU time and peak RSS (ru_maxrss) it
 reports are that child's alone. Inputs and outputs live in a temporary
@@ -35,17 +37,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _steps(n: int) -> list[tuple[str, list[str], str]]:
     """(name, becal argv, output file) in the order they run."""
-    flat = "flat.jsonl"
+    flat, chain, product = "flat.jsonl", "chain.jsonl", ["--confidence-from", "product"]
     return [
         ("simulate", ["simulate", "--n", str(n), "--seed", "0"], flat),
         ("simulate --n-claims 4",
-         ["simulate", "--n", str(n), "--n-claims", "4", "--seed", "0"], "chain.jsonl"),
+         ["simulate", "--n", str(n), "--n-claims", "4", "--seed", "0"], chain),
         ("validate", ["validate", flat], "validate.json"),
         ("reward", ["reward", flat, "--format", "jsonl"], "reward.jsonl"),
         ("metrics", ["metrics", flat], "metrics.json"),
         ("sweep", ["sweep", flat], "sweep.csv"),
         ("objectives", ["objectives", flat], "objectives.json"),
         ("report", ["report", flat], "report.json"),
+        ("reward --confidence-from product",
+         ["reward", chain, *product, "--format", "jsonl"], "reward_chain.jsonl"),
+        ("sweep --confidence-from product", ["sweep", chain, *product], "sweep_chain.csv"),
     ]
 
 

@@ -142,12 +142,14 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("simulate", help="generate a synthetic dataset")
     _add_common(p, with_input=False)
-    p.add_argument("--agent", default="calibrated",
-                   help="report map: calibrated, power:G, overconfident:G, "
+    # the flat-mode options default to None, so ensemble mode can refuse them
+    # when given; _cmd_simulate resolves them from _FLAT_DEFAULTS
+    p.add_argument("--agent",
+                   help="report map: calibrated (default), power:G, overconfident:G, "
                         "underconfident:G, constant:C")
-    p.add_argument("--difficulty", default="uniform",
-                   help="difficulty prior: uniform, beta:A,B, points:Q1,Q2,...")
-    p.add_argument("--n", type=int, default=1000, help="number of questions")
+    p.add_argument("--difficulty",
+                   help="difficulty prior: uniform (default), beta:A,B, points:Q1,Q2,...")
+    p.add_argument("--n", type=int, help="number of questions (default: 1000)")
     p.add_argument("--n-claims", type=int,
                    help="claims per response (claim-chain mode)")
     p.add_argument("--groups", type=int,
@@ -351,15 +353,25 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     return 0
 
 
+# the options only flat mode uses, with their defaults there (no --n-claims:
+# records without claims)
+_FLAT_DEFAULTS = {"agent": "calibrated", "difficulty": "uniform", "n": 1000, "n_claims": None}
+
+
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     ensemble = ns.groups is not None or ns.samples_per_group is not None
     if ensemble:
         if ns.groups is None or ns.samples_per_group is None:
             raise UsageError("--groups and --samples-per-group go together")
-        if ns.n_claims is not None:
-            raise UsageError("--n-claims does not apply to ensemble mode")
+        given = ["--" + name.replace("_", "-") for name in _FLAT_DEFAULTS
+                 if getattr(ns, name) is not None]
+        if given:
+            raise UsageError(f"ensemble mode does not take {', '.join(given)}")
         ds = generate_ensemble(ns.groups, ns.samples_per_group, ns.seed)
     else:
+        for name, default in _FLAT_DEFAULTS.items():  # recorded in the sidecar as used
+            if getattr(ns, name) is None:
+                setattr(ns, name, default)
         spec = AgentSpec(difficulty_prior=parse_difficulty(ns.difficulty),
                          report_map=parse_report_map(ns.agent),
                          n_questions=ns.n, n_claims=ns.n_claims,

@@ -18,7 +18,7 @@ a lone surrogate are rejected.
 A Dataset of n records with m claims in all is a set of columns, each field
 checked once when its column is filled:
 
-    ids                 n id strings
+    ids                 a TextColumn of n id strings
     valid               bool[n]
     confidence          float64[n], NaN where has_confidence is False
     has_confidence      bool[n]
@@ -29,20 +29,25 @@ checked once when its column is filled:
     claim_confidence    float64[m]
     claim_valid         bool[m], False where claim_labeled is False
     claim_labeled       bool[m]
-    claim_text          m strings
-    claim_rationale     m strings or None
+    claim_text          a TextColumn of m strings
+    claim_rationale     a TextColumn of m strings or None
     meta                a MetaColumn: every record's meta pairs, held like the
-                        claims as offsets into flat key and value sequences;
-                        meta[i] is record i's pairs as a dict
+                        claims as offsets into flat key and value sequences
+                        (one key object per distinct key, the values a
+                        TextColumn); meta[i] is record i's pairs as a dict
 
-The arrays are read-only and the sequences are tuples. Ingest appends each
-checked number, flag and code to a typed buffer that becomes its column
-without a copy, so it keeps no Python object per record beyond the strings.
-Ingest, aggregation, simulation, scoring and output all work on the columns.
-One decoder turns them into each record's JSON object: dump_jsonl encodes a
-chunk of those at a time, and `Dataset.records` builds PredictionRecord
-rows, with ClaimRecord claims and meta keys in sorted order, from them only
-when it is asked for, and keeps them.
+A TextColumn is one UTF-8 buffer plus int64 offsets, and a missing mask
+where None is allowed, so there is no str object per string; an index gives
+a str, a slice a list. The arrays are read-only and the other sequences are
+tuples. Ingest appends each checked number, flag and code to a typed buffer
+that becomes its column without a copy, and each string to a TextColumn's
+buffer a chunk at a time, so it keeps no Python object per record. Ingest,
+aggregation, simulation, scoring and output all work on the columns. One
+decoder turns them into each record's JSON object, decoding the strings of
+one chunk of records at a time: dump_jsonl encodes those objects, and
+`Dataset.records` builds PredictionRecord rows, with ClaimRecord claims and
+meta keys in sorted order, from them only when it is asked for, and keeps
+them.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -206,15 +212,135 @@ def _names(codes: np.ndarray, table: tuple[str, ...]) -> list[str | None]:
     return [table[c] for c in codes.tolist()]
 
 
-class MetaColumn(Sequence):
+# strings encoded or decoded, and column items built, per step: no str or
+# dict outlives its chunk
+_TEXT_CHUNK = 4096
+
+
+class _ChunkedColumn(Sequence):
+    """A column whose items exist as Python objects only while they are read:
+    chunk(start, stop) builds items start to stop - 1 as a new list, an index
+    one item, a slice a list, and iteration one chunk at a time."""
+
+    def chunk(self, start: int, stop: int) -> list:
+        raise NotImplementedError
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step == 1:
+                return self.chunk(start, max(start, stop))
+            return [self[j] for j in range(start, stop, step)]
+        i = range(len(self))[i]  # negative indices count from the end
+        return self.chunk(i, i + 1)[0]
+
+    def __iter__(self) -> Iterator:
+        n = len(self)
+        for start in range(0, n, _TEXT_CHUNK):
+            yield from self.chunk(start, min(start + _TEXT_CHUNK, n))
+
+
+class TextColumn(_ChunkedColumn):
+    """n strings held as one UTF-8 buffer, with no str object per string.
+
+    String i is data[offsets[i]:offsets[i + 1]] decoded. Where missing is
+    given, a True entry reads as None (and owns no bytes). Lone surrogates
+    round-trip, as they would in a str.
+    """
+
+    def __init__(self, data: bytes, offsets: np.ndarray,
+                 missing: np.ndarray | None = None) -> None:
+        for column in (offsets, missing):
+            if column is not None:
+                column.flags.writeable = False
+        self.data, self.offsets, self.missing = data, offsets, missing
+
+    @classmethod
+    def of(cls, texts: Iterable[str]) -> TextColumn:
+        """A column of the given strings."""
+        builder = _TextBuilder()
+        texts = iter(texts)
+        while chunk := list(islice(texts, _TEXT_CHUNK)):
+            builder.pending = chunk
+            builder.flush()
+        return builder.column()
+
+    @classmethod
+    def nones(cls, n: int) -> TextColumn:
+        """n missing strings, in arrays that take no memory per string."""
+        return cls(b"", np.broadcast_to(np.int64(0), n + 1), np.broadcast_to(True, n))
+
+    def spread(self, at: np.ndarray, n: int) -> TextColumn:
+        """An n-string column with this column's strings at the increasing
+        indices `at`, and None everywhere else."""
+        if not len(at):
+            return TextColumn.nones(n)
+        lengths = np.zeros(n + 1, dtype=np.int64)
+        lengths[at + 1] = np.diff(self.offsets)
+        missing = np.ones(n, dtype=bool)
+        missing[at] = False
+        return TextColumn(self.data, np.cumsum(lengths), missing)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def chunk(self, start: int, stop: int) -> list[str | None]:
+        missing = None if self.missing is None else self.missing[start:stop]
+        if missing is not None and missing.all():
+            return [None] * (stop - start)
+        lo = int(self.offsets[start])
+        bounds = (self.offsets[start:stop + 1] - lo).tolist()
+        ends = islice(bounds, 1, None)
+        data = self.data[lo:lo + bounds[-1]]
+        if data.isascii():  # then byte offsets are character offsets
+            text = data.decode("ascii")
+            out = [text[a:b] for a, b in zip(bounds, ends)]
+        else:
+            out = [data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, ends)]
+        if missing is not None and missing.any():
+            out = [None if gone else text for text, gone in zip(out, missing.tolist())]
+        return out
+
+
+class _TextBuilder:
+    """Strings appended to `pending`, moved into one UTF-8 buffer by flush().
+
+    A caller that flushes every _TEXT_CHUNK strings keeps no str beyond that.
+    """
+
+    def __init__(self) -> None:
+        self.pending: list[str] = []
+        self.data = bytearray()
+        self.offsets = array("q", [0])
+
+    def flush(self) -> None:
+        texts = self.pending
+        joined = "".join(texts)
+        if joined.isascii():  # then a string's UTF-8 length is its length
+            self.data += joined.encode("ascii")
+        else:
+            texts = [text.encode("utf-8", "surrogatepass") for text in texts]
+            self.data += b"".join(texts)
+        ends = np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)))
+        ends += self.offsets[-1]
+        self.offsets.frombytes(ends.tobytes())
+        self.pending.clear()
+
+    def column(self) -> TextColumn:
+        self.flush()
+        return TextColumn(bytes(self.data), np.frombuffer(self.offsets, dtype=np.int64))
+
+
+class MetaColumn(_ChunkedColumn):
     """The meta column: every record's key/value string pairs, with no object
-    per record. Indexing gives one record's pairs as a new dict, empty when it
-    has none.
+    per record. An item is one record's pairs as a new dict, empty when it has
+    none.
 
     Record i owns pairs offsets[i]:offsets[i + 1] of keys and values, in the
-    order they were read. values holds strings, or is a float64 array whose
-    numbers are rendered with repr: simulated data keeps its difficulty q as
-    a number column and turns it into strings only on output.
+    order they were read. keys holds one object per distinct key. values is a
+    TextColumn, or a float64 array whose numbers are rendered with repr:
+    simulated data keeps its difficulty q as a number column and turns it
+    into strings only on output.
     """
 
     def __init__(self, offsets: np.ndarray, keys: tuple[str, ...], values) -> None:
@@ -226,15 +352,7 @@ class MetaColumn(Sequence):
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def __getitem__(self, i: int) -> dict[str, str]:
-        i = range(len(self))[i]  # negative indices count from the end
-        return self.dicts(i, i + 1)[0]
-
-    def __iter__(self) -> Iterator[dict[str, str]]:
-        return iter(self.dicts(0, len(self)))
-
-    def dicts(self, start: int, stop: int) -> list[dict[str, str]]:
-        """The pairs of records start to stop - 1, one new dict each."""
+    def chunk(self, start: int, stop: int) -> list[dict[str, str]]:
         bounds = self.offsets[start:stop + 1].tolist()
         lo, hi = bounds[0], bounds[-1]
         keys, values = self.keys[lo:hi], self.values[lo:hi]
@@ -249,11 +367,12 @@ class _Columns:
 
     Numbers, flags and codes go straight into typed buffers (array.array and
     bytearray) that columns() wraps without a copy, so no Python float, bool
-    or None per field is kept; strings go into lists.
+    or None per field is kept. Strings go into _TextBuilders, flushed every
+    _TEXT_CHUNK strings. Only the set of ids seen, which finds a duplicate,
+    holds a str per record; columns() frees it.
     """
 
     def __init__(self) -> None:
-        self.ids: list[str] = []
         self.seen: set[str] = set()
         self.valid = bytearray()
         self.confidence = array("d")  # NaN for no confidence
@@ -264,37 +383,45 @@ class _Columns:
         self.claim_offsets = array("q", [0])
         self.claim_confidence = array("d")
         self.claim_valid = array("b")  # 1 valid, 0 invalid, -1 unlabeled
-        self.claim_text: list[str] = []
-        self.claim_rationale: list[str | None] = []
+        self.rationale_at = array("q")  # the index of each claim with a rationale
         self.meta_offsets = array("q", [0])
         self.meta_keys: list[str] = []
-        self.meta_values: list[str] = []
         self.key_names: dict[str, str] = {}  # one object per distinct meta key
+        # claim_rationale holds only the rationales given, in claim order
+        self.texts = (self.ids, self.claim_text, self.claim_rationale, self.meta_values) = (
+            _TextBuilder(), _TextBuilder(), _TextBuilder(), _TextBuilder())
 
     def _claim(self, confidence: float, valid: bool | None, text: str,
                rationale: str | None) -> None:
+        if rationale is not None:
+            self.rationale_at.append(len(self.claim_confidence))
+            self.claim_rationale.pending.append(rationale)
         self.claim_confidence.append(confidence)
         self.claim_valid.append(-1 if valid is None else valid)
-        self.claim_text.append(text)
-        self.claim_rationale.append(rationale)
+        self.claim_text.pending.append(text)
 
     def _record(self, rid: str, valid: bool, confidence: float | None, group: str | None,
                 answer: str | None, meta: dict[str, str]) -> None:
         if rid in self.seen:
             raise DataError(f"duplicate id {rid!r}")
         self.seen.add(rid)
-        self.ids.append(rid)
+        self.ids.pending.append(rid)
         self.valid.append(valid)
         self.confidence.append(math.nan if confidence is None else confidence)
         codes = self.group_codes
         self.group.append(-1 if group is None else codes.setdefault(group, len(codes)))
         codes = self.answer_codes
         self.answer.append(-1 if answer is None else codes.setdefault(answer, len(codes)))
-        self.claim_offsets.append(len(self.claim_text))
-        for key, value in meta.items():
+        self.claim_offsets.append(len(self.claim_confidence))
+        for key in meta:
             self.meta_keys.append(self.key_names.setdefault(key, key))
-            self.meta_values.append(value)
+        self.meta_values.pending.extend(meta.values())
         self.meta_offsets.append(len(self.meta_keys))
+        # rationales never outnumber claim texts
+        if (len(self.ids.pending) + len(self.claim_text.pending)
+                + len(self.meta_values.pending) >= _TEXT_CHUNK):
+            for texts in self.texts:
+                texts.flush()
 
     def add_object(self, obj: object) -> None:
         """Check one decoded JSONL object field by field and append it."""
@@ -345,7 +472,7 @@ class _Columns:
         confidence = np.frombuffer(self.confidence)
         claim_valid = np.frombuffer(self.claim_valid, dtype=np.int8)
         return {
-            "ids": tuple(self.ids), "valid": np.frombuffer(self.valid, dtype=bool),
+            "ids": self.ids.column(), "valid": np.frombuffer(self.valid, dtype=bool),
             "confidence": confidence, "has_confidence": ~np.isnan(confidence),
             "group": np.frombuffer(self.group, dtype=np.int64),
             "group_names": tuple(self.group_codes),
@@ -354,10 +481,11 @@ class _Columns:
             "claim_offsets": np.frombuffer(self.claim_offsets, dtype=np.int64),
             "claim_confidence": np.frombuffer(self.claim_confidence),
             "claim_valid": claim_valid == 1, "claim_labeled": claim_valid >= 0,
-            "claim_text": tuple(self.claim_text),
-            "claim_rationale": tuple(self.claim_rationale),
+            "claim_text": self.claim_text.column(),
+            "claim_rationale": self.claim_rationale.column().spread(
+                np.frombuffer(self.rationale_at, dtype=np.int64), len(claim_valid)),
             "meta": MetaColumn(np.frombuffer(self.meta_offsets, dtype=np.int64),
-                               tuple(self.meta_keys), tuple(self.meta_values)),
+                               tuple(self.meta_keys), self.meta_values.column()),
         }
 
 
@@ -403,7 +531,8 @@ class Dataset:
             self._rows = tuple(
                 PredictionRecord(**{**obj, "claims": tuple(
                     ClaimRecord(**claim) for claim in obj.get("claims", ()))})
-                for obj in _objects(self, 0, len(self)))
+                for start in range(0, len(self), _DUMP_CHUNK)
+                for obj in _objects(self, start, min(start + _DUMP_CHUNK, len(self))))
         return self._rows
 
     def __len__(self) -> int:
@@ -545,7 +674,8 @@ def dump_jsonl(dataset: Dataset, fh: IO[str]) -> None:
 
 def _objects(ds: Dataset, start: int, stop: int) -> Iterator[dict]:
     """The JSON object of each of records start to stop - 1, keys in the
-    dump order and meta keys sorted, built one at a time."""
+    dump order and meta keys sorted, built one at a time from the chunk's
+    decoded strings. Callers go a chunk of _DUMP_CHUNK records at a time."""
     offsets = ds.claim_offsets[start:stop + 1].tolist()
     lo, hi = offsets[0], offsets[-1]
     text, rationale = ds.claim_text[lo:hi], ds.claim_rationale[lo:hi]
@@ -557,7 +687,7 @@ def _objects(ds: Dataset, start: int, stop: int) -> Iterator[dict]:
     conf = ds.confidence[start:stop].tolist()
     has = ds.has_confidence[start:stop].tolist()
     for i, (rid, valid, meta) in enumerate(zip(ds.ids[start:stop], ds.valid[start:stop].tolist(),
-                                               ds.meta.dicts(start, stop))):
+                                               ds.meta.chunk(start, stop))):
         obj: dict = {"id": rid}
         if group[i] is not None:
             obj["group"] = group[i]

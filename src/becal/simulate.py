@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, DomainError, UsageError
-from .model import ClaimRecord, Dataset, MetaColumn
+from .model import ClaimRecord, Dataset, MetaColumn, TextColumn
 from .rewards import RiskPrior, expected_reward
 
 RNG_ALGORITHM = "philox4x64-10"
@@ -202,16 +202,24 @@ def generate(spec: AgentSpec, label: str = "sim") -> Dataset:
     else:
         valid = rng.random(n) < q
         claim_valid, claim_conf = np.empty(0, dtype=bool), np.empty(0)
+    # every chain has the texts "step 1" to "step k", so the claim text buffer
+    # is one chain's bytes n times: claim j of record i starts at
+    # i * starts[k] + starts[j], starts[k] being the chain's length
+    steps = [f"step {j + 1}".encode("ascii") for j in range(k)]
+    starts = np.cumsum([0, *map(len, steps)], dtype=np.int64)
+    text_offsets = np.empty(n * k + 1, dtype=np.int64)
+    np.add.outer(np.arange(n) * starts[k], starts[:k], out=text_offsets[:-1].reshape(n, k))
+    text_offsets[-1] = n * starts[k]
     return Dataset._from_columns({
-        "ids": tuple(f"q{i}" for i in range(n)), "valid": valid,
+        "ids": TextColumn.of(f"q{i}" for i in range(n)), "valid": valid,
         "confidence": conf, "has_confidence": np.ones(n, dtype=bool),
         "group": np.full(n, -1), "group_names": (),
         "answer": np.full(n, -1), "answer_names": (),
         "claim_offsets": np.arange(n + 1) * k,
         "claim_confidence": claim_conf.ravel(), "claim_valid": claim_valid.ravel(),
         "claim_labeled": np.ones(n * k, dtype=bool),
-        "claim_text": tuple(f"step {j + 1}" for j in range(k)) * n,
-        "claim_rationale": (None,) * (n * k),
+        "claim_text": TextColumn(b"".join(steps) * n, text_offsets),
+        "claim_rationale": TextColumn.nones(n * k),
         "meta": MetaColumn(np.arange(n + 1), ("q",) * n, q),
     }, label)
 
@@ -267,15 +275,16 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
             name = "A" if valid[i] else f"W{int(rng.integers(0, n_wrong_answers))}"
             answer[i] = answers.setdefault(name, len(answers))
     return Dataset._from_columns({
-        "ids": tuple(f"g{g}s{s}" for g in range(n_groups) for s in range(n_samples)),
+        "ids": TextColumn.of(f"g{g}s{s}" for g in range(n_groups) for s in range(n_samples)),
         "valid": valid, "confidence": conf, "has_confidence": np.ones(n, dtype=bool),
         "group": np.repeat(np.arange(n_groups), n_samples),
         "group_names": tuple(f"g{g}" for g in range(n_groups)),
         "answer": answer, "answer_names": tuple(answers),
         "claim_offsets": np.zeros(n + 1, dtype=np.int64),
         "claim_confidence": np.empty(0), "claim_valid": np.empty(0, dtype=bool),
-        "claim_labeled": np.empty(0, dtype=bool), "claim_text": (), "claim_rationale": (),
-        "meta": MetaColumn(np.zeros(n + 1, dtype=np.int64), (), ()),
+        "claim_labeled": np.empty(0, dtype=bool), "claim_text": TextColumn.of(()),
+        "claim_rationale": TextColumn.nones(0),
+        "meta": MetaColumn(np.zeros(n + 1, dtype=np.int64), (), TextColumn.of(())),
     }, label)
 
 

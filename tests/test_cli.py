@@ -83,6 +83,34 @@ class TestExitCodes:
         assert main([*ensemble, "--config", str(cfg)]) == 1
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("flag,value", [("--agent", "constant:0.3"), ("--n", "50"),
+                                            ("--difficulty", "beta:2,2")])
+    def test_ensemble_refuses_flat_options(self, tmp_path, capsys, flag, value):
+        """Ensemble mode uses none of the flat-mode options, so giving one, as a
+        flag or in a config file, is a usage error and writes nothing."""
+        out = tmp_path / "e.jsonl"
+        ensemble = ["simulate", "--groups", "2", "--samples-per-group", "3", "--out", str(out)]
+        assert main([*ensemble, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        assert main([*ensemble, "--config", str(cfg)]) == 1
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_ensemble_refuses_every_given_flat_option(self, capsys):
+        assert main(["simulate", "--groups", "2", "--samples-per-group", "3", "--agent",
+                     "constant:0.3", "--n", "50", "--difficulty", "beta:2,2"]) == 1
+        assert "--agent, --difficulty, --n" in capsys.readouterr().err
+
+    def test_flat_mode_records_its_defaults(self, tmp_path):
+        out = tmp_path / "f.jsonl"
+        assert main(["simulate", "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "f.jsonl.meta.json").read_text())["config"]
+        assert (config["agent"], config["difficulty"], config["n"]) == ("calibrated", "uniform",
+                                                                       1000)
+        assert len(out.read_text().splitlines()) == 1000
+
     def test_bad_agent_spec(self):
         assert main(["simulate", "--agent", "overconfident:2", "--n", "10"]) == 1
 

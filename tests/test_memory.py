@@ -6,6 +6,7 @@ own footprint, so each bound is about what becal itself holds.
 
 import gc
 import io
+import json
 import tracemalloc
 
 import pytest
@@ -16,11 +17,12 @@ from becal.simulate import AgentSpec, IdentityReport, UniformDifficulty, generat
 
 N = 20_000
 
-# Measured at 190 bytes per record (flat simulated records, 95 bytes per JSONL
-# line): an id string, a difficulty string in the meta column and 33 bytes of
-# numeric columns. A Python float, bool or dict per record would add at least
-# 24 bytes each, which the 20 % margin does not absorb.
-HELD_BYTES_PER_RECORD = 230
+# Measured at 94 bytes per record (flat simulated records, 95 bytes per JSONL
+# line): about 24 bytes of id and difficulty text in two buffers, an 8-byte
+# offset into each, an 8-byte meta key reference and 42 bytes of number, flag,
+# code and offset columns. A Python str, float, bool or dict per record would
+# add at least 24 bytes each, which the 20 % margin does not absorb.
+HELD_BYTES_PER_RECORD = 112
 
 
 def _traced(fn):
@@ -44,6 +46,26 @@ def test_ingest_holds_no_object_per_field():
     ds, held, _ = _traced(lambda: read_jsonl(lines))
     assert len(ds) == N
     assert held / N <= HELD_BYTES_PER_RECORD
+
+
+def test_claim_text_is_held_as_its_bytes():
+    """Claims with distinct texts, so interning cannot help: each holds its
+    UTF-8 bytes, an offset, a confidence and two flags, and no str object
+    (which alone is 49 bytes or more)."""
+    n, k = 2_000, 8
+
+    def lines(claims: bool) -> list[bytes]:
+        return [json.dumps({"id": f"r{i}", "valid": True, "confidence": 0.5, **({"claims": [
+            {"text": f"record {i} \u00e9tape {j}", "confidence": 0.5, "valid": j > 0}
+            for j in range(k)]} if claims else {})}).encode("utf-8") for i in range(n)]
+
+    chains, flat = lines(True), lines(False)
+    text_bytes = sum(len(f"record {i} \u00e9tape {j}".encode("utf-8"))
+                     for i in range(n) for j in range(k))
+    ds, held, _ = _traced(lambda: read_jsonl(chains))
+    base, held_flat, _ = _traced(lambda: read_jsonl(flat))
+    assert len(ds.claim_text) == n * k and len(base) == n
+    assert (held - held_flat) / (n * k) <= text_bytes / (n * k) + 24
 
 
 def test_simulate_streams_its_output(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from becal.errors import DataError
-from becal.model import (ClaimRecord, Dataset, PredictionRecord, dump_jsonl,
-                         load_jsonl, read_jsonl, validate)
+from becal.model import (_TEXT_CHUNK, ClaimRecord, Dataset, PredictionRecord, TextColumn,
+                         dump_jsonl, load_jsonl, read_jsonl, validate)
 
 from conftest import assert_same_columns, make_dataset
 
@@ -249,6 +249,54 @@ def test_dump_read_round_trip(ds):
     assert_same_columns(again, ds)
     assert again.records == ds.records
     assert Dataset._from_columns(ds.columns(), "").records == ds.records
+
+
+class TestTextColumn:
+    TEXTS = ["", "a", "h\u00e9llo", "\u65e5\u672c", "\ud800", "x" * 10]
+
+    def test_strings_round_trip_through_one_buffer(self):
+        column = TextColumn.of(self.TEXTS)
+        assert list(column) == self.TEXTS and len(column) == len(self.TEXTS)
+        assert column.data == "".join(self.TEXTS).encode("utf-8", "surrogatepass")
+        assert column.offsets.tolist() == [0, 0, 1, 7, 13, 16, 26]
+        assert column.missing is None and not column.offsets.flags.writeable
+
+    def test_missing_strings_read_as_none(self):
+        rationales = [None, "a", "", None, "\u00e9"]
+        ds = read_lines(*(json.dumps({"id": f"r{i}", "valid": True, "claims": [
+            {"text": "t", "confidence": 0.5, **({} if why is None else {"rationale": why})}]})
+            for i, why in enumerate(rationales)))
+        assert list(ds.claim_rationale) == rationales
+        assert ds.claim_rationale.missing.tolist() == [True, False, False, True, False]
+        none = read_lines('{"id":"a","valid":true,"claims":[{"text":"t","confidence":0.5}]}')
+        for column in (none.claim_rationale, TextColumn.nones(3)):
+            assert set(column) == {None} and column.data == b""
+            assert column.offsets.strides == (0,)  # no memory per string
+
+    def test_chunks_meet_at_every_flush(self):
+        texts = [f"t{i}\u00e9" if i % 7 == 0 else f"t{i}" for i in range(2 * _TEXT_CHUNK + 5)]
+        column = TextColumn.of(texts)
+        assert list(column) == texts
+        assert column[_TEXT_CHUNK - 1:_TEXT_CHUNK + 1] == texts[_TEXT_CHUNK - 1:_TEXT_CHUNK + 1]
+
+    @pytest.mark.parametrize("name", ["ids", "claim_text", "claim_rationale", "meta"])
+    def test_slices_give_lists_and_negative_indices_count_back(self, name):
+        ds = read_lines(*(json.dumps({
+            "id": f"r{i}\u00e9" * i, "valid": True, "meta": {"k": str(i)} if i % 2 else {},
+            "claims": [{"text": f"c{i}", "confidence": 0.5,
+                        **({"rationale": f"why {i}"} if i % 3 else {})}]})
+            for i in range(1, 6)))
+        column = getattr(ds, name)
+        items = list(column)
+        assert len(items) == 5
+        for part in (slice(0, 1), slice(None), slice(1, 3), slice(-2, None), slice(3, 1),
+                     slice(None, None, -1), slice(0, 10, 2), slice(-10, 2)):
+            assert column[part] == items[part], part
+            assert type(column[part]) is list
+        assert column[-1] == items[4] and column[-5] == items[0]
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                column[i]
 
 
 class TestDataset:

@@ -15,7 +15,8 @@ def test_scale_ladder_records_every_command(tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert [row["command"] for row in doc["rows"]] == [
         "simulate", "simulate --n-claims 4", "validate", "reward", "metrics", "sweep",
-        "objectives", "report"]
+        "objectives", "report", "reward --confidence-from product",
+        "sweep --confidence-from product"]
     for row in doc["rows"]:
         assert row["n"] == 40 and row["rc"] == 0, row
         assert row["peak_rss_mb"] > 0 and row["output_bytes"] > 0
