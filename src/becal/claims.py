@@ -147,6 +147,5 @@ def apply_aggregation(dataset: Dataset, kind: str) -> Dataset:
         raise DataError(f"record {dataset.ids[int(np.argmax(empty))]!r}: "
                         f"cannot aggregate an empty claim list")
     confidence = _AGGREGATORS[kind].reduceat(dataset.claim_confidence, starts)
-    return Dataset._from_columns({**dataset.columns(), "confidence": confidence,
-                                  "has_confidence": np.ones(len(dataset), dtype=bool)},
+    return Dataset._from_columns({**dataset.columns(), "confidence": confidence},
                                  dataset.label)

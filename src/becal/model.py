@@ -20,21 +20,23 @@ checked once when its column is filled:
 
     ids                 a TextColumn of n id strings
     valid               bool[n]
-    confidence          float64[n], NaN where has_confidence is False
-    has_confidence      bool[n]
+    confidence          float64[n], NaN where the record has none
     group, answer       int64[n] codes into group_names / answer_names, in
                         order of first appearance; -1 where the record has none
     claim_offsets       int64[n + 1]; record i owns claims
                         claim_offsets[i]:claim_offsets[i + 1]
     claim_confidence    float64[m]
-    claim_valid         bool[m], False where claim_labeled is False
-    claim_labeled       bool[m]
+    claim_label         int8[m]: 1 valid, 0 invalid, -1 unlabeled
     claim_text          a TextColumn of m strings
     claim_rationale     a TextColumn of m strings or None
     meta                a MetaColumn: every record's meta pairs, held like the
                         claims as offsets into flat key and value sequences
                         (one key object per distinct key, the values a
                         TextColumn); meta[i] is record i's pairs as a dict
+
+Each optional field has one missing marker (NaN, -1 or None). A column that
+a producer leaves out is filled in empty by Dataset._from_columns, in
+zero-stride arrays where it has n or n + 1 entries.
 
 A TextColumn is one UTF-8 buffer plus int64 offsets, and a missing mask
 where None is allowed, so there is no str object per string; an index gives
@@ -67,9 +69,9 @@ from .errors import DataError
 _KNOWN_FIELDS = frozenset(("id", "group", "valid", "confidence", "answer", "claims", "meta"))
 _CLAIM_FIELDS = frozenset(("text", "confidence", "valid", "rationale"))
 _NUMBERS = (int, float, np.integer, np.floating)  # np.float32 is no float subclass
-_COLUMNS = ("ids", "valid", "confidence", "has_confidence", "group", "group_names",
-            "answer", "answer_names", "claim_offsets", "claim_confidence",
-            "claim_valid", "claim_labeled", "claim_text", "claim_rationale", "meta")
+_COLUMNS = ("ids", "valid", "confidence", "group", "group_names", "answer",
+            "answer_names", "claim_offsets", "claim_confidence", "claim_label",
+            "claim_text", "claim_rationale", "meta")
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,18 @@ def _check_text(name: str, value: object) -> None:
     """An optional string field: None or a str."""
     if value is not None and not isinstance(value, str):
         raise DataError(f"{name} must be a string")
+
+
+def _check_utf8(name: str, *texts: str | None) -> None:
+    """DataError if a text holds a lone surrogate, which no UTF-8 output can
+    hold. The row classes check each string; JSONL ingest checks each line
+    once instead."""
+    for text in texts:
+        if text is not None and not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"{name} holds a lone surrogate") from None
 
 
 def _check_record(rid: object, valid: object, confidence: object, group: object,
@@ -171,6 +185,8 @@ class ClaimRecord:
     def __post_init__(self) -> None:
         confidence, valid = _check_claim(self.text, self.confidence, self.valid,
                                          self.rationale)
+        _check_utf8("claim text", self.text)
+        _check_utf8("claim rationale", self.rationale)
         object.__setattr__(self, "confidence", confidence)
         object.__setattr__(self, "valid", valid)
 
@@ -201,6 +217,10 @@ class PredictionRecord:
             raise DataError("claims must be ClaimRecord objects")
         object.__setattr__(self, "claims", claims)
         _check_meta(self.meta)
+        _check_utf8("id", self.id)
+        _check_utf8("group", self.group)
+        _check_utf8("answer", self.answer)
+        _check_utf8("meta", *self.meta, *self.meta.values())
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +402,7 @@ class _Columns:
         self.answer_codes: dict[str, int] = {}
         self.claim_offsets = array("q", [0])
         self.claim_confidence = array("d")
-        self.claim_valid = array("b")  # 1 valid, 0 invalid, -1 unlabeled
+        self.claim_label = array("b")  # 1 valid, 0 invalid, -1 unlabeled
         self.rationale_at = array("q")  # the index of each claim with a rationale
         self.meta_offsets = array("q", [0])
         self.meta_keys: list[str] = []
@@ -397,7 +417,7 @@ class _Columns:
             self.rationale_at.append(len(self.claim_confidence))
             self.claim_rationale.pending.append(rationale)
         self.claim_confidence.append(confidence)
-        self.claim_valid.append(-1 if valid is None else valid)
+        self.claim_label.append(-1 if valid is None else valid)
         self.claim_text.pending.append(text)
 
     def _record(self, rid: str, valid: bool, confidence: float | None, group: str | None,
@@ -469,21 +489,19 @@ class _Columns:
 
     def columns(self) -> dict:
         self.seen.clear()  # ingest is over: free the id set before the copies below
-        confidence = np.frombuffer(self.confidence)
-        claim_valid = np.frombuffer(self.claim_valid, dtype=np.int8)
+        claim_label = np.frombuffer(self.claim_label, dtype=np.int8)
         return {
             "ids": self.ids.column(), "valid": np.frombuffer(self.valid, dtype=bool),
-            "confidence": confidence, "has_confidence": ~np.isnan(confidence),
+            "confidence": np.frombuffer(self.confidence),
             "group": np.frombuffer(self.group, dtype=np.int64),
             "group_names": tuple(self.group_codes),
             "answer": np.frombuffer(self.answer, dtype=np.int64),
             "answer_names": tuple(self.answer_codes),
             "claim_offsets": np.frombuffer(self.claim_offsets, dtype=np.int64),
             "claim_confidence": np.frombuffer(self.claim_confidence),
-            "claim_valid": claim_valid == 1, "claim_labeled": claim_valid >= 0,
-            "claim_text": self.claim_text.column(),
+            "claim_label": claim_label, "claim_text": self.claim_text.column(),
             "claim_rationale": self.claim_rationale.column().spread(
-                np.frombuffer(self.rationale_at, dtype=np.int64), len(claim_valid)),
+                np.frombuffer(self.rationale_at, dtype=np.int64), len(claim_label)),
             "meta": MetaColumn(np.frombuffer(self.meta_offsets, dtype=np.int64),
                                tuple(self.meta_keys), self.meta_values.column()),
         }
@@ -506,9 +524,17 @@ class Dataset:
 
     @classmethod
     def _from_columns(cls, columns: dict, label: str) -> Dataset:
-        """A dataset over columns whose fields are already checked."""
+        """A dataset over checked columns: ids, valid, confidence and any
+        others the caller has. Each one left out is empty."""
+        n, m = len(columns["ids"]), len(columns.get("claim_confidence", ()))
+        none, zeros = np.broadcast_to(np.int64(-1), n), np.broadcast_to(np.int64(0), n + 1)
+        empty = {"group": none, "group_names": (), "answer": none, "answer_names": (),
+                 "claim_offsets": zeros, "claim_confidence": np.empty(0),
+                 "claim_label": np.empty(0, dtype=np.int8), "claim_text": TextColumn.of(()),
+                 "claim_rationale": TextColumn.nones(m),
+                 "meta": MetaColumn(zeros, (), TextColumn.of(()))}
         ds = cls.__new__(cls)
-        ds._set(columns, label)
+        ds._set({**empty, **columns}, label)
         return ds
 
     def _set(self, columns: dict, label: str) -> None:
@@ -552,8 +578,9 @@ class Dataset:
         records must go through aggregation first.
         """
         self.require_nonempty()
-        if not self.has_confidence.all():
-            rid = self.ids[int(np.argmin(self.has_confidence))]
+        missing = np.isnan(self.confidence)
+        if missing.any():
+            rid = self.ids[int(np.argmax(missing))]
             raise DataError(f"record {rid!r} has no response-level confidence")
         return self.confidence
 
@@ -680,19 +707,17 @@ def _objects(ds: Dataset, start: int, stop: int) -> Iterator[dict]:
     lo, hi = offsets[0], offsets[-1]
     text, rationale = ds.claim_text[lo:hi], ds.claim_rationale[lo:hi]
     claim_conf = ds.claim_confidence[lo:hi].tolist()
-    claim_valid = ds.claim_valid[lo:hi].tolist()
-    labeled = ds.claim_labeled[lo:hi].tolist()
+    claim_label = ds.claim_label[lo:hi].tolist()
     group = _names(ds.group[start:stop], ds.group_names)
     answer = _names(ds.answer[start:stop], ds.answer_names)
     conf = ds.confidence[start:stop].tolist()
-    has = ds.has_confidence[start:stop].tolist()
     for i, (rid, valid, meta) in enumerate(zip(ds.ids[start:stop], ds.valid[start:stop].tolist(),
                                                ds.meta.chunk(start, stop))):
         obj: dict = {"id": rid}
         if group[i] is not None:
             obj["group"] = group[i]
         obj["valid"] = valid
-        if has[i]:
+        if not math.isnan(conf[i]):
             obj["confidence"] = conf[i]
         if answer[i] is not None:
             obj["answer"] = answer[i]
@@ -700,8 +725,8 @@ def _objects(ds: Dataset, start: int, stop: int) -> Iterator[dict]:
             obj["claims"] = claims = []
             for j in range(offsets[i] - lo, offsets[i + 1] - lo):
                 claim: dict = {"text": text[j], "confidence": claim_conf[j]}
-                if labeled[j]:
-                    claim["valid"] = claim_valid[j]
+                if claim_label[j] >= 0:
+                    claim["valid"] = claim_label[j] == 1
                 if rationale[j] is not None:
                     claim["rationale"] = rationale[j]
                 claims.append(claim)
@@ -720,12 +745,12 @@ def validate(dataset: Dataset) -> ValidationSummary:
     warnings: list[tuple[str, str]] = []
     if not ds.ids:
         warnings.append(("fatal", "dataset is empty: no metrics can be computed"))
-    labeled_before = np.concatenate(([0], np.cumsum(ds.claim_labeled, dtype=np.int64)))
+    labeled_before = np.concatenate(([0], np.cumsum(ds.claim_label >= 0, dtype=np.int64)))
     claims = np.diff(ds.claim_offsets)
     labeled = np.diff(labeled_before[ds.claim_offsets])
-    for i in np.flatnonzero(~ds.has_confidence | (labeled < claims)).tolist():
+    for i in np.flatnonzero(np.isnan(ds.confidence) | (labeled < claims)).tolist():
         rid, n_claims, n_labeled = ds.ids[i], int(claims[i]), int(labeled[i])
-        if not ds.has_confidence[i]:
+        if math.isnan(ds.confidence[i]):
             warnings.append(("warning", f"record {rid!r}: no response-level confidence"))
         if n_labeled < n_claims:
             warnings.append((
@@ -737,7 +762,7 @@ def validate(dataset: Dataset) -> ValidationSummary:
     return ValidationSummary(
         n_records=len(ds),
         n_claims=len(ds.claim_text),
-        n_labeled_claims=int(np.count_nonzero(ds.claim_labeled)),
+        n_labeled_claims=int(labeled_before[-1]),
         n_groups=int(np.count_nonzero(sizes)),
         warnings=tuple(warnings),
     )

@@ -211,15 +211,10 @@ def generate(spec: AgentSpec, label: str = "sim") -> Dataset:
     np.add.outer(np.arange(n) * starts[k], starts[:k], out=text_offsets[:-1].reshape(n, k))
     text_offsets[-1] = n * starts[k]
     return Dataset._from_columns({
-        "ids": TextColumn.of(f"q{i}" for i in range(n)), "valid": valid,
-        "confidence": conf, "has_confidence": np.ones(n, dtype=bool),
-        "group": np.full(n, -1), "group_names": (),
-        "answer": np.full(n, -1), "answer_names": (),
-        "claim_offsets": np.arange(n + 1) * k,
-        "claim_confidence": claim_conf.ravel(), "claim_valid": claim_valid.ravel(),
-        "claim_labeled": np.ones(n * k, dtype=bool),
+        "ids": TextColumn.of(f"q{i}" for i in range(n)), "valid": valid, "confidence": conf,
+        "claim_offsets": np.arange(n + 1) * k, "claim_confidence": claim_conf.ravel(),
+        "claim_label": claim_valid.ravel().view(np.int8),
         "claim_text": TextColumn(b"".join(steps) * n, text_offsets),
-        "claim_rationale": TextColumn.nones(n * k),
         "meta": MetaColumn(np.arange(n + 1), ("q",) * n, q),
     }, label)
 
@@ -276,15 +271,10 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
             answer[i] = answers.setdefault(name, len(answers))
     return Dataset._from_columns({
         "ids": TextColumn.of(f"g{g}s{s}" for g in range(n_groups) for s in range(n_samples)),
-        "valid": valid, "confidence": conf, "has_confidence": np.ones(n, dtype=bool),
+        "valid": valid, "confidence": conf,
         "group": np.repeat(np.arange(n_groups), n_samples),
         "group_names": tuple(f"g{g}" for g in range(n_groups)),
         "answer": answer, "answer_names": tuple(answers),
-        "claim_offsets": np.zeros(n + 1, dtype=np.int64),
-        "claim_confidence": np.empty(0), "claim_valid": np.empty(0, dtype=bool),
-        "claim_labeled": np.empty(0, dtype=bool), "claim_text": TextColumn.of(()),
-        "claim_rationale": TextColumn.nones(0),
-        "meta": MetaColumn(np.zeros(n + 1, dtype=np.int64), (), TextColumn.of(())),
     }, label)
 
 

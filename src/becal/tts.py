@@ -128,7 +128,7 @@ def group_records(dataset: Dataset) -> list[SampleGroup]:
         raise DataError(f"records mix grouped and ungrouped: "
                         f"{dataset.ids[int(np.argmax(missing))]!r} has no group")
     group_rank = _ranks(dataset.group_names)[dataset.group]
-    confidence = np.where(dataset.has_confidence, dataset.confidence, -1.0)
+    confidence = np.where(np.isnan(dataset.confidence), -1.0, dataset.confidence)
     order = np.lexsort((dataset.valid, confidence,
                         _ranks(dataset.answer_names)[dataset.answer], group_rank))
     samples = list(zip(_names(dataset.answer[order], dataset.answer_names),

@@ -134,6 +134,9 @@ BAD_SECOND_LINES = {
     "duplicate-key":
         b'{"id":"b","valid":true,"confidence":0.9,"valid":false}\n',
     "lone-surrogate": b'{"id":"b","valid":true,"group":"\\ud800"}\n',
+    "claims-not-array": b'{"id":"b","valid":true,"claims":{"text":"s"}}\n',
+    "claim-not-object": b'{"id":"b","valid":true,"claims":["s"]}\n',
+    "extra-data": b'{"id":"b","valid":true} {"id":"c","valid":true}\n',
 }
 
 

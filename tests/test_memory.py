@@ -13,7 +13,8 @@ import pytest
 
 from becal.cli import main
 from becal.model import dump_jsonl, read_jsonl
-from becal.simulate import AgentSpec, IdentityReport, UniformDifficulty, generate
+from becal.simulate import (AgentSpec, IdentityReport, UniformDifficulty, generate,
+                            generate_ensemble)
 
 N = 20_000
 
@@ -50,7 +51,7 @@ def test_ingest_holds_no_object_per_field():
 
 def test_claim_text_is_held_as_its_bytes():
     """Claims with distinct texts, so interning cannot help: each holds its
-    UTF-8 bytes, an offset, a confidence and two flags, and no str object
+    UTF-8 bytes, an offset, a confidence and a label, and no str object
     (which alone is 49 bytes or more)."""
     n, k = 2_000, 8
 
@@ -101,3 +102,14 @@ def test_generated_meta_renders_the_difficulty_column():
     spec = AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=5, seed=4)
     ds = generate(spec)
     assert [m["q"] for m in ds.meta] == [repr(x) for x in ds.confidence.tolist()]
+
+
+def test_generators_hold_nothing_for_fields_they_lack():
+    """A flat record has no group or answer and an ensemble sample no claims
+    or meta: those columns are zero-stride, whatever n is."""
+    flat = generate(AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=N, seed=1))
+    ensemble = generate_ensemble(20, 8, seed=1)
+    for column in (flat.group, flat.answer, flat.claim_rationale.missing,
+                   ensemble.claim_offsets, ensemble.meta.offsets):
+        assert column.strides == (0,)
+    assert (flat.group == -1).all() and not ensemble.claim_offsets.any()

@@ -227,6 +227,36 @@ class TestSmece:
         with pytest.raises(DataError):
             smece(ds)
 
+    @staticmethod
+    def _with_residual(monkeypatch, residual):
+        """smece(ds) with smECE_sigma = sigma + residual(sigma), and every
+        sigma it evaluated."""
+        seen = []
+
+        def fake(grid, moments, sigma, n):
+            seen.append(sigma)
+            return sigma + residual(sigma)
+
+        monkeypatch.setattr("becal.metrics._smece_at", fake)
+        return smece(make_dataset([(0.2, False), (0.9, True)])), seen
+
+    def test_rising_residual_falls_back_to_a_dense_scan(self, monkeypatch):
+        """Roots at 0.05, 0.3 and 0.7: the residual is negative on the
+        9-point ladder at 0.21 and positive at 0.46, so it rises there."""
+        residual = lambda s: -(s - 0.05) * (s - 0.3) * (s - 0.7)
+        (value, bandwidth), seen = self._with_residual(monkeypatch, residual)
+        dense = np.geomspace(1.0 / 511.0, 1.0, 64)
+        assert set(dense) <= set(seen)
+        i = int(np.argmax([residual(s) <= 0.0 for s in dense]))
+        assert dense[i - 1] <= bandwidth <= dense[i] and dense[i] < 0.3
+        assert abs(bandwidth - 0.05) < 1e-4
+        assert value == bandwidth + residual(bandwidth)
+
+    def test_residual_positive_at_one_gives_one(self, monkeypatch):
+        (value, bandwidth), seen = self._with_residual(monkeypatch, lambda s: 0.1)
+        assert (value, bandwidth) == (1.1, 1.0)
+        assert len(seen) == 10  # the 9-point ladder and f(1): no scan, no bisection
+
 
 CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
                         st.floats(0.0, 1.0))

@@ -137,6 +137,24 @@ class TestRecordFields:
         with pytest.raises(DataError, match=message):
             PredictionRecord(id="a", valid=True, **fields)
 
+    @pytest.mark.parametrize("name,build", [
+        ("id", lambda t: PredictionRecord(id=t, valid=True)),
+        ("group", lambda t: PredictionRecord(id="a", valid=True, group=t)),
+        ("answer", lambda t: PredictionRecord(id="a", valid=True, answer=t)),
+        ("claim text", lambda t: ClaimRecord(text=t, confidence=0.5)),
+        ("claim rationale", lambda t: ClaimRecord(text="s", confidence=0.5, rationale=t)),
+        ("meta", lambda t: PredictionRecord(id="a", valid=True, meta={t: "v"})),
+        ("meta", lambda t: PredictionRecord(id="a", valid=True, meta={"k": t})),
+    ], ids=["id", "group", "answer", "claim-text", "claim-rationale", "meta-key",
+            "meta-value"])
+    def test_lone_surrogate_rejected(self, name, build):
+        """JSONL ingest rejects a lone surrogate, so a row does too: no
+        UTF-8 output could hold it."""
+        for text in ("\u00e9", "\u65e5\u672c", "a\U0001f600"):
+            build(text)
+        with pytest.raises(DataError, match=f"^{name} holds a lone surrogate$"):
+            build("b\ud800")
+
     def test_numpy_scalars_accepted(self):
         rec = PredictionRecord(id="a", valid=np.True_, confidence=np.float32(0.5))
         assert rec.valid is True and rec.confidence == 0.5
@@ -322,6 +340,20 @@ class TestDataset:
     def test_empty_id_rejected(self):
         with pytest.raises(DataError):
             PredictionRecord(id="", valid=True)
+
+    def test_columns_left_out_are_empty(self):
+        ds = Dataset._from_columns({"ids": TextColumn.of(["a", "b"]),
+                                    "valid": np.array([True, False]),
+                                    "confidence": np.array([0.5, np.nan])}, "x")
+        rows = Dataset([PredictionRecord(id="a", valid=True, confidence=0.5),
+                        PredictionRecord(id="b", valid=False)])
+        assert_same_columns(ds, rows)
+        assert ds.records == rows.records
+        assert validate(ds) == validate(rows)
+        out, expected = io.StringIO(), io.StringIO()
+        dump_jsonl(ds, out)
+        dump_jsonl(rows, expected)
+        assert out.getvalue() == expected.getvalue()
 
 
 class TestValidate:
