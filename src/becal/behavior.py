@@ -20,13 +20,13 @@ depend on t give snr_gain of exactly 0.0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_count, check_range
 from .model import Dataset
-from .simulate import check_count
 
 _GRID_ATOL = 1e-9
 
@@ -121,12 +121,10 @@ def _grid_index(sweep_: RiskSweep, t: float) -> int:
 def _hal_floor(n: int, epsilon_h: float | None, m: int | None = None) -> float:
     """Hal floor in counts: n epsilon_h (None: half a count) at one threshold,
     or its trapezoid sum over m grid steps. DomainError unless epsilon_h is
-    positive and finite and so is the floor."""
+    normal and finite, so that 1 / epsilon_h is too, and so is the floor."""
     if epsilon_h is None:
         return 0.5 if m is None else float(m)
-    eps = float(epsilon_h)
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"epsilon_h must be positive and finite: {epsilon_h!r}")
+    eps = check_range("epsilon_h", float(epsilon_h), sys.float_info.min, math.inf, "[)")
     floor = float(n) * eps if m is None else 2.0 * n * eps * m
     if not math.isfinite(floor):
         raise DomainError(f"epsilon_h is too large: the hallucination floor "
@@ -150,9 +148,8 @@ def snr_interval(sweep_: RiskSweep, lo: float, hi: float,
     trapezoid weights are then integer count sums and the shared step cancels
     from the ratio, so the computation is exact in count space.
     """
-    lo, hi = float(lo), float(hi)
-    if not (0.0 <= lo < hi <= 1.0):
-        raise DomainError(f"need 0 <= lo < hi <= 1, got [{lo!r}, {hi!r}]")
+    lo = check_range("lo", float(lo), 0.0, 1.0, "[)")
+    hi = check_range("hi", float(hi), lo, 1.0, "(]")
     grid = sweep_.grid
     step = (grid[-1] - grid[0]) / (grid.size - 1)
     if not np.allclose(np.diff(grid), step, rtol=1e-9, atol=1e-12):
@@ -239,10 +236,8 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
 
     DomainError unless tolerance is finite and >= 0 and baseline_acc in [0, 1].
     """
-    if not 0.0 <= tolerance < math.inf:
-        raise DomainError(f"tolerance must be finite and non-negative: {tolerance!r}")
-    if not 0.0 <= baseline_acc <= 1.0:
-        raise DomainError(f"baseline_acc must lie in [0, 1]: {baseline_acc!r}")
+    check_range("tolerance", tolerance, 0.0, math.inf, "[)")
+    check_range("baseline_acc", baseline_acc, 0.0, 1.0)
     grid, abs_curve = sweep_.grid, sweep_.abs
     diffs = np.diff(abs_curve)
     monotone = bool(np.all(diffs >= -1e-12))
@@ -281,7 +276,7 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
         quantitative_calibration=tp_ok and fn_ok,
         diagnostics={
             "abs_reachable_fraction": reachable / span if span > 0 else 1.0,
-            "abs_max_gap": float(gaps.max()) if gaps.size else 0.0,
+            "abs_max_gap": float(gaps.max()),
             "acc_at_0": acc0,
             "baseline_acc": float(baseline_acc),
             "hal_at_1": hal1,

@@ -40,12 +40,12 @@ import sys
 from typing import IO, Callable
 
 from . import __version__
-from .errors import DataError, DomainError, ToolkitError, UsageError
+from .errors import DataError, DomainError, ToolkitError, UsageError, check_range
 from .model import Dataset, dump_jsonl, load_jsonl, read_jsonl, validate
 from .claims import apply_aggregation
 from .rewards import (decide, parse_prior, reward_bounded, reward_brier,
                       reward_ce, reward_explicit, reward_integrated)
-from .metrics import MetricReport, _check_bandwidth, calibration_diagram, metric_report
+from .metrics import _MIN_BANDWIDTH, MetricReport, calibration_diagram, metric_report
 from .behavior import check_objectives, default_grid, sweep
 from .simulate import (RNG_ALGORITHM, AgentSpec, generate, generate_ensemble,
                        parse_difficulty, parse_report_map)
@@ -287,7 +287,13 @@ def _emit(ns: argparse.Namespace, write: Callable[[IO[str]], object],
     """
     target = ns.out if out is None else out
     if target == "-":
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the reader went away, say: the flush at exit goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise UsageError(f"cannot write -: {exc}") from None
         return
     files = [(target, write)]
     if sidecar and not _written_through(target):
@@ -406,8 +412,8 @@ def _cmd_reward(ns: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(ns: argparse.Namespace) -> int:
-    if ns.bandwidth is not None:
-        _check_bandwidth(ns.bandwidth)
+    if ns.bandwidth is not None:  # checked before anything is read or written
+        check_range("bandwidth", ns.bandwidth, _MIN_BANDWIDTH, math.inf, "[)")
     ds = _load(ns)
     report, bandwidth = metric_report(ds, nll_floor=ns.nll_floor,
                                       smece_grid=ns.smece_grid)

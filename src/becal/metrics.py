@@ -45,14 +45,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behavior import default_grid
-from .errors import DataError, DomainError
+from .errors import DataError, check_count, check_range
 from .model import Dataset
-from .simulate import check_count
+from .rewards import _MIN_EPSILON
 
 _TAIL = 80.0  # series terms whose weight falls below e^(-_TAIL / 2) are dropped
 _DENSITY_FLOOR = 1e-6  # smoothed accuracy is NaN below this confidence density
 _CHUNK = 16384  # records per power array
 _RESYNC = 256  # recurrence steps between fresh powers exp(i m pi p)
+_MIN_BANDWIDTH = math.sqrt(_TAIL) / (math.pi * 2 ** 52)  # series length M below 2^53
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,9 @@ def brier_score(dataset: Dataset) -> float:
 
 
 def nll(dataset: Dataset, floor: float = 1e-6) -> float:
-    """Mean negative log-likelihood of correctness, confidences clipped to [floor, 1-floor]."""
-    if not 0.0 < floor < 0.5:
-        raise DomainError(f"nll floor must lie in (0, 0.5): {floor!r}")
+    """Mean negative log-likelihood of correctness, confidences clipped to
+    [floor, 1-floor]; floor >= 2^-53 makes 1 - floor < 1, so every log is finite."""
+    check_range("nll floor", floor, _MIN_EPSILON, 0.5, "[)")
     p, v = _arrays(dataset)
     pc = np.clip(p, floor, 1.0 - floor)
     return float(np.mean(np.where(v > 0.5, -np.log(pc), -np.log(1.0 - pc))))
@@ -163,11 +164,6 @@ def predictive_accuracy(dataset: Dataset) -> float:
     """Fraction of valid records (accuracy assuming no abstention)."""
     v = dataset.valids()
     return float(np.mean(v))
-
-
-def _check_bandwidth(sigma: float) -> None:
-    if not 0.0 < sigma < math.inf:
-        raise DomainError(f"bandwidth must be positive and finite: {sigma!r}")
 
 
 def _cosine_moments(p: np.ndarray, weights: np.ndarray, sigma: float) -> np.ndarray:
@@ -224,7 +220,7 @@ def _smece_at(grid: np.ndarray, moments: np.ndarray, sigma: float, n: int) -> fl
 
 def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -> float:
     """smECE at a fixed bandwidth, trapezoid-integrated on the evaluation grid."""
-    _check_bandwidth(sigma)
+    check_range("bandwidth", sigma, _MIN_BANDWIDTH, math.inf, "[)")
     grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
     moments = _cosine_moments(p, (v - p)[None, :], sigma)
@@ -283,7 +279,7 @@ def calibration_diagram(dataset: Dataset, bandwidth: float,
     low_density() rather than trusting the smoothed curve there. The moment
     build takes O(n / bandwidth) time.
     """
-    _check_bandwidth(bandwidth)
+    check_range("bandwidth", bandwidth, _MIN_BANDWIDTH, math.inf, "[)")
     grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
     moments = _cosine_moments(p, np.vstack((v, np.ones_like(p))), bandwidth)

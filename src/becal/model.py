@@ -761,7 +761,7 @@ def validate(dataset: Dataset) -> ValidationSummary:
         warnings.append(("warning", f"group {name!r}: only one sample"))
     return ValidationSummary(
         n_records=len(ds),
-        n_claims=len(ds.claim_text),
+        n_claims=len(ds.claim_confidence),
         n_labeled_claims=int(labeled_before[-1]),
         n_groups=int(np.count_nonzero(sizes)),
         warnings=tuple(warnings),

@@ -22,19 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError, DomainError, UsageError
+from .errors import DataError, DomainError, UsageError, check_range
+
+_MIN_EPSILON = 2.0 ** -53  # the least clip epsilon with 1 - epsilon < 1: no log meets 0
 
 
 class Action(enum.Enum):
     ANS = "ANS"
     ABS = "ABS"
-
-
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0 or t > 1.0:
-        raise DomainError(f"risk threshold t out of range [0, 1]: {t!r}")
-    return t
 
 
 def decide(p: float, t: float) -> Action:
@@ -53,7 +48,7 @@ def reward_explicit(action: Action, valid: bool, t: float) -> float:
     actually be paid (wrong answer); correct answers and abstentions at t = 1
     are fine.
     """
-    t = _check_t(t)
+    check_range("t", t, 0.0, 1.0)
     if action is Action.ABS:
         return 0.0
     if valid:
@@ -65,7 +60,7 @@ def reward_explicit(action: Action, valid: bool, t: float) -> float:
 
 def reward_bounded(action: Action, valid: bool, t: float) -> float:
     """Bounded variant: +1 for correct, 2t-1 for abstention, -1 for wrong."""
-    t = _check_t(t)
+    check_range("t", t, 0.0, 1.0)
     if action is Action.ABS:
         return 2.0 * t - 1.0
     return 1.0 if valid else -1.0
@@ -108,8 +103,7 @@ class TruncatedBetaPrior(RiskPrior):
     epsilon: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 0.5:
-            raise DomainError(f"epsilon must lie in (0, 0.5): {self.epsilon!r}")
+        check_range("epsilon", self.epsilon, _MIN_EPSILON, 0.5, "[)")
 
     def _clip(self, p):
         return np.clip(p, self.epsilon, 1.0 - self.epsilon)
@@ -129,7 +123,7 @@ class TruncatedBetaPrior(RiskPrior):
 
 @dataclass(frozen=True)
 class TabulatedPrior(RiskPrior):
-    """Piecewise-linear CDF through strictly increasing knots.
+    """Piecewise-linear CDF through strictly increasing knots in [0, 1].
 
     tail() integrates t du exactly per segment (mass times midpoint), so the
     quadrature is exact for the piecewise-linear u rather than an approximation
@@ -144,12 +138,15 @@ class TabulatedPrior(RiskPrior):
         u = np.asarray(self.cdf_values, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != u.shape:
             raise DomainError("tabulated prior needs matching 1-d arrays of >= 2 knots")
+        check_range("smallest knot", float(t.min()), 0.0, 1.0)
+        check_range("largest knot", float(t.max()), 0.0, 1.0)
+        # with the non-decreasing check, the CDF runs from 0 to 1 within 1e-9
+        check_range("smallest CDF value", float(u.min()), -1e-9, 1e-9)
+        check_range("largest CDF value", float(u.max()), 1.0 - 1e-9, 1.0 + 1e-9)
         if not np.all(np.diff(t) > 0):
             raise DomainError("tabulated prior grid must be strictly increasing in t")
         if np.any(np.diff(u) < 0):
             raise DomainError("tabulated CDF must be non-decreasing")
-        if abs(u[0]) > 1e-9 or abs(u[-1] - 1.0) > 1e-9:
-            raise DomainError("tabulated CDF must start at 0 and end at 1")
         u = u.copy()
         u[0], u[-1] = 0.0, 1.0
         object.__setattr__(self, "knots", t)
@@ -196,8 +193,7 @@ def reward_brier(valid, p):
 
 def reward_ce(valid, p, epsilon: float = 0.01):
     """Cross-entropy reward, normalized to [-1, 1], with p clipped to [eps, 1-eps]."""
-    if not 0.0 < epsilon < 0.5:
-        raise DomainError(f"epsilon must lie in (0, 0.5): {epsilon!r}")
+    check_range("epsilon", epsilon, _MIN_EPSILON, 0.5, "[)")
     pc = np.clip(np.asarray(p, dtype=float), epsilon, 1.0 - epsilon)
     norm = math.log((1.0 - epsilon) / epsilon)
     r = np.where(valid, np.log(pc / epsilon) / norm,
@@ -220,10 +216,8 @@ def verify_propriety(prior: RiskPrior, q: float, grid_step: float = 0.001) -> fl
     within 1e-12 the one closest to q is returned, so the result tests whether
     q belongs to the argmax set instead of reporting an arbitrary tie choice.
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise DomainError(f"grid_step must lie in (0, 0.1]: {grid_step!r}")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q out of range [0, 1]: {q!r}")
+    check_range("grid_step", grid_step, 0.0, 0.1, "(]")
+    check_range("q", q, 0.0, 1.0)
     n = int(round(1.0 / grid_step))
     grid = np.linspace(0.0, 1.0, n + 1)
     values = expected_reward(prior, q, grid)
@@ -239,20 +233,16 @@ def optimal_threshold_policy(p: float, t: float) -> Action:
     one ulp from t cannot round onto the wrong side, and the p = t tie
     resolves to ANS, matching decide().
     """
-    t = _check_t(t)
-    if t >= 1.0:
-        raise DomainError("explicit reward is undefined at t = 1")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"belief p out of range [0, 1]: {p!r}")
+    t = check_range("t", float(t), 0.0, 1.0, "[)")
+    p = check_range("p", float(p), 0.0, 1.0)
     p, t = Fraction(p), Fraction(t)
     return Action.ANS if p * (1 - t) >= (1 - p) * t else Action.ABS
 
 
 def load_table(path: str) -> TabulatedPrior:
     """Read a two-column CSV of (t, cdf) knots; # comments and a header allowed."""
-    ts: list[float] = []
-    us: list[float] = []
+    knots: list[tuple[float, float]] = []
+    header = False
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for row in csv.reader(fh):
@@ -262,18 +252,17 @@ def load_table(path: str) -> TabulatedPrior:
                 if len(cells) != 2:
                     raise DataError(f"{path}: expected two columns (t, cdf), got {row!r}")
                 try:
-                    ts.append(float(cells[0]))
-                    us.append(float(cells[1]))
+                    knots.append((float(cells[0]), float(cells[1])))
                 except ValueError:
-                    if not ts:  # tolerate one header line
-                        continue
-                    raise DataError(f"{path}: non-numeric row {row!r}") from None
+                    if knots or header:  # one header line, before the data
+                        raise DataError(f"{path}: non-numeric row {row!r}") from None
+                    header = True
     except OSError as exc:
         raise DataError(f"cannot read prior table {path!r}: {exc}") from None
-    if len(ts) < 2:
+    if len(knots) < 2:
         raise DataError(f"{path}: need at least two (t, cdf) rows")
     try:
-        return TabulatedPrior(np.array(ts), np.array(us))
+        return TabulatedPrior(*np.array(knots).T)
     except DomainError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -12,12 +12,13 @@ Randomness comes from numpy's Philox counter-based generator
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DomainError, UsageError
+from .errors import DataError, DomainError, UsageError, check_count, check_range, check_seed
 from .model import ClaimRecord, Dataset, MetaColumn, TextColumn
 from .rewards import RiskPrior, expected_reward
 
@@ -26,25 +27,6 @@ RNG_ALGORITHM = "philox4x64-10"
 
 def _rng(entropy) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def check_seed(seed) -> int:
-    """The one seed rule: 0 <= seed < 2^64, else DomainError."""
-    if not 0 <= int(seed) < 2 ** 64:
-        raise DomainError(f"seed must fit in 64 unsigned bits: {seed!r}")
-    return int(seed)
-
-
-def check_count(name: str, value, least: int = 1):
-    """The one count rule: least <= value < 2^53, else DomainError.
-
-    Sizes, grid points and loop counts are checked here before anything is
-    allocated or iterated. Below 2^53 a count is exact as a float, and no
-    array of that many elements trips numpy's own size limit.
-    """
-    if not least <= value < 2 ** 53:
-        raise DomainError(f"{name} must lie in [{least}, 2^53): {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +44,8 @@ class BetaDifficulty:
     b: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError(f"beta parameters must be positive: ({self.a!r}, {self.b!r})")
+        check_range("beta a", self.a, 0.0, math.inf, "()")
+        check_range("beta b", self.b, 0.0, math.inf, "()")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.beta(self.a, self.b, n)
@@ -78,10 +60,8 @@ class PointMassDifficulty:
     def __post_init__(self) -> None:
         if not self.values:
             raise DomainError("point-mass difficulty needs at least one value")
-        for q in self.values:
-            if not 0.0 <= q <= 1.0:
-                raise DomainError(f"difficulty value out of [0, 1]: {q!r}")
-        object.__setattr__(self, "values", tuple(float(q) for q in self.values))
+        object.__setattr__(self, "values", tuple(
+            float(check_range("difficulty value", q, 0.0, 1.0)) for q in self.values))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         vals = np.array(self.values)
@@ -103,8 +83,7 @@ class PowerReport:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise DomainError(f"gamma must be positive: {self.gamma!r}")
+        check_range("gamma", self.gamma, 0.0, math.inf, "()")
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         return np.power(np.asarray(q, dtype=float), self.gamma)
@@ -115,8 +94,7 @@ class ConstantReport:
     value: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise DomainError(f"constant confidence out of [0, 1]: {self.value!r}")
+        check_range("constant confidence", self.value, 0.0, 1.0)
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         return np.full(np.shape(q), float(self.value))
@@ -143,16 +121,13 @@ def parse_report_map(spec: str):
     """calibrated | power:G | overconfident:G | underconfident:G | constant:C"""
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
+    gammas = {"power": (0.0, math.inf), "overconfident": (0.0, 1.0),  # open intervals
+              "underconfident": (1.0, math.inf)}
     try:
         if name in ("calibrated", "identity") and not arg:
             return IdentityReport()
-        if name in ("power", "overconfident", "underconfident"):
-            gamma = float(arg)
-            if name == "overconfident" and gamma >= 1:
-                raise UsageError("overconfident means gamma < 1")
-            if name == "underconfident" and gamma <= 1:
-                raise UsageError("underconfident means gamma > 1")
-            return PowerReport(gamma)
+        if name in gammas:
+            return PowerReport(check_range("gamma", float(arg), *gammas[name], "()"))
         if name == "constant":
             return ConstantReport(float(arg))
     except (ValueError, DomainError) as exc:
@@ -192,31 +167,29 @@ def generate(spec: AgentSpec, label: str = "sim") -> Dataset:
     rng = _rng([int(spec.seed)])
     n = spec.n_questions
     q = spec.difficulty_prior.sample(rng, n)
-    conf = spec.report_map.apply(q)
-    k = spec.n_claims or 0
-    if k:
+    columns = {"confidence": spec.report_map.apply(q)}
+    k = spec.n_claims
+    if not k:  # the claim columns default to empty
+        columns["valid"] = rng.random(n) < q
+    else:
         qc = np.power(q, 1.0 / k)[:, None]
         claim_valid = rng.random((n, k)) < qc
-        claim_conf = spec.report_map.apply(np.broadcast_to(qc, (n, k)))
-        valid = claim_valid.all(axis=1)
-    else:
-        valid = rng.random(n) < q
-        claim_valid, claim_conf = np.empty(0, dtype=bool), np.empty(0)
-    # every chain has the texts "step 1" to "step k", so the claim text buffer
-    # is one chain's bytes n times: claim j of record i starts at
-    # i * starts[k] + starts[j], starts[k] being the chain's length
-    steps = [f"step {j + 1}".encode("ascii") for j in range(k)]
-    starts = np.cumsum([0, *map(len, steps)], dtype=np.int64)
-    text_offsets = np.empty(n * k + 1, dtype=np.int64)
-    np.add.outer(np.arange(n) * starts[k], starts[:k], out=text_offsets[:-1].reshape(n, k))
-    text_offsets[-1] = n * starts[k]
-    return Dataset._from_columns({
-        "ids": TextColumn.of(f"q{i}" for i in range(n)), "valid": valid, "confidence": conf,
-        "claim_offsets": np.arange(n + 1) * k, "claim_confidence": claim_conf.ravel(),
-        "claim_label": claim_valid.ravel().view(np.int8),
-        "claim_text": TextColumn(b"".join(steps) * n, text_offsets),
-        "meta": MetaColumn(np.arange(n + 1), ("q",) * n, q),
-    }, label)
+        # every chain has the texts "step 1" to "step k", so the claim text
+        # buffer is one chain's bytes n times: claim j of record i starts at
+        # i * starts[k] + starts[j], starts[k] being the chain's length
+        steps = [f"step {j + 1}".encode("ascii") for j in range(k)]
+        starts = np.cumsum([0, *map(len, steps)], dtype=np.int64)
+        text_offsets = np.empty(n * k + 1, dtype=np.int64)
+        np.add.outer(np.arange(n) * starts[k], starts[:k], out=text_offsets[:-1].reshape(n, k))
+        text_offsets[-1] = n * starts[k]
+        columns.update(
+            valid=claim_valid.all(axis=1), claim_offsets=np.arange(n + 1) * k,
+            claim_confidence=spec.report_map.apply(np.broadcast_to(qc, (n, k))).ravel(),
+            claim_label=claim_valid.ravel().view(np.int8),
+            claim_text=TextColumn(b"".join(steps) * n, text_offsets))
+    columns.update(ids=TextColumn.of(f"q{i}" for i in range(n)),
+                   meta=MetaColumn(np.arange(n + 1), ("q",) * n, q))
+    return Dataset._from_columns(columns, label)
 
 
 def generate_claims(q_chain, seed: int,
@@ -229,8 +202,8 @@ def generate_claims(q_chain, seed: int,
     qs = np.asarray(list(q_chain), dtype=float)
     if qs.size == 0:
         raise DataError("claim chain must be non-empty")
-    if np.any(qs < 0) or np.any(qs > 1) or not np.all(np.isfinite(qs)):
-        raise DomainError("chain probabilities must lie in [0, 1]")
+    check_range("smallest chain probability", float(qs.min()), 0.0, 1.0)
+    check_range("largest chain probability", float(qs.max()), 0.0, 1.0)
     rng = _rng([check_seed(seed), 1])
     valids = rng.random(qs.size) < qs
     confs = qs if report_map is None else report_map.apply(qs)
@@ -256,8 +229,10 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
     check_count("n_samples", n_samples)
     check_count("n_groups * n_samples", n_groups * n_samples)
     lo, hi = base_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise DomainError(f"bad base range: {base_range!r}")
+    check_range("base_range low", lo, 0.0, 1.0)
+    check_range("base_range high", hi, lo, 1.0)
+    check_range("jitter", jitter, 0.0, math.inf, "[)")
+    check_count("n_wrong_answers", n_wrong_answers)
     rng = _rng([check_seed(seed), 2])
     n = n_groups * n_samples
     conf, valid, answer = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
@@ -302,10 +277,9 @@ class CriticSurrogate:
         ctx = np.asarray(self.contexts, dtype=float)
         if ctx.ndim != 1 or ctx.size == 0:
             raise DomainError("contexts must be a non-empty 1-d array")
-        if np.any(ctx < 0) or np.any(ctx > 1):
-            raise DomainError("context probabilities must lie in [0, 1]")
-        if not 0.0 < self.learning_rate <= 0.5:
-            raise DomainError(f"learning_rate must lie in (0, 0.5]: {self.learning_rate!r}")
+        check_range("smallest context probability", float(ctx.min()), 0.0, 1.0)
+        check_range("largest context probability", float(ctx.max()), 0.0, 1.0)
+        check_range("learning_rate", self.learning_rate, 0.0, 0.5, "(]")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != ctx.shape:
             raise DomainError("values must match contexts in shape")
@@ -331,8 +305,7 @@ def train_critic(surrogate: CriticSurrogate, n_steps: int, seed: int) -> CriticS
     projects to [0, 1]. At the maximal rate lr = 0.5 the update is exactly the
     running mean of that context's outcomes.
     """
-    if n_steps < 0:
-        raise DomainError(f"n_steps must be >= 0: {n_steps!r}")
+    check_count("n_steps", n_steps, least=0)
     seed = check_seed(seed)
     if n_steps == 0:
         return surrogate
@@ -368,7 +341,6 @@ class RewardCurve(NamedTuple):
 def expected_reward_curve(prior: RiskPrior, q: float,
                           points: int = 1001) -> RewardCurve:
     """E_q of the integrated reward on a p grid, for plots and propriety checks."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q out of range [0, 1]: {q!r}")
+    check_range("q", q, 0.0, 1.0)
     p = np.linspace(0.0, 1.0, points)
     return RewardCurve(p=p, expected=expected_reward(prior, q, p))

@@ -46,9 +46,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_count, check_seed
 from .model import Dataset, _names
-from .simulate import _rng, check_count, check_seed
+from .simulate import _rng
 
 STRATEGIES = ("mean", "best", "majority", "maxconf", "majconf")
 
@@ -389,8 +389,7 @@ def _checked(groups, strategy: str, ks: list[int]) -> list[SampleGroup]:
     if not groups:
         raise DataError("no groups to evaluate")
     _check_strategy(strategy, groups)
-    if min(ks) < 1:
-        raise DomainError(f"k must be >= 1: {min(ks)!r}")
+    check_count("k", min(ks))
     for grp in groups:
         if max(ks) > grp.size:
             raise DomainError(f"k={max(ks)} exceeds group {grp.group!r} size {grp.size}")

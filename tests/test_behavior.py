@@ -285,6 +285,15 @@ class TestCheckObjectives:
         assert report.to_dict()["diagnostics"]["worst_fn_excess"] is None
         assert report.diagnostics["worst_tp_margin"] == 0.5 - 1.0
 
+    def test_nobody_answering_is_reported(self):
+        """A grid starting above every confidence (0 is on it within the grid
+        tolerance): nobody answers, so TP and the SNR gain are undefined."""
+        sw = sweep(make_dataset([(0.0, True), (0.0, False)]), np.linspace(5e-10, 1.0, 11))
+        report = check_objectives(sw, 0.5)
+        assert report.undefined["worst_tp_margin"] == "nobody answers at any threshold"
+        assert set(report.undefined) == {"worst_tp_margin", "snr_gain"}
+        assert report.to_dict()["diagnostics"]["worst_tp_margin"] is None
+
     def test_undefined_snr_gain_is_reported(self):
         sw = sweep(make_dataset([(0.9, False), (0.2, False)]))
         report = check_objectives(sw, baseline_acc=0.0)

@@ -101,6 +101,14 @@ class TestParseClaims:
         with pytest.raises(DataError, match="offset 8"):
             parse_claims('padding <claim confidence="0.5">never closed')
 
+    def test_self_closing_tag(self):
+        with pytest.raises(DataError, match="offset 2 .self-closing not allowed"):
+            parse_claims('a <claim confidence="0.5"/> b')
+
+    def test_claim_inside_an_attribute_value_is_text(self):
+        doc = parse_claims('<claim confidence="0.5" rationale="see <claim x">a</claim>')
+        assert [(c.text, c.rationale) for c in doc.claims] == [("a", "see <claim x")]
+
     def test_unmatched_close(self):
         with pytest.raises(DataError, match="offset"):
             parse_claims("no open</claim>")

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from becal import cli
+from becal import cli, metrics
 from becal.cli import REWARDS, build_parser, main
 from becal.model import ClaimRecord, PredictionRecord
 
@@ -184,6 +184,24 @@ class TestStreaming:
         assert len(lines) == 5
         first = json.loads(lines[0])
         assert first["id"] == "q0" and 0.0 <= first["confidence"] <= 1.0
+
+    @pytest.mark.parametrize("command", [["simulate", "--n", "20000"],
+                                         ["reward", "{big}", "--format", "jsonl"]],
+                             ids=["simulate", "reward"])
+    def test_reader_going_away_is_one_error_line(self, command, tmp_path):
+        """stdout closing early ends like any failed write: exit 1, one error
+        line, and no traceback from the flush at exit."""
+        big = tmp_path / "big.jsonl"
+        assert main(["simulate", "--n", "20000", "--out", str(big)]) == 0
+        proc = subprocess.Popen([sys.executable, "-m", "becal",
+                                 *(arg.format(big=big) for arg in command)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b'{"id":')
+        proc.stdout.close()  # far more than a pipe's buffer is still to come
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err.startswith("becal: error: cannot write -: ") and err.count("\n") == 1, err
 
 
 class TestValidate:
@@ -367,7 +385,7 @@ class TestMetricsOutput:
         report, diagram = tmp_path / "m.json", tmp_path / "d.csv"
         assert main(["metrics", small_input, "--out", str(report),
                      "--diagram-out", str(diagram), "--bandwidth", "0"]) == 3
-        assert "bandwidth must be positive" in capsys.readouterr().err
+        assert "bandwidth must lie in [" in capsys.readouterr().err
         assert not report.exists() and not diagram.exists()
         # checked even when no diagram is asked for
         assert main(["metrics", small_input, "--out", str(report),
@@ -513,6 +531,12 @@ class TestPrecedence:
         assert main(["sweep", "--config", str(cfg), "--format", "json",
                      "--grid", "11"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == 11
+
+    def test_missing_config_file(self, small_input, tmp_path, capsys):
+        missing = tmp_path / "none.cfg"
+        assert main(["sweep", small_input, "--config", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"becal: error: cannot read config file {missing}: ")
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -701,6 +725,49 @@ VARIANTS = {
 }
 
 
+# argv, exit code and the parameter named: each once exited 0 with NaN, null or
+# missing values, or in a traceback
+OUT_OF_RANGE = [
+    (["simulate", "--agent", "power:nan"], 1, "gamma"),
+    (["simulate", "--agent", "overconfident:nan"], 1, "gamma"),
+    (["simulate", "--agent", "underconfident:nan"], 1, "gamma"),
+    (["simulate", "--agent", "power:inf"], 1, "gamma"),
+    (["simulate", "--difficulty", "beta:nan,1"], 1, "beta a"),
+    (["simulate", "--difficulty", "beta:inf,1"], 1, "beta a"),
+    (["reward", "{two}", "--reward", "integrated", "--prior", "table:{nan_cdf}",
+      "--format", "jsonl"], 2, "smallest CDF value"),
+    (["reward", "{edge}", "--reward", "integrated", "--prior", "beta00:1e-310"],
+     3, "epsilon"),
+    (["reward", "{edge}", "--reward", "integrated", "--prior", "beta00:1e-17",
+      "--format", "jsonl"], 3, "epsilon"),
+    (["reward", "{edge}", "--reward", "ce", "--ce-epsilon", "1e-310"], 3, "epsilon"),
+    (["reward", "{edge}", "--reward", "ce", "--ce-epsilon", "1e-17",
+      "--format", "jsonl"], 3, "epsilon"),
+    (["metrics", "{edge}", "--nll-floor", "1e-17"], 3, "nll floor"),
+    (["objectives", "{one}", "--epsilon-h", "5e-324"], 3, "epsilon_h"),
+    (["metrics", "{two}", "--bandwidth", "5e-324", "--diagram-out", "{tmp}/d.csv"],
+     3, "bandwidth"),
+    (["metrics", "{two}", "--bandwidth", "1e-300", "--diagram-out", "{tmp}/d.csv"],
+     3, "bandwidth"),
+    (["metrics", "{two}", "--bandwidth", "1e-300"], 3, "bandwidth"),
+]
+
+
+@pytest.fixture()
+def edge_inputs(tmp_path):
+    """Files of one and two records, one with a wrong answer at p = 1 and a
+    right one at p = 0, and a prior table with a NaN CDF cell."""
+    (tmp_path / "nan.csv").write_text("t,cdf\n0,0\n0.5,nan\n1,1\n")
+    return {
+        "one": write_jsonl(tmp_path / "one.jsonl", plain_rows([(0.9, True)])),
+        "two": write_jsonl(tmp_path / "two.jsonl", plain_rows([(0.9, True), (0.4, False)])),
+        "edge": write_jsonl(tmp_path / "edge.jsonl",
+                            plain_rows([(1.0, False), (0.0, True), (0.5, True)])),
+        "nan_cdf": tmp_path / "nan.csv",
+        "tmp": tmp_path,
+    }
+
+
 class TestNumericOptions:
     """No int or float option value ends in a traceback: every run exits 0-3."""
 
@@ -779,6 +846,36 @@ class TestNumericOptions:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("becal: error: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,code,name", OUT_OF_RANGE,
+                             ids=[" ".join(case[0]) for case in OUT_OF_RANGE])
+    def test_out_of_range_writes_nothing(self, argv, code, name, edge_inputs, tmp_path,
+                                         capsys):
+        """One error line naming the parameter, and no output, sidecar or
+        temporary file."""
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main([arg.format(**edge_inputs) for arg in argv]
+                    + ["--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("becal: error: ") and err.count("\n") == 1, err
+        assert f"{name} must lie in " in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv,key", [
+        (["metrics", "{two}", "--bandwidth", repr(metrics._MIN_BANDWIDTH)], "brier"),
+        (["reward", "{edge}", "--reward", "ce", "--ce-epsilon", repr(2.0 ** -53)], "mean"),
+        (["reward", "{edge}", "--reward", "integrated", "--prior", f"beta00:{2.0 ** -53!r}"],
+         "mean"),
+        (["metrics", "{edge}", "--nll-floor", repr(2.0 ** -53)], "nll"),
+        (["objectives", "{one}", "--epsilon-h", repr(sys.float_info.min)], "snr_gain"),
+    ], ids=lambda case: " ".join(case) if isinstance(case, list) else case)
+    def test_closed_ends_are_accepted(self, argv, key, edge_inputs, capsys):
+        """The smallest value each range takes runs, and the value it is there
+        to keep finite is a number."""
+        assert main([arg.format(**edge_inputs) for arg in argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        value = payload[key] if key in payload else payload["diagnostics"][key]
+        assert isinstance(value, float), payload
 
     def test_negative_seed(self, tmp_path, capsys):
         ens = write_jsonl(tmp_path / "ens.jsonl", grouped_rows(

@@ -105,11 +105,12 @@ def test_generated_meta_renders_the_difficulty_column():
 
 
 def test_generators_hold_nothing_for_fields_they_lack():
-    """A flat record has no group or answer and an ensemble sample no claims
-    or meta: those columns are zero-stride, whatever n is."""
+    """A flat record has no group, answer or claims and an ensemble sample no
+    claims or meta: those columns are zero-stride, whatever n is."""
     flat = generate(AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=N, seed=1))
     ensemble = generate_ensemble(20, 8, seed=1)
-    for column in (flat.group, flat.answer, flat.claim_rationale.missing,
+    for column in (flat.group, flat.answer, flat.claim_offsets, flat.claim_rationale.missing,
                    ensemble.claim_offsets, ensemble.meta.offsets):
         assert column.strides == (0,)
     assert (flat.group == -1).all() and not ensemble.claim_offsets.any()
+    assert not flat.claim_offsets.any() and len(flat.claim_confidence) == 0

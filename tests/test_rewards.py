@@ -311,6 +311,27 @@ class TestPriorParsing:
         with pytest.raises(UsageError):
             parse_prior("table:")
 
+    def test_uniform_takes_no_argument(self):
+        with pytest.raises(UsageError, match="uniform prior takes no argument"):
+            parse_prior("uniform:3")
+
+    def test_table_comments_and_one_header(self, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text("# knots of u\nt,cdf\n\n0.0,0.0\n  # mid\n0.5,0.8\n1.0,1.0\n")
+        assert load_table(str(path)).cdf_values.tolist() == [0.0, 0.8, 1.0]
+
+    @pytest.mark.parametrize("text,message", [
+        ("t,cdf\n0.0,0.0\n0.5,0.8,0.9\n1.0,1.0\n", "expected two columns"),
+        ("t,cdf\n0.0,0.0\nhalf,0.8\n1.0,1.0\n", "non-numeric row \\['half', '0.8'\\]"),
+        # only the first data line may be a header
+        ("t,cdf\nx,y\nz,w\n0.0,0.0\n1.0,1.0\n", "non-numeric row \\['x', 'y'\\]"),
+    ], ids=["three-cells", "non-numeric-after-data", "second-header"])
+    def test_table_row_errors_name_the_row(self, text, message, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_table(str(path))
+
     def test_load_table_errors(self, tmp_path):
         with pytest.raises(DataError):
             load_table(str(tmp_path / "missing.csv"))

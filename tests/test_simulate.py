@@ -31,6 +31,10 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_difficulty(bad)
 
+    def test_point_mass_needs_a_value(self):
+        with pytest.raises(DomainError, match="needs at least one value"):
+            PointMassDifficulty(())
+
     def test_report_specs(self):
         assert parse_report_map("calibrated") == IdentityReport()
         assert parse_report_map("identity") == IdentityReport()
@@ -162,6 +166,11 @@ class TestCritic:
             CriticSurrogate.fresh([1.5])
         with pytest.raises(DomainError):
             train_critic(CriticSurrogate.fresh([0.5]), -1, seed=0)
+        for contexts in ([], [[0.5]]):
+            with pytest.raises(DomainError, match="contexts must be a non-empty 1-d array"):
+                CriticSurrogate.fresh(contexts)
+        with pytest.raises(DomainError, match="values must match contexts in shape"):
+            CriticSurrogate(contexts=[0.5, 0.6], values=[0.5])
 
     def test_single_context_converges(self):
         sur = CriticSurrogate.fresh([0.5], v0=0.0)
