@@ -37,6 +37,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import IO, Callable
 
 from . import __version__
@@ -402,8 +403,10 @@ def _cmd_reward(ns: argparse.Namespace) -> int:
     else:
         scores = reward_integrated(v, p, parse_prior(ns.prior)).tolist()
     if ns.format == "jsonl":
-        _emit(ns, lambda fh: fh.writelines(json.dumps({"id": rid, "reward": r}) + "\n"
-                                           for rid, r in zip(ds.ids, scores)))
+        # json.dumps's bytes for {"id": rid, "reward": r}: every reward is
+        # finite, and repr is how json writes a finite float
+        _emit(ns, lambda fh: fh.writelines('{"id": %s, "reward": %r}\n' % (
+            encode_basestring_ascii(rid), r) for rid, r in zip(ds.ids, scores)))
     else:
         total = sum(scores)
         _write_json(ns, {"n": len(scores), "mean": total / len(scores),

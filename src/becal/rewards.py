@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError, DomainError, UsageError, check_range
+from .errors import DataError, DomainError, UsageError, check_count, check_range
 
 _MIN_EPSILON = 2.0 ** -53  # the least clip epsilon with 1 - epsilon < 1: no log meets 0
 
@@ -218,6 +218,8 @@ def verify_propriety(prior: RiskPrior, q: float, grid_step: float = 0.001) -> fl
     """
     check_range("grid_step", grid_step, 0.0, 0.1, "(]")
     check_range("q", q, 0.0, 1.0)
+    # 1 / grid_step overflows to inf below about 5.6e-309
+    check_count("grid points 1 / grid_step + 1", 1.0 / grid_step + 1.0)
     n = int(round(1.0 / grid_step))
     grid = np.linspace(0.0, 1.0, n + 1)
     values = expected_reward(prior, q, grid)

@@ -222,6 +222,34 @@ class TestReward:
         assert [r["id"] for r in rows] == ["r0", "r1", "r2", "r3"]
         assert rows[0]["reward"] == pytest.approx(2 * 0.9 - 0.9 ** 2)
 
+    @pytest.mark.parametrize("options", [
+        ["--reward", "explicit", "--t", "0.9999999999999999"],  # the largest t below 1
+        ["--reward", "bounded", "--t", "0.9999999999999999"],
+        ["--reward", "ce", "--ce-epsilon", str(2.0 ** -53)],  # the clip's two ends
+        ["--reward", "ce", "--ce-epsilon", "0.49999999999999994"],
+        ["--reward", "brier"],
+        ["--reward", "integrated", "--prior", "beta00:0.01"],
+    ])
+    def test_jsonl_rewards_are_finite_json(self, options, tmp_path):
+        """Each line is json.dumps's bytes for its id and reward, and every
+        reward is finite (where json.dumps and repr differ), also at the
+        edges of t and of the cross-entropy clip."""
+        ids = ["plain", 'quo"te', "back\\slash", "tab\there", "\u00e9t\u00e9", "\U0001f600"]
+        confidences = [0.0, 5e-324, 0.5, 0.9999999999999999, 1.0]
+        cases = [(p, valid) for p in confidences for valid in (True, False)]
+        path = write_jsonl(tmp_path / "edges.jsonl", [
+            {"id": f"{ids[i % len(ids)]}{i}", "valid": valid, "confidence": p}
+            for i, (p, valid) in enumerate(cases)])
+        out = tmp_path / "reward.jsonl"
+        assert main(["reward", path, *options, "--format", "jsonl", "--out", str(out)]) == 0
+
+        def finite(token):
+            raise AssertionError(f"reward {token} is not finite")
+        rows = [json.loads(line, parse_constant=finite)
+                for line in out.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == 2 * len(confidences)
+        assert out.read_bytes() == "".join(json.dumps(row) + "\n" for row in rows).encode()
+
     def test_json_mean(self, small_input, capsys):
         assert main(["reward", small_input, "--reward", "explicit",
                      "--t", "0.5"]) == 0

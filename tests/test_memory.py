@@ -49,6 +49,30 @@ def test_ingest_holds_no_object_per_field():
     assert held / N <= HELD_BYTES_PER_RECORD
 
 
+# What ingest holds only while it runs (tracemalloc peak - held), measured on
+# eight-claim chains: 0.68 MB at 2,000 records, most of it one 64 KiB chunk's
+# decoded objects, and then 140 bytes more per record for the set of ids seen,
+# which finds a duplicate (a str per id and its share of the set's table).
+# A chunk twice as large (1.22 MB) would break the first bound.
+CHUNK_TRANSIENT_BYTES = 1_000_000
+SEEN_ID_BYTES_PER_RECORD = 160
+
+
+def test_ingest_transient_is_one_chunk_and_the_id_set():
+    def transient(n: int) -> int:
+        buf = io.StringIO()
+        dump_jsonl(generate(AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=n,
+                                      n_claims=8, seed=1)), buf)
+        lines = buf.getvalue().encode("utf-8").splitlines(keepends=True)
+        del buf
+        _, held, peak = _traced(lambda: read_jsonl(lines))
+        return peak - held
+
+    small, large = transient(2_000), transient(20_000)
+    assert small <= CHUNK_TRANSIENT_BYTES
+    assert large - small <= 18_000 * SEEN_ID_BYTES_PER_RECORD
+
+
 def test_claim_text_is_held_as_its_bytes():
     """Claims with distinct texts, so interning cannot help: each holds its
     UTF-8 bytes, an offset, a confidence and a label, and no str object

@@ -2,15 +2,17 @@
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from becal import model
 from becal.errors import DataError
 from becal.model import (_TEXT_CHUNK, ClaimRecord, Dataset, PredictionRecord, TextColumn,
-                         dump_jsonl, load_jsonl, read_jsonl, validate)
+                         _Columns, _parse_line, dump_jsonl, load_jsonl, read_jsonl, validate)
 
 from conftest import assert_same_columns, make_dataset
 
@@ -238,6 +240,196 @@ def test_read_jsonl_raises_only_data_error(lines):
         read_jsonl(lines, source="fuzz.jsonl")
     except DataError as exc:
         assert str(exc).startswith("fuzz.jsonl: ") and " at line " in str(exc)
+
+
+def read_line_by_line(lines, source="diff.jsonl"):
+    """The oracle for read_jsonl: every line through _parse_line on its own."""
+    cols = _Columns()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            _parse_line(line, cols)
+        except DataError as exc:
+            raise DataError(f"{source}: {exc} at line {lineno}") from None
+    return Dataset._from_columns(cols.columns(), source)
+
+
+def outcome(read, lines):
+    """Every column of what read gives, arrays as dtype and bytes, or the
+    text of its DataError."""
+    try:
+        ds = read(lines)
+    except DataError as exc:
+        return str(exc)
+    return {name: (column.dtype, column.tobytes()) if isinstance(column, np.ndarray)
+            else (list(column), column.missing is None or column.missing.tobytes())
+            if isinstance(column, TextColumn) else list(column)
+            for name, column in ds.columns().items()}
+
+
+class Pairs(tuple):
+    """A JSON object written from its (key, value) pairs, so a key can repeat."""
+
+
+def render(value, escape):
+    """JSON text of value; where escape is set, strings are ASCII with ":" as
+    \\u003a."""
+    if isinstance(value, Pairs):
+        return "{" + ",".join(f"{render(k, escape)}:{render(v, escape)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(render(v, escape) for v in value) + "]"
+    if isinstance(value, str):
+        text = json.dumps(value, ensure_ascii=escape)
+        return text.replace(":", "\\u003a") if escape else text
+    return json.dumps(value)  # nan and inf as NaN and Infinity
+
+
+COLON_TEXT = st.text(st.sampled_from('ab:\u00e9" \\'), max_size=4)
+ODD_VALUES = st.one_of(st.none(), st.integers(-1, 2), st.just(7 * 10 ** 399), st.text(max_size=2),
+                       st.sampled_from([float("nan"), float("inf"), -0.0, True, [], {}, "\ud800"]))
+
+
+def rarely(usual, odd, one_in=30):
+    """usual, but odd about once in one_in draws."""
+    return st.integers(1, one_in).flatmap(lambda k: odd if k == 1 else usual)
+
+
+UNIT_OR_ODD = rarely(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 1.0]), ODD_VALUES)
+
+
+@st.composite
+def objects(draw, fields):
+    """Pairs of each (key, strategy, optional) field, rarely with an unknown
+    field or a key repeated."""
+    pairs = [(key, draw(values)) for key, values, optional in fields
+             if not optional or draw(st.booleans())]
+    if draw(rarely(st.just(False), st.just(True))):
+        pairs.append((draw(st.sampled_from(["x", "model", "a:b"])), draw(ODD_VALUES)))
+    if pairs and draw(rarely(st.just(False), st.just(True))):
+        key, _ = draw(st.sampled_from(pairs))
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(COLON_TEXT | ODD_VALUES)))
+    return Pairs(pairs)
+
+
+CLAIM = objects([("text", rarely(COLON_TEXT, ODD_VALUES), False),
+                 ("confidence", UNIT_OR_ODD, False),
+                 ("valid", rarely(st.booleans() | st.none(), ODD_VALUES), True),
+                 ("rationale", rarely(COLON_TEXT, ODD_VALUES), True)])
+META = st.lists(st.tuples(COLON_TEXT, rarely(COLON_TEXT, ODD_VALUES)), max_size=3).map(Pairs)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """JSONL lines for the chunk path: colons inside every kind of string,
+    and rarely anything the path must leave to the line-by-line one."""
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        rid = draw(rarely(st.sampled_from([f"r{i}:", f"r{i}", f"r:{i}\u00e9"]),
+                          st.just("r0") | COLON_TEXT | ODD_VALUES))
+        record = draw(objects([
+            ("id", st.just(rid), False), ("valid", rarely(st.booleans(), ODD_VALUES), False),
+            ("confidence", UNIT_OR_ODD | st.none(), True),
+            ("group", rarely(COLON_TEXT, ODD_VALUES), True),
+            ("answer", rarely(COLON_TEXT | st.none(), ODD_VALUES), True),
+            ("claims", rarely(st.lists(CLAIM, max_size=3) | st.none(), ODD_VALUES), True),
+            ("meta", rarely(META | st.none(), ODD_VALUES), True)]))
+        text = render(record, escape=draw(rarely(st.just(False), st.just(True), 10)))
+        text = draw(rarely(st.just(""), st.sampled_from(["\n", " ", "\r\n"]), 10)) + text
+        text += draw(st.sampled_from(["", "\n", "\n", "\r\n", " \n"]))
+        if draw(rarely(st.just(False), st.just(True), 10)):
+            lines.append(draw(st.sampled_from(["", "\n", " \r\n", "\u3000\n"])))
+        lines.append(text if draw(st.booleans())
+                     else text.encode("utf-8", "surrogatepass"))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(jsonl_lines(), st.sampled_from([4, 120, 600]))
+def test_chunks_read_like_single_lines(lines, budget):
+    """With chunks of a few bytes, of about one line and of a few lines,
+    read_jsonl gives the columns, or the error text, of reading one line at
+    a time."""
+    with mock.patch.object(model, "_INGEST_CHUNK", budget):
+        assert outcome(lambda ls: read_jsonl(ls, "diff.jsonl"), lines) == outcome(
+            read_line_by_line, lines)
+
+
+CHAIN_LINE = ('{"id":"r%d","valid":true,"confidence":0.25,"claims":[{"text":"a:b",'
+              '"confidence":0.5,"valid":false,"rationale":"c:d"}],"meta":{"k:1":"v:2"}}')
+
+
+@pytest.mark.parametrize("line", [
+    CHAIN_LINE % 0,
+    CHAIN_LINE.replace("0.25", "1").replace("0.5", "0") % 0,  # integer confidences
+    '{"id":"a","valid":false,"group":"g","answer":null,"claims":null,"meta":null}',
+    '{"id":"a","valid":true}\r\n',
+])
+def test_chunk_path_reads_plain_lines(line):
+    cols = _Columns()
+    assert cols.add_chunk([line, "\n", line.replace('"a"', '"b"').replace("r0", "r1").encode()])
+    assert len(cols.valid) == 2
+
+
+@pytest.mark.parametrize("line", [
+    '{"id":"a","valid":true,"valid":false}',  # a key repeated in the record,
+    '{"id":"a","valid":true,"claims":[{"text":"s","confidence":0.5,"text":"t"}]}',
+    '{"id":"a","valid":true,"meta":{"k":"v","k":"w"}}',  # in meta,
+    '{"id":"a","valid":true,"meta":{"k":"v:w","k":"v"}}',  # with a colon dropped
+    '{"id":"a\\u003a","valid":true}',  # a \u escape,
+    '{"id":"a\\u003a","valid":true,"valid":false}',  # one that hides a repeated key,
+    '{"id":"a\\ud800","valid":true}',  # a lone surrogate
+    '{"id":"","valid":true}',
+    '{"id":"a","valid":true,"confidence":NaN}',
+    '{"id":"a","valid":true,"confidence":1%s}' % ("0" * 400),  # an int past float range
+    '{"id":"a","valid":true,"model":"m"}',  # an unknown field
+    ' {"id":"a","valid":true}',  # a leading space
+    '{"id":"a","valid":true} x',
+])
+def test_chunk_path_leaves_unusual_lines_to_the_line_reader(line):
+    cols = _Columns()
+    assert not cols.add_chunk(['{"id":"z","valid":true}', line])
+    assert not cols.valid and not cols.seen  # nothing appended
+
+
+def test_escaped_lines_are_read_on_their_own():
+    """A line with a \\u escape goes to _parse_line alone; the lines around
+    it stay on the chunk path."""
+    lines = [CHAIN_LINE % 0, '{"id":"\\u00e9","valid":true}', CHAIN_LINE % 1]
+    for kind in (str, lambda line: line.encode()):
+        with mock.patch.object(model, "_parse_line", wraps=_parse_line) as by_line:
+            ds = read_jsonl(map(kind, lines))
+        assert list(ds.ids) == ["r0", "\u00e9", "r1"]
+        assert [c.args[0] for c in by_line.call_args_list] == [kind(lines[1])]
+
+
+class TestChunkBoundaries:
+    """The first bad line in file order is reported, wherever chunks split."""
+
+    def test_type_error_before_decode_error_in_one_chunk(self):
+        with pytest.raises(DataError, match="^test.jsonl: valid must be boolean at line 2$"):
+            read_lines(CHAIN_LINE % 0, '{"id":"b","valid":1}', "{not json")
+
+    @pytest.mark.parametrize("budget", [1, len(CHAIN_LINE) + 1, 2 * len(CHAIN_LINE) + 2])
+    def test_error_on_the_first_line_of_a_chunk(self, budget):
+        lines = [CHAIN_LINE % i for i in range(6)]
+        lines[3] = lines[3].replace("0.25", "1.25")
+        with mock.patch.object(model, "_INGEST_CHUNK", budget):
+            with pytest.raises(DataError, match="^test.jsonl: record 'r3': confidence out "
+                                                "of range at line 4$"):
+                read_lines(*lines)
+
+    def test_duplicate_id_across_chunks_names_the_later_line(self):
+        lines = [CHAIN_LINE % i for i in range(5)] + [CHAIN_LINE % 1]
+        with mock.patch.object(model, "_INGEST_CHUNK", 2 * len(CHAIN_LINE)):
+            with pytest.raises(DataError, match="^test.jsonl: duplicate id 'r1' at line 6$"):
+                read_lines(*lines)
+
+    def test_an_unreadable_line_comes_after_the_lines_before_it(self):
+        def lines():
+            yield CHAIN_LINE % 0
+            yield '{"id":"b","valid":1}'
+            raise OSError("gone")
+        with pytest.raises(DataError, match="valid must be boolean at line 2"):
+            read_jsonl(lines(), source="test.jsonl")
 
 
 TEXT = st.text(max_size=6)

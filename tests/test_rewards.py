@@ -253,6 +253,12 @@ class TestPropriety:
         with pytest.raises(DomainError):
             verify_propriety(UniformPrior(), 0.5, grid_step=0.0)
 
+    @pytest.mark.parametrize("grid_step", [1e-300, 5e-324])
+    def test_grid_too_fine_to_count(self, grid_step):
+        """1 / grid_step + 1 points: 1e300 of them, or inf, is no count."""
+        with pytest.raises(DomainError, match="^grid points 1 / grid_step"):
+            verify_propriety(UniformPrior(), 0.5, grid_step=grid_step)
+
     def test_expected_reward_is_the_mixture(self):
         prior = UniformPrior()
         p = np.linspace(0, 1, 11)
