@@ -51,30 +51,28 @@ one chunk of records at a time: dump_jsonl encodes those objects, and
 meta keys in sorted order, from them only when it is asked for, and keeps
 them.
 
-read_jsonl takes lines in chunks of about 64 KiB (_INGEST_CHUNK), so only
-one chunk's decoded objects are alive at a time. Each line is decoded on its
-own with no per-object hook, and each field is then checked for the whole
-chunk as a column: the set of keys, the set of types of each field's values,
-the confidences against [0, 1] in one numpy comparison and the ids against
-those seen. A repeated key is found by counting colons: with no \\u escape,
-a ":" in the text either separates a key from its value or sits in a
-string, where it decodes to itself, so a chunk repeats a key exactly when
-its text holds more ":" than it has decoded keys plus ":" in decoded
-strings. A line with a \\u escape is read on its own by _parse_line, which
-also checks it for lone surrogates, and a chunk with an unknown top-level
-field, an integer too large for a float, a line with leading space, or any
-error is read again one line at a time by _parse_line, which gives the same
-columns and names the first bad line.
+Every record, read from JSONL or given as a Dataset row, goes into the
+columns through one appender, _Columns.add, which checks a list of decoded
+objects field by field as columns (the keys, the types of each field's
+values, the confidences against [0, 1] and the ids against those seen),
+after folding unknown fields into meta. read_jsonl takes lines in chunks of
+about 64 KiB (_INGEST_CHUNK). Each run of lines with no \\u escape is decoded
+with no per-object hook, and repeats a key exactly when its text holds more
+":" than it has decoded keys plus ":" in decoded strings. Only a run of
+escaped lines, or one that add refuses, is read line by line by _parse_lines,
+which checks each line for lone surrogates, each field and each id,
+and names the first bad line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from types import NoneType
 from typing import IO, Iterable, Iterator
 
@@ -82,8 +80,9 @@ import numpy as np
 
 from .errors import DataError
 
-_KNOWN_FIELDS = frozenset(("id", "group", "valid", "confidence", "answer", "claims", "meta"))
-_CLAIM_FIELDS = frozenset(("text", "confidence", "valid", "rationale"))
+_RECORD_KEYS = ("id", "valid", "confidence", "group", "answer", "claims", "meta")
+_CLAIM_KEYS = ("text", "confidence", "valid", "rationale")
+_KNOWN_FIELDS, _CLAIM_FIELDS = frozenset(_RECORD_KEYS), frozenset(_CLAIM_KEYS)
 _NUMBERS = (int, float, np.integer, np.floating)  # np.float32 is no float subclass
 _COLUMNS = ("ids", "valid", "confidence", "group", "group_names", "answer",
             "answer_names", "claim_offsets", "claim_confidence", "claim_label",
@@ -130,16 +129,18 @@ def _check_text(name: str, value: object) -> None:
         raise DataError(f"{name} must be a string")
 
 
-def _check_utf8(name: str, *texts: str | None) -> None:
-    """DataError if a text holds a lone surrogate, which no UTF-8 output can
-    hold. The row classes check each string; JSONL ingest checks each line
-    once instead."""
-    for text in texts:
-        if text is not None and not text.isascii():
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise DataError(f"{name} holds a lone surrogate") from None
+def _row_text(name: str, text: str | None) -> str | None:
+    """A row's optional string as the plain str the columns take: a str
+    subclass as the str of its characters (str() gives "C.A" for a str enum
+    member). A DataError if it holds a lone surrogate, which no UTF-8 output
+    can hold; JSONL ingest checks each line once instead."""
+    if text is None or type(text) is str and text.isascii():
+        return text
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"{name} holds a lone surrogate") from None
+    return str.__str__(text)
 
 
 def _check_record(rid: object, valid: object, confidence: object, group: object,
@@ -183,6 +184,22 @@ def _check_meta(meta: object) -> None:
             raise DataError(f"meta values must be strings (key {key!r})")
 
 
+def _folded_meta(obj: dict) -> dict | None:
+    """A JSONL object's meta with its unknown top-level fields added, so they
+    are kept, not dropped; a non-string value as compact JSON. A DataError if
+    one is also a meta key."""
+    if obj.keys() <= _KNOWN_FIELDS:
+        return obj.get("meta")
+    meta = dict(obj.get("meta") or ())
+    for key, value in obj.items():
+        if key not in _KNOWN_FIELDS:
+            if key in meta:
+                raise DataError(f"field {key!r} collides with a meta key")
+            meta[key] = value if isinstance(value, str) else json.dumps(
+                value, sort_keys=True, separators=(",", ":"))
+    return meta
+
+
 # ---------------------------------------------------------------------------
 # rows
 
@@ -201,10 +218,10 @@ class ClaimRecord:
     def __post_init__(self) -> None:
         confidence, valid = _check_claim(self.text, self.confidence, self.valid,
                                          self.rationale)
-        _check_utf8("claim text", self.text)
-        _check_utf8("claim rationale", self.rationale)
         object.__setattr__(self, "confidence", confidence)
         object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "text", _row_text("claim text", self.text))
+        object.__setattr__(self, "rationale", _row_text("claim rationale", self.rationale))
 
 
 @dataclass(frozen=True)
@@ -212,7 +229,7 @@ class PredictionRecord:
     """One model response with its correctness label and stated confidence.
 
     Every field is checked as it would be in JSONL; a numpy bool is stored as
-    bool, a numpy number as float.
+    bool, a numpy number as float and a numpy string as str.
     """
 
     id: str
@@ -233,10 +250,11 @@ class PredictionRecord:
             raise DataError("claims must be ClaimRecord objects")
         object.__setattr__(self, "claims", claims)
         _check_meta(self.meta)
-        _check_utf8("id", self.id)
-        _check_utf8("group", self.group)
-        _check_utf8("answer", self.answer)
-        _check_utf8("meta", *self.meta, *self.meta.values())
+        for name in ("id", "group", "answer"):
+            object.__setattr__(self, name, _row_text(name, getattr(self, name)))
+        # a copy: a plain dict, as the columns take, of the caller's dict or subclass
+        object.__setattr__(self, "meta", {_row_text("meta", k): _row_text("meta", v)
+                                          for k, v in self.meta.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +302,7 @@ class TextColumn(_ChunkedColumn):
     round-trip, as they would in a str.
     """
 
-    def __init__(self, data: bytes, offsets: np.ndarray,
+    def __init__(self, data: bytes | bytearray, offsets: np.ndarray,
                  missing: np.ndarray | None = None) -> None:
         for column in (offsets, missing):
             if column is not None:
@@ -368,7 +386,8 @@ class _TextBuilder:
 
     def column(self) -> TextColumn:
         self.flush()
-        return TextColumn(bytes(self.data), np.frombuffer(self.offsets, dtype=np.int64))
+        # the buffer itself, not a copy: ingest would end holding each text twice
+        return TextColumn(self.data, np.frombuffer(self.offsets, dtype=np.int64))
 
 
 class MetaColumn(_ChunkedColumn):
@@ -426,6 +445,13 @@ def _units(values: list[float | int | None]) -> np.ndarray | None:
     return column + 0.0
 
 
+def _first_repeat(ids: list[str], seen: set[str]) -> int | None:
+    """The index of the first id in seen or earlier in ids, None if none is."""
+    first: dict[str, int] = {}  # each id's first index
+    return next((i for i, rid in enumerate(ids)
+                 if rid in seen or first.setdefault(rid, i) != i), None)
+
+
 def _codes(names: list[str | None], codes: dict[str, int]) -> Iterable[int]:
     """The code of each name, numbered in order of first appearance, -1 for None."""
     if names.count(None) == len(names):
@@ -434,13 +460,13 @@ def _codes(names: list[str | None], codes: dict[str, int]) -> Iterable[int]:
 
 
 class _Columns:
-    """Checked fields appended one record at a time.
+    """Checked fields appended by add, the one way into the columns.
 
     Numbers, flags and codes go straight into typed buffers (array.array and
     bytearray) that columns() wraps without a copy, so no Python float, bool
-    or None per field is kept. Strings go into _TextBuilders, flushed every
-    _TEXT_CHUNK strings. Only the set of ids seen, which finds a duplicate,
-    holds a str per record; columns() frees it.
+    or None per field is kept. Strings go into _TextBuilders, flushed after
+    each add. Only the set of ids seen, which finds a duplicate, holds a str
+    per record; columns() frees it.
     """
 
     def __init__(self) -> None:
@@ -462,113 +488,17 @@ class _Columns:
         self.texts = (self.ids, self.claim_text, self.claim_rationale, self.meta_values) = (
             _TextBuilder(), _TextBuilder(), _TextBuilder(), _TextBuilder())
 
-    def _claim(self, confidence: float, valid: bool | None, text: str,
-               rationale: str | None) -> None:
-        if rationale is not None:
-            self.rationale_at.append(len(self.claim_confidence))
-            self.claim_rationale.pending.append(rationale)
-        self.claim_confidence.append(confidence)
-        self.claim_label.append(-1 if valid is None else valid)
-        self.claim_text.pending.append(text)
-
-    def _record(self, rid: str, valid: bool, confidence: float | None, group: str | None,
-                answer: str | None, meta: dict[str, str]) -> None:
-        if rid in self.seen:
-            raise DataError(f"duplicate id {rid!r}")
-        self.seen.add(rid)
-        self.ids.pending.append(rid)
-        self.valid.append(valid)
-        self.confidence.append(math.nan if confidence is None else confidence)
-        codes = self.group_codes
-        self.group.append(-1 if group is None else codes.setdefault(group, len(codes)))
-        codes = self.answer_codes
-        self.answer.append(-1 if answer is None else codes.setdefault(answer, len(codes)))
-        self.claim_offsets.append(len(self.claim_confidence))
-        for key in meta:
-            self.meta_keys.append(self.key_names.setdefault(key, key))
-        self.meta_values.pending.extend(meta.values())
-        self.meta_offsets.append(len(self.meta_keys))
-        # rationales never outnumber claim texts
-        if (len(self.ids.pending) + len(self.claim_text.pending)
-                + len(self.meta_values.pending) >= _TEXT_CHUNK):
-            for texts in self.texts:
-                texts.flush()
-
-    def add_object(self, obj: object) -> None:
-        """Check one decoded JSONL object field by field and append it."""
-        if not isinstance(obj, dict):
-            raise DataError("expected a JSON object")
-        claims = obj.get("claims")
-        if claims is not None:
-            if not isinstance(claims, list):
-                raise DataError("claims must be an array")
-            for claim in claims:
-                if not isinstance(claim, dict):
-                    raise DataError("claim must be an object")
-                if not claim.keys() <= _CLAIM_FIELDS:
-                    key = next(k for k in claim if k not in _CLAIM_FIELDS)
-                    raise DataError(f"unknown claim field {key!r}")
-                text = claim.get("text")
-                rationale = claim.get("rationale")
-                confidence, valid = _check_claim(text, claim.get("confidence"),
-                                                 claim.get("valid"), rationale)
-                self._claim(confidence, valid, text, rationale)
-        meta = obj.get("meta")
-        if meta is None:
-            meta = {}
-        else:
-            _check_meta(meta)
-        if not obj.keys() <= _KNOWN_FIELDS:
-            # unknown top-level fields are preserved, not dropped
-            for key, value in obj.items():
-                if key in _KNOWN_FIELDS:
-                    continue
-                if key in meta:
-                    raise DataError(f"field {key!r} collides with a meta key")
-                meta[key] = value if isinstance(value, str) else json.dumps(
-                    value, sort_keys=True, separators=(",", ":"))
-        rid, group, answer = obj.get("id"), obj.get("group"), obj.get("answer")
-        valid, confidence = _check_record(rid, obj.get("valid"), obj.get("confidence"),
-                                          group, answer)
-        self._record(rid, valid, confidence, group, answer, meta)
-
-    def add_chunk(self, lines: list[str | bytes]) -> bool:
-        """Check a chunk of JSONL lines field by field as columns and append
-        it, or return False and append nothing.
-
-        False means a line is malformed, or unusual in a way these checks
-        leave to _parse_line: a leading space, a \\u escape, an unknown field,
-        an integer too large for a float, or a key that may be repeated. The
-        caller then reads the chunk one line at a time, which accepts what
-        this accepts, with the same columns, and names the first bad line.
-        """
-        objs, texts = [], []
-        try:
-            for line in lines:
-                if isinstance(line, bytes):
-                    line = line.decode("utf-8")
-                try:
-                    obj, end = _SCAN_PLAIN(line, 0)
-                except StopIteration:
-                    if line.strip():
-                        return False
-                    continue  # a blank line
-                if line[end:].strip(_JSON_SPACE):
-                    return False
-                objs.append(obj)
-                texts.append(line)
-        except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-            return False
-        if not objs:
-            return True
-        raw = "".join(texts)
-        if ("\\" in raw and "\\u" in raw) or not _only(objs, dict):
+    def add(self, objs: list, raw: str | None = None) -> bool:
+        """Check decoded JSONL objects field by field as columns and append
+        them, or return False and append nothing: for a bad field, an integer
+        too large for a float or, where raw (the text objs were decoded from
+        with no duplicate-key hook) is given, a key that may be repeated. The
+        caller then reads their lines with _parse_lines, which names the first
+        bad one."""
+        if not _only(objs, dict):
             return False
         names = set().union(*objs)
-        if not _KNOWN_FIELDS.issuperset(names):
-            return False
-        ids, valid, confidence, group, answer, claims, meta = _fields(
-            objs, names, ("id", "valid", "confidence", "group", "answer", "claims", "meta"))
+        ids, valid, confidence, group, answer, claims, meta = _fields(objs, names, _RECORD_KEYS)
         if not (_only(ids, str) and all(ids) and _only(valid, bool)
                 and _only(confidence, float, int, NoneType) and _only(group, str, NoneType)
                 and _only(answer, str, NoneType) and _only(claims, list, NoneType)
@@ -579,6 +509,13 @@ class _Columns:
         if (confidence is None or len(new_ids) < len(ids)
                 or not self.seen.isdisjoint(new_ids)):
             return False
+        # the keys decoded before folding, each after one ":" in raw
+        separators = sum(map(len, objs)) + sum(map(len, filter(None, meta)))
+        if not _KNOWN_FIELDS.issuperset(names):
+            try:
+                meta = list(map(_folded_meta, objs))
+            except DataError:
+                return False
 
         claims = [() if c is None else c for c in claims] if None in claims else claims
         flat = list(chain.from_iterable(claims))
@@ -587,8 +524,7 @@ class _Columns:
         names = set().union(*flat)
         if not _CLAIM_FIELDS.issuperset(names):
             return False
-        text, claim_confidence, label, rationale = _fields(
-            flat, names, ("text", "confidence", "valid", "rationale"))
+        text, claim_confidence, label, rationale = _fields(flat, names, _CLAIM_KEYS)
         if not (_only(text, str) and _only(claim_confidence, float, int)
                 and _only(label, bool, NoneType) and _only(rationale, str, NoneType)):
             return False
@@ -601,16 +537,17 @@ class _Columns:
         values = list(chain.from_iterable(map(dict.values, filter(None, meta))))
         if not (_only(keys, str) and _only(values, str)):
             return False
-        # A ":" in the raw text separates a key from its value or sits in a
-        # string, where, with no \u escape, it decodes to itself. Every string
-        # the checks above let through is one of those below (the field
-        # names hold no ":"), so the counts differ exactly when a key is
-        # repeated and dict() kept only its last value.
-        decoded_keys = sum(map(len, objs)) + sum(map(len, flat)) + len(keys)
-        strings = chain(ids, text, filter(None, rationale), filter(None, group),
-                        filter(None, answer), keys, values)
-        if raw.count(":") != decoded_keys + "".join(strings).count(":"):
-            return False
+        if raw is not None:
+            # With no \u escape, a ":" in raw separates a key from its value or
+            # sits in a string, where it decodes to itself. Every string the
+            # checks let through is below (a folded field is a meta key and its
+            # value, compact JSON with as many ":" as its text unless it repeats
+            # a key), so the counts differ exactly when dict() dropped a key.
+            separators += sum(map(len, flat))
+            strings = chain(ids, text, filter(None, rationale), filter(None, group),
+                            filter(None, answer), keys, values)
+            if "\\u" in raw or raw.count(":") != separators + "".join(strings).count(":"):
+                return False
 
         first_claim = len(self.claim_confidence)
         self.seen |= new_ids
@@ -635,12 +572,6 @@ class _Columns:
             builder.flush()
         return True
 
-    def add_record(self, rec: PredictionRecord) -> None:
-        """Append a row whose fields its constructor has checked."""
-        for c in rec.claims:
-            self._claim(c.confidence, c.valid, c.text, c.rationale)
-        self._record(rec.id, rec.valid, rec.confidence, rec.group, rec.answer, rec.meta)
-
     def columns(self) -> dict:
         self.seen.clear()  # ingest is over: free the id set before the copies below
         claim_label = np.frombuffer(self.claim_label, dtype=np.int8)
@@ -664,15 +595,22 @@ class _Columns:
 class Dataset:
     """Immutable collection of prediction records, stored as columns.
 
-    Dataset(records) takes PredictionRecord rows; the column layout is in the
-    module docstring. Safe to share across workers.
+    Dataset(records) takes PredictionRecord rows, appended as the JSON
+    objects they stand for; the column layout is in the module docstring.
+    Safe to share across workers.
     """
 
     def __init__(self, records: Iterable[PredictionRecord] = (), label: str = "") -> None:
         rows = tuple(records)
         cols = _Columns()
-        for rec in rows:
-            cols.add_record(rec)
+        for start in range(0, len(rows), _TEXT_CHUNK):
+            chunk = rows[start:start + _TEXT_CHUNK]
+            at = _first_repeat([rec.id for rec in chunk], cols.seen)
+            if at is not None:
+                raise DataError(f"duplicate id {chunk[at].id!r}")
+            if not cols.add([{**vars(rec), "claims": list(map(vars, rec.claims))}
+                             for rec in chunk]):  # add takes every row its class checks
+                raise AssertionError("checked rows refused")
         self._set(cols.columns(), label)
         self._rows = rows
 
@@ -779,8 +717,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 # which takes another eighth off the time per line
 _SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
 _JSON_SPACE = " \t\n\r"
-# _Columns.add_chunk decodes with no hook, a Python call per object fewer, and
-# finds a repeated key by counting colons instead
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# _plain decodes with no hook, a Python call per object fewer, and
+# _Columns.add finds a repeated key by counting colons instead
 _SCAN_PLAIN = json.JSONDecoder().scan_once
 # bytes of JSONL (characters, for str lines) read per chunk. Only one chunk's
 # decoded objects are alive at a time: about 0.6 MB for 64 KiB of chain lines.
@@ -789,26 +728,24 @@ _SCAN_PLAIN = json.JSONDecoder().scan_once
 _INGEST_CHUNK = 1 << 16
 
 
-def _parse_line(line: str | bytes, cols: _Columns) -> None:
-    """Append one JSONL line's record to cols, nothing for a blank line.
-
-    Every failure is a DataError.
-    """
+def _parse_line(line: str | bytes) -> dict | None:
+    """One JSONL line's object with every field checked, None for a blank
+    line. Every failure is a DataError; _parse_lines checks the ids."""
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         text = line.strip(_JSON_SPACE)
         if not text.strip():
-            return
+            return None
         try:
             obj, end = _SCAN(text, 0)
         except StopIteration:
             raise json.JSONDecodeError("Expecting value", text, 0) from None
         if end < len(text):
             raise json.JSONDecodeError("Extra data", text, end)
-        if "\\u" in text:
+        if _SURROGATE_ESCAPE.search(text) or not text.isascii():
             # a \uD800-style escape decodes to a lone surrogate, which no
-            # UTF-8 output can hold; only escaped lines can carry one
+            # UTF-8 output can hold, and a str line can hold one itself
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
         raise DataError("string holds a lone surrogate escape") from None
@@ -817,7 +754,26 @@ def _parse_line(line: str | bytes, cols: _Columns) -> None:
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, integer literals past the digit limit, deep nesting
         raise DataError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None
-    cols.add_object(obj)
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    claims = obj.get("claims")
+    if claims is not None:
+        if not isinstance(claims, list):
+            raise DataError("claims must be an array")
+        for claim in claims:
+            if not isinstance(claim, dict):
+                raise DataError("claim must be an object")
+            if not claim.keys() <= _CLAIM_FIELDS:
+                key = next(k for k in claim if k not in _CLAIM_FIELDS)
+                raise DataError(f"unknown claim field {key!r}")
+            _check_claim(claim.get("text"), claim.get("confidence"), claim.get("valid"),
+                         claim.get("rationale"))
+    if obj.get("meta") is not None:
+        _check_meta(obj["meta"])
+    _folded_meta(obj)  # a field colliding with a meta key fails here
+    _check_record(obj.get("id"), obj.get("valid"), obj.get("confidence"), obj.get("group"),
+                  obj.get("answer"))
+    return obj
 
 
 def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
@@ -847,38 +803,77 @@ def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
 
 def _add_lines(cols: _Columns, lines: list[str | bytes], first: int, source: str) -> int:
     """Append the records of lines, numbered from first; the number of the
-    line after them. Each line with a \\u escape is read on its own, and each
-    run of lines between them by columns, or else one line at a time."""
-    start = 0
-    for end in [*_escaped(lines), len(lines)]:
-        run = lines[start:end]
-        if not cols.add_chunk(run):
-            _parse_lines(cols, run, first + start, source)
-        _parse_lines(cols, lines[end:end + 1], first + end, source)
-        start = end + 1
-    return first + len(lines)
+    line after them. Each run of lines with no \\u escape is decoded by _plain
+    and added by columns; a run of escaped lines, or one add refuses, is read
+    one line at a time."""
+    for escaped, run in _runs(lines):
+        decoded = None if escaped else _plain(run)
+        if decoded is None or not cols.add(*decoded):
+            _parse_lines(cols, run, first, source)
+        first += len(run)
+    return first
 
 
-def _escaped(lines: list[str | bytes]) -> list[int]:
-    """The index of each line with a \\u escape. Files written with ASCII-only
-    JSON escape every non-ASCII character, and such lines may be few: taking
-    them out keeps the chunk they are in off the line-by-line path."""
+def _runs(lines: list[str | bytes]) -> list[tuple[bool, list[str | bytes]]]:
+    """lines as runs of lines with and without a \\u escape: whether each run
+    has one, and its lines. Files written as ASCII-only JSON escape every
+    non-ASCII character, and such lines may be few among plain ones."""
     try:
         if b"\\u" not in b"".join(lines):
-            return []
+            return [(False, lines)]
     except TypeError:  # str lines
         pass
-    return [i for i, line in enumerate(lines)
-            if ("\\u" if isinstance(line, str) else b"\\u") in line]
+    runs = groupby(lines, lambda line: ("\\u" if isinstance(line, str) else b"\\u") in line)
+    return [(escaped, list(run)) for escaped, run in runs]
+
+
+def _plain(lines: list[str | bytes]) -> tuple[list, str] | None:
+    """The object of each non-blank line, decoded on its own with no hook, and
+    the text they were decoded from; None if a line is not one JSON value in
+    UTF-8 (a str line's lone surrogate is not), which _parse_line reports."""
+    objs, texts = [], []
+    try:
+        for line in lines:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            elif not line.isascii():
+                line.encode("utf-8")
+            try:
+                obj, end = _SCAN_PLAIN(line, 0)
+            except StopIteration:  # a leading space, or a blank line
+                line = line.lstrip(_JSON_SPACE)
+                if not line.strip():
+                    continue
+                obj, end = _SCAN_PLAIN(line, 0)
+            if line[end:].strip(_JSON_SPACE):
+                return None
+            objs.append(obj)
+            texts.append(line)
+    except (StopIteration, ValueError, RecursionError):  # a UnicodeError is a ValueError
+        return None
+    return objs, "".join(texts)
 
 
 def _parse_lines(cols: _Columns, lines: list[str | bytes], first: int, source: str) -> None:
-    """Append the records of lines, numbered from first, one line at a time."""
+    """Append the records of lines, numbered from first, each line checked on
+    its own by _parse_line; a DataError names the first bad line."""
+    objs, linenos, error = [], [], None
     for lineno, line in enumerate(lines, start=first):
         try:
-            _parse_line(line, cols)
+            obj = _parse_line(line)
         except DataError as exc:
-            raise DataError(f"{source}: {exc} at line {lineno}") from None
+            error = DataError(f"{source}: {exc} at line {lineno}")
+            break
+        if obj is not None:
+            objs.append(obj)
+            linenos.append(lineno)
+    at = _first_repeat([obj["id"] for obj in objs], cols.seen)
+    if at is not None:  # a repeated id comes before the bad line, if any
+        raise DataError(f"{source}: duplicate id {objs[at]['id']!r} at line {linenos[at]}")
+    if error is not None:
+        raise error
+    if not cols.add(objs):  # add takes every object _parse_line passes
+        raise AssertionError("checked JSONL objects refused")
 
 
 def load_jsonl(path: str, label: str | None = None) -> Dataset:

@@ -92,6 +92,12 @@ class UniformPrior(RiskPrior):
         return 0.5 * (1.0 - pc * pc)
 
 
+def _clip(p, eps: float):
+    """p and 1 - p, each clipped to [eps, 1 - eps] on its own: at p = 1, 1 - p is eps exactly."""
+    p = np.asarray(p, dtype=float)
+    return np.clip(p, eps, 1.0 - eps), np.clip(1.0 - p, eps, 1.0 - eps)
+
+
 @dataclass(frozen=True)
 class TruncatedBetaPrior(RiskPrior):
     """Beta(0,0) truncated to (eps, 1-eps): du proportional to 1/(t(1-t)).
@@ -105,20 +111,17 @@ class TruncatedBetaPrior(RiskPrior):
     def __post_init__(self) -> None:
         check_range("epsilon", self.epsilon, _MIN_EPSILON, 0.5, "[)")
 
-    def _clip(self, p):
-        return np.clip(p, self.epsilon, 1.0 - self.epsilon)
-
     @property
     def _log_norm(self) -> float:
         return math.log((1.0 - self.epsilon) / self.epsilon)
 
     def cdf(self, p):
-        pc = self._clip(p)
-        return (np.log(pc / (1.0 - pc)) + self._log_norm) / (2.0 * self._log_norm)
+        pc, qc = _clip(p, self.epsilon)
+        return (np.log(pc / qc) + self._log_norm) / (2.0 * self._log_norm)
 
     def tail(self, p):
-        pc = self._clip(p)
-        return np.log((1.0 - pc) / self.epsilon) / (2.0 * self._log_norm)
+        _, qc = _clip(p, self.epsilon)
+        return np.log(qc / self.epsilon) / (2.0 * self._log_norm)
 
 
 @dataclass(frozen=True)
@@ -192,12 +195,13 @@ def reward_brier(valid, p):
 
 
 def reward_ce(valid, p, epsilon: float = 0.01):
-    """Cross-entropy reward, normalized to [-1, 1], with p clipped to [eps, 1-eps]."""
+    """Cross-entropy reward, normalized to [-1, 1], with p and 1 - p clipped to [eps, 1-eps]."""
     check_range("epsilon", epsilon, _MIN_EPSILON, 0.5, "[)")
-    pc = np.clip(np.asarray(p, dtype=float), epsilon, 1.0 - epsilon)
+    pc, qc = _clip(p, epsilon)
     norm = math.log((1.0 - epsilon) / epsilon)
+    # adding 0.0 gives a wrong answer at p = 0 the reward 0.0, not -0.0
     r = np.where(valid, np.log(pc / epsilon) / norm,
-                 np.log((1.0 - pc) / (1.0 - epsilon)) / norm)
+                 -np.log((1.0 - epsilon) / qc) / norm) + 0.0
     return float(r) if r.ndim == 0 else r
 
 

@@ -50,11 +50,11 @@ def test_ingest_holds_no_object_per_field():
 
 
 # What ingest holds only while it runs (tracemalloc peak - held), measured on
-# eight-claim chains: 0.68 MB at 2,000 records, most of it one 64 KiB chunk's
-# decoded objects, and then 140 bytes more per record for the set of ids seen,
+# eight-claim chains: 0.60 MB at 2,000 records, most of it one 64 KiB chunk's
+# decoded objects, and then 136 bytes more per record for the set of ids seen,
 # which finds a duplicate (a str per id and its share of the set's table).
 # A chunk twice as large (1.22 MB) would break the first bound.
-CHUNK_TRANSIENT_BYTES = 1_000_000
+CHUNK_TRANSIENT_BYTES = 800_000
 SEEN_ID_BYTES_PER_RECORD = 160
 
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+from collections import OrderedDict, defaultdict
+from enum import Enum
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from becal import model
 from becal.errors import DataError
 from becal.model import (_TEXT_CHUNK, ClaimRecord, Dataset, PredictionRecord, TextColumn,
-                         _Columns, _parse_line, dump_jsonl, load_jsonl, read_jsonl, validate)
+                         _Columns, _parse_line, _plain, dump_jsonl, load_jsonl, read_jsonl,
+                         validate)
 
 from conftest import assert_same_columns, make_dataset
 
@@ -95,6 +98,25 @@ class TestReadJsonl:
         line = '{"id":"q1","valid":true,"claims":[{"text":"s","confidence":-0.1}]}'
         with pytest.raises(DataError, match="line 1"):
             read_lines(line)
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDC00", "\\uDbFf", "\\udfff", "\\ud83d"])
+    def test_lone_surrogate_escapes_rejected(self, escape):
+        with pytest.raises(DataError, match="^test.jsonl: string holds a lone surrogate "
+                                            "escape at line 2$"):
+            read_lines('{"id":"a","valid":true}', '{"id":"b%s","valid":true}' % escape)
+
+    @pytest.mark.parametrize("rest", ["", ',"x":"\\u00e9"'], ids=["plain", "escaped"])
+    def test_lone_surrogates_in_str_lines_rejected(self, rest):
+        """A str line may hold a lone surrogate itself, as a surrogate escape
+        from decoding bytes that are not UTF-8: the chunk path and the
+        line-by-line one reject it."""
+        with pytest.raises(DataError, match="^test.jsonl: string holds a lone surrogate "
+                                            "escape at line 2$"):
+            read_lines('{"id":"a","valid":true}', '{"id":"b\udcff","valid":true%s}' % rest)
+
+    def test_surrogate_pair_escapes_accepted(self):
+        ds = read_lines('{"id":"\\ud83d\\ude00","valid":true,"x":"\\u00e9\\\\ud800"}')
+        assert ds.ids[0] == "\U0001f600" and ds.meta[0] == {"x": "é\\ud800"}
 
     def test_unknown_claim_field_rejected(self):
         line = '{"id":"q1","valid":true,"claims":[{"text":"s","confidence":0.5,"x":1}]}'
@@ -242,28 +264,142 @@ def test_read_jsonl_raises_only_data_error(lines):
         assert str(exc).startswith("fuzz.jsonl: ") and " at line " in str(exc)
 
 
+def unique_keys(pairs):
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise DataError(f"duplicate key {key!r}")
+    return dict(pairs)
+
+
+def is_number(value):
+    return type(value) in (int, float)  # JSON true and false are no numbers
+
+
+def reference_record(line, ids):
+    """One JSONL line checked by the per-field rules, as (id, valid,
+    confidence, group, answer, claims, meta), or None for a blank line."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        text = line.strip(" \t\n\r")
+        if not text.strip():
+            return None
+        obj = json.loads(text, object_pairs_hook=unique_keys)
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")  # no lone surrogate
+    except UnicodeEncodeError:
+        raise DataError("string holds a lone surrogate escape") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"invalid UTF-8 at byte {exc.start}") from None
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    claims = []
+    if obj.get("claims") is not None:
+        if not isinstance(obj["claims"], list):
+            raise DataError("claims must be an array")
+        for claim in obj["claims"]:
+            if not isinstance(claim, dict):
+                raise DataError("claim must be an object")
+            for key in claim:
+                if key not in ("text", "confidence", "valid", "rationale"):
+                    raise DataError(f"unknown claim field {key!r}")
+            text, confidence = claim.get("text"), claim.get("confidence")
+            valid, rationale = claim.get("valid"), claim.get("rationale")
+            if not isinstance(text, str):
+                raise DataError("claim text missing or not a string")
+            if not is_number(confidence):
+                raise DataError("claim confidence must be numeric")
+            if valid is not None and not isinstance(valid, bool):
+                raise DataError("claim valid must be boolean")
+            if rationale is not None and not isinstance(rationale, str):
+                raise DataError("claim rationale must be a string")
+            if not 0 <= confidence <= 1:
+                raise DataError("claim confidence out of range")
+            claims.append((text, float(confidence) + 0.0, valid, rationale))
+    meta = {} if obj.get("meta") is None else obj["meta"]
+    if not isinstance(meta, dict):
+        raise DataError("meta must be an object")
+    for key, value in meta.items():
+        if not isinstance(value, str):
+            raise DataError(f"meta values must be strings (key {key!r})")
+    meta = dict(meta)
+    for key, value in obj.items():
+        if key not in ("id", "valid", "confidence", "group", "answer", "claims", "meta"):
+            if key in meta:
+                raise DataError(f"field {key!r} collides with a meta key")
+            meta[key] = value if isinstance(value, str) else json.dumps(
+                value, sort_keys=True, separators=(",", ":"))
+    rid, valid, confidence = obj.get("id"), obj.get("valid"), obj.get("confidence")
+    if valid is None:
+        raise DataError("missing required field valid")
+    if not isinstance(valid, bool):
+        raise DataError("valid must be boolean")
+    for name in ("group", "answer"):
+        if obj.get(name) is not None and not isinstance(obj[name], str):
+            raise DataError(f"{name} must be a string")
+    if not isinstance(rid, str) or not rid:
+        raise DataError("record id must be a non-empty string")
+    if confidence is not None:
+        if not is_number(confidence):
+            raise DataError("confidence must be numeric")
+        if not 0 <= confidence <= 1:
+            raise DataError(f"record {rid!r}: confidence out of range")
+        confidence = float(confidence) + 0.0
+    if rid in ids:
+        raise DataError(f"duplicate id {rid!r}")
+    ids.add(rid)
+    return rid, valid, confidence, obj.get("group"), obj.get("answer"), claims, meta
+
+
 def read_line_by_line(lines, source="diff.jsonl"):
-    """The oracle for read_jsonl: every line through _parse_line on its own."""
-    cols = _Columns()
+    """The reference for read_jsonl, sharing no code with it: each line is
+    decoded by json.loads with a duplicate-key hook and checked field by
+    field, and the records' fields, gathered in plain lists, become the
+    expected columns."""
+    records, ids = [], set()
     for lineno, line in enumerate(lines, start=1):
         try:
-            _parse_line(line, cols)
+            record = reference_record(line, ids)
         except DataError as exc:
             raise DataError(f"{source}: {exc} at line {lineno}") from None
-    return Dataset._from_columns(cols.columns(), source)
+        if record is not None:
+            records.append(record)
+    rids, valid, confidence, group, answer, claims, meta = list(zip(*records)) or [()] * 7
+    flat = [claim for record_claims in claims for claim in record_claims]
+    text, claim_confidence, label, rationale = list(zip(*flat)) or [()] * 4
+
+    def codes(names):
+        table = {}
+        return (np.array([-1 if name is None else table.setdefault(name, len(table))
+                          for name in names], dtype=np.int64), list(table))
+
+    (group, group_names), (answer, answer_names) = codes(group), codes(answer)
+    return {"ids": list(rids), "valid": np.array(valid, dtype=bool),
+            "confidence": np.array([np.nan if c is None else c for c in confidence]),
+            "group": group, "group_names": group_names,
+            "answer": answer, "answer_names": answer_names,
+            "claim_offsets": np.cumsum([0, *map(len, claims)], dtype=np.int64),
+            "claim_confidence": np.array(claim_confidence, dtype=np.float64),
+            "claim_label": np.array([-1 if v is None else v for v in label], dtype=np.int8),
+            "claim_text": list(text), "claim_rationale": list(rationale), "meta": list(meta)}
 
 
 def outcome(read, lines):
-    """Every column of what read gives, arrays as dtype and bytes, or the
-    text of its DataError."""
+    """Every column of what read gives, arrays as dtype and bytes, the others
+    as lists (meta as each record's list of pairs, so its order counts), or
+    the text of its DataError."""
     try:
-        ds = read(lines)
+        columns = read(lines)
     except DataError as exc:
         return str(exc)
+    if isinstance(columns, Dataset):
+        columns = columns.columns()
     return {name: (column.dtype, column.tobytes()) if isinstance(column, np.ndarray)
-            else (list(column), column.missing is None or column.missing.tobytes())
-            if isinstance(column, TextColumn) else list(column)
-            for name, column in ds.columns().items()}
+            else [list(meta.items()) for meta in column] if name == "meta"
+            else list(column)
+            for name, column in columns.items()}
 
 
 class Pairs(tuple):
@@ -294,6 +430,14 @@ def rarely(usual, odd, one_in=30):
 
 
 UNIT_OR_ODD = rarely(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 1.0]), ODD_VALUES)
+# what an unknown top-level field may hold: objects with ":" in their keys and
+# strings, whose few possible keys often repeat
+NESTED = st.recursive(
+    COLON_TEXT | ODD_VALUES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(st.tuples(st.sampled_from(["k", "k:", ":", ""]) | COLON_TEXT, inner),
+               max_size=3).map(Pairs),
+    max_leaves=6)
 
 
 @st.composite
@@ -332,6 +476,9 @@ def jsonl_lines(draw):
             ("answer", rarely(COLON_TEXT | st.none(), ODD_VALUES), True),
             ("claims", rarely(st.lists(CLAIM, max_size=3) | st.none(), ODD_VALUES), True),
             ("meta", rarely(META | st.none(), ODD_VALUES), True)]))
+        if draw(rarely(st.just(False), st.just(True), 4)):  # fields folded into meta
+            record = Pairs([*record, *draw(st.lists(st.tuples(
+                st.sampled_from(["model", "x:y"]) | COLON_TEXT, NESTED), min_size=1, max_size=2))])
         text = render(record, escape=draw(rarely(st.just(False), st.just(True), 10)))
         text = draw(rarely(st.just(""), st.sampled_from(["\n", " ", "\r\n"]), 10)) + text
         text += draw(st.sampled_from(["", "\n", "\n", "\r\n", " \n"]))
@@ -353,8 +500,31 @@ def test_chunks_read_like_single_lines(lines, budget):
             read_line_by_line, lines)
 
 
+def test_the_reference_reads_what_it_should():
+    """read_line_by_line itself, on lines whose columns are written out."""
+    lines = ['{"id":"a","valid":true,"confidence":1,"x":{"b:":[1,"c:d"]},"meta":{"m":"n"}}',
+             " \n", b'{"id":"b","valid":false,"group":"g","claims":[{"text":"t",'
+             b'"confidence":-0.0,"valid":false,"rationale":"r"},{"text":"u","confidence":0.5}]}']
+    expected = {"ids": ["a", "b"], "valid": np.array([True, False]),
+                "confidence": np.array([1.0, np.nan]), "group": np.array([-1, 0]),
+                "group_names": ["g"], "answer": np.array([-1, -1]), "answer_names": [],
+                "claim_offsets": np.array([0, 0, 2]), "claim_confidence": np.array([0.0, 0.5]),
+                "claim_label": np.array([0, -1], dtype=np.int8), "claim_text": ["t", "u"],
+                "claim_rationale": ["r", None], "meta": [{"m": "n", "x": '{"b:":[1,"c:d"]}'}, {}]}
+    assert outcome(read_line_by_line, lines) == outcome(lambda _: expected, lines)
+    assert outcome(read_jsonl, lines) == outcome(read_line_by_line, lines)
+    assert outcome(read_line_by_line, ['{"id":"a","valid":true,"x":{"k":1,"k":2}}']) == (
+        "diff.jsonl: duplicate key 'k' at line 1")
+
+
 CHAIN_LINE = ('{"id":"r%d","valid":true,"confidence":0.25,"claims":[{"text":"a:b",'
               '"confidence":0.5,"valid":false,"rationale":"c:d"}],"meta":{"k:1":"v:2"}}')
+
+
+def add_plain(lines):
+    """Columns with lines added as the chunk path adds them, and whether it did."""
+    cols, decoded = _Columns(), _plain(lines)
+    return cols, decoded is not None and cols.add(*decoded)
 
 
 @pytest.mark.parametrize("line", [
@@ -362,11 +532,13 @@ CHAIN_LINE = ('{"id":"r%d","valid":true,"confidence":0.25,"claims":[{"text":"a:b
     CHAIN_LINE.replace("0.25", "1").replace("0.5", "0") % 0,  # integer confidences
     '{"id":"a","valid":false,"group":"g","answer":null,"claims":null,"meta":null}',
     '{"id":"a","valid":true}\r\n',
+    '{"id":"a","valid":true,"model":"m"}',  # an unknown field,
+    '{"id":"a","valid":true,"x:":{"k:1":["v:2",{"k":null}],"k":{}},"meta":{"m":"n"}}',
+    ' {"id":"a","valid":true}',  # a leading space
 ])
 def test_chunk_path_reads_plain_lines(line):
-    cols = _Columns()
-    assert cols.add_chunk([line, "\n", line.replace('"a"', '"b"').replace("r0", "r1").encode()])
-    assert len(cols.valid) == 2
+    cols, added = add_plain([line, "\n", line.replace('"a"', '"b"').replace("r0", "r1").encode()])
+    assert added and len(cols.valid) == 2
 
 
 @pytest.mark.parametrize("line", [
@@ -380,25 +552,28 @@ def test_chunk_path_reads_plain_lines(line):
     '{"id":"","valid":true}',
     '{"id":"a","valid":true,"confidence":NaN}',
     '{"id":"a","valid":true,"confidence":1%s}' % ("0" * 400),  # an int past float range
-    '{"id":"a","valid":true,"model":"m"}',  # an unknown field
-    ' {"id":"a","valid":true}',  # a leading space
+    '{"id":"a","valid":true,"x":{"k":"v:w","k":"v"}}',  # a key repeated in a folded field,
+    '{"id":"a","valid":true,"meta":{"x":"v"},"x":"w"}',  # a field colliding with meta
     '{"id":"a","valid":true} x',
 ])
 def test_chunk_path_leaves_unusual_lines_to_the_line_reader(line):
-    cols = _Columns()
-    assert not cols.add_chunk(['{"id":"z","valid":true}', line])
+    cols, added = add_plain(['{"id":"z","valid":true}', line])
+    assert not added
     assert not cols.valid and not cols.seen  # nothing appended
 
 
 def test_escaped_lines_are_read_on_their_own():
-    """A line with a \\u escape goes to _parse_line alone; the lines around
-    it stay on the chunk path."""
-    lines = [CHAIN_LINE % 0, '{"id":"\\u00e9","valid":true}', CHAIN_LINE % 1]
+    """Lines with a \\u escape go to _parse_line, and a run of them is added
+    by one add; the lines around them stay on the chunk path."""
+    lines = [CHAIN_LINE % 0, '{"id":"\\u00e9","valid":true}', '{"id":"\\u00ea","valid":true}',
+             CHAIN_LINE % 1]
     for kind in (str, lambda line: line.encode()):
-        with mock.patch.object(model, "_parse_line", wraps=_parse_line) as by_line:
+        with (mock.patch.object(model, "_parse_line", wraps=_parse_line) as by_line,
+              mock.patch.object(_Columns, "add", autospec=True, side_effect=_Columns.add) as add):
             ds = read_jsonl(map(kind, lines))
-        assert list(ds.ids) == ["r0", "\u00e9", "r1"]
-        assert [c.args[0] for c in by_line.call_args_list] == [kind(lines[1])]
+        assert list(ds.ids) == ["r0", "\u00e9", "\u00ea", "r1"]
+        assert [c.args[0] for c in by_line.call_args_list] == [kind(line) for line in lines[1:3]]
+        assert [len(c.args[1]) for c in add.call_args_list] == [1, 2, 1]
 
 
 class TestChunkBoundaries:
@@ -422,6 +597,18 @@ class TestChunkBoundaries:
         with mock.patch.object(model, "_INGEST_CHUNK", 2 * len(CHAIN_LINE)):
             with pytest.raises(DataError, match="^test.jsonl: duplicate id 'r1' at line 6$"):
                 read_lines(*lines)
+
+    @pytest.mark.parametrize("lines, name", [
+        ([0, 1, 0, "bad"], "duplicate id 'r0' at line 3"),
+        ([0, "bad", 0], "valid must be boolean at line 2")])
+    def test_escaped_run_names_its_first_bad_line(self, lines, name):
+        """A run read line by line names a repeated id or a bad field,
+        whichever line comes first."""
+        escaped = CHAIN_LINE.replace("a:b", "\\u00e9")
+        lines = [escaped.replace("true", "1", 1) % 9 if i == "bad" else escaped % i
+                 for i in lines]
+        with pytest.raises(DataError, match=f"^test.jsonl: {name}$"):
+            read_lines(*lines)
 
     def test_an_unreadable_line_comes_after_the_lines_before_it(self):
         def lines():
@@ -515,6 +702,39 @@ class TestDataset:
                 PredictionRecord(id="a", valid=False))
         with pytest.raises(DataError, match="'a'"):
             Dataset(records=recs)
+
+    def test_duplicate_id_named_across_row_chunks(self):
+        recs = [PredictionRecord(id=f"r{i}", valid=True) for i in range(_TEXT_CHUNK + 2)]
+        with pytest.raises(DataError, match="^duplicate id 'r7'$"):
+            Dataset(recs + [PredictionRecord(id="r7", valid=False)])
+        with pytest.raises(DataError, match="^duplicate id 'r0'$"):
+            Dataset([recs[0], recs[0]])
+
+    @pytest.mark.parametrize("s", [np.str_, Enum("Names", {x: x for x in "agxtrkv"}, type=str)],
+                             ids=["numpy", "enum"])
+    def test_numpy_strings_are_stored_as_str(self, s):
+        """Ingest takes str exactly, so a row keeps a str subclass as the str
+        of its characters: not str(value), which gives "Names.a" for an enum."""
+        rec = PredictionRecord(id=s("a"), valid=True, group=s("g"), answer=s("x"),
+                               claims=(ClaimRecord(text=s("t"), confidence=0.5,
+                                                   rationale=s("r")),),
+                               meta={s("k"): s("v")})
+        ds = Dataset([rec])
+        assert list(ds.ids) == ["a"] and ds.group_names == ("g",) and ds.answer_names == ("x",)
+        assert list(ds.claim_text) == ["t"] and list(ds.claim_rationale) == ["r"]
+        assert list(ds.meta) == [{"k": "v"}]
+        claim = rec.claims[0]
+        strings = [rec.id, rec.group, rec.answer, claim.text, claim.rationale, *rec.meta,
+                   *rec.meta.values()]
+        assert {type(x) for x in strings} == {str}
+
+    @pytest.mark.parametrize("meta", [OrderedDict(k="v"), defaultdict(str, k="v")],
+                             ids=["ordered", "default"])
+    def test_dict_subclass_meta_is_stored(self, meta):
+        recs = [PredictionRecord(id=f"r{i}", valid=True, meta=meta) for i in range(3)]
+        assert type(recs[0].meta) is dict
+        ds = Dataset(recs)
+        assert len(ds) == 3 and list(ds.meta) == [{"k": "v"}] * 3
 
     def test_confidences_vector(self):
         ds = make_dataset([(0.2, True), (0.8, False)])

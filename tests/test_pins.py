@@ -9,6 +9,11 @@ The tts.csv digest was recomputed when majority/majconf points became exact
 from per-answer vote tables: its majority,4 and majconf,4 rows, drawn before
 (0.4333333333333333,0.04082482904638631,false), are now
 0.5047619047619047,0.0,true, which is float(exact_expected_accuracy) = 53/105.
+
+The reward_integrated.jsonl digest was recomputed when the beta00 prior came
+to clip 1 - p itself to [eps, 1 - eps] rather than take it from the clipped p:
+its one changed line is q49's (product confidence at least 0.99, valid), whose
+reward 0.9999999999999998 is now exactly 1.0.
 """
 
 import hashlib
@@ -30,7 +35,7 @@ PINS = (
      "35717009a9f37c8efd4e0fc48ec4eb6edf376e2cf8c017978ed8298443496e78"),
     (("reward", "chain.jsonl", *PRODUCT, "--reward", "integrated", "--prior", "beta00:0.01",
       "--format", "jsonl"), "reward_integrated.jsonl",
-     "9c830ea228f58371ee87e8c5508c65db820ebbd11f5f5402543791ce77349bed"),
+     "5247307be874b350ef4204233acf8178428ae49a3cbc4512220608d30c0e0612"),
     (("reward", "chain.jsonl", *PRODUCT, "--reward", "explicit", "--t", "0.3",
       "--format", "jsonl"), "reward_explicit.jsonl",
      "fb8792f445b30212d86859428e8007395971a04d4f8298fb06b9feda7bbccb65"),

@@ -93,6 +93,17 @@ class TestCeReward:
         assert reward_ce(True, 1.0, eps) == reward_ce(True, 1 - eps, eps)
         assert reward_ce(False, 0.0, eps) == reward_ce(False, eps, eps)
 
+    @pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-12, 3e-16, 0.01])
+    def test_exact_at_both_ends(self, eps):
+        """1 - eps rounds, so an upper clip taken from the clipped p missed
+        -1 by up to 2.3e-5; clipping 1 - p itself meets -1, 0 and 1 exactly."""
+        prior = TruncatedBetaPrior(eps)
+        for reward in (lambda v, p: reward_ce(v, p, eps),
+                       lambda v, p: reward_integrated(v, p, prior)):
+            assert [reward(True, 1.0), reward(False, 1.0)] == [1.0, -1.0]
+            assert [reward(True, 0.0), reward(False, 0.0)] == [0.0, 0.0]
+            assert str(reward(False, 0.0)) == "0.0"  # not -0.0
+
     def test_monotone_in_p(self):
         p = np.linspace(0, 1, 501)
         up = np.asarray(reward_ce(True, p))
