@@ -5,7 +5,8 @@
 For each n it simulates n flat records and n four-claim chains, runs
 validate, reward, metrics, sweep, objectives and report on the flat records,
 then reward and sweep on the chains, with each record's confidence the
-product of its claims'.
+product of its claims'. Last it simulates n/16 groups of 16 samples and runs
+tts on them with the benchmark's k values (1, 2, 4, 8, 16) and 6 resamples.
 Every command is its own `python -m becal` child of this checkout's src/,
 reaped with os.wait4, so the wall time, CPU time and peak RSS (ru_maxrss) it
 reports are that child's alone. Inputs and outputs live in a temporary
@@ -38,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def _steps(n: int) -> list[tuple[str, list[str], str]]:
     """(name, becal argv, output file) in the order they run."""
     flat, chain, product = "flat.jsonl", "chain.jsonl", ["--confidence-from", "product"]
+    groups = str(max(1, n // 16))
     return [
         ("simulate", ["simulate", "--n", str(n), "--seed", "0"], flat),
         ("simulate --n-claims 4",
@@ -51,6 +53,11 @@ def _steps(n: int) -> list[tuple[str, list[str], str]]:
         ("reward --confidence-from product",
          ["reward", chain, *product, "--format", "jsonl"], "reward_chain.jsonl"),
         ("sweep --confidence-from product", ["sweep", chain, *product], "sweep_chain.csv"),
+        ("simulate --groups",
+         ["simulate", "--groups", groups, "--samples-per-group", "16", "--seed", "0"],
+         "ensemble.jsonl"),
+        ("tts", ["tts", "ensemble.jsonl", "--k", "1,2,4,8,16", "--resamples", "6"],
+         "tts.csv"),
     ]
 
 

@@ -26,6 +26,7 @@ from .simulate import (RNG_ALGORITHM, AgentSpec, BetaDifficulty,
                        generate_claims, generate_ensemble, parse_difficulty,
                        parse_report_map, train_critic)
 from .tts import (STRATEGIES, SampleGroup, ScalingPoint,
-                  exact_expected_accuracy, group_records, scaling_curve)
+                  exact_expected_accuracy, group_records, scaling_curve,
+                  scaling_curves)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

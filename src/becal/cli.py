@@ -50,7 +50,9 @@ from .metrics import _MIN_BANDWIDTH, MetricReport, calibration_diagram, metric_r
 from .behavior import check_objectives, default_grid, sweep
 from .simulate import (RNG_ALGORITHM, AgentSpec, generate, generate_ensemble,
                        parse_difficulty, parse_report_map)
-from .tts import STRATEGIES, group_records, scaling_curve
+# scaling_curve is not called here; it stays a name of this module, which
+# bench/tracer.py rebinds
+from .tts import STRATEGIES, group_records, scaling_curve, scaling_curves  # noqa: F401
 
 REWARDS = ("explicit", "bounded", "brier", "ce", "integrated")
 CONFIDENCE_SOURCES = ("stated", "product", "min")
@@ -467,8 +469,7 @@ def _cmd_objectives(ns: argparse.Namespace) -> int:
 
 def _cmd_tts(ns: argparse.Namespace) -> int:
     groups = group_records(_load(ns))
-    curves = {name: scaling_curve(groups, name, ns.k, ns.resamples, ns.seed)
-              for name in ns.strategy}
+    curves = scaling_curves(groups, ns.strategy, ns.k, ns.resamples, ns.seed)
     if ns.format == "json":
         _write_json(ns, {"curves": {
             name: [{"k": pt.k, "accuracy": pt.mean, "stderr": pt.stderr,

@@ -117,7 +117,10 @@ class TruncatedBetaPrior(RiskPrior):
 
     def cdf(self, p):
         pc, qc = _clip(p, self.epsilon)
-        return (np.log(pc / qc) + self._log_norm) / (2.0 * self._log_norm)
+        u = (np.log(pc / qc) + self._log_norm) / (2.0 * self._log_norm)
+        # log(eps/(1-eps)) need not be -log((1-eps)/eps) in floating point
+        # (u is 0.25 at p = 0 for eps 0.49999999999999994), so the ends are set
+        return np.where(pc <= self.epsilon, 0.0, np.where(qc <= self.epsilon, 1.0, u))
 
     def tail(self, p):
         _, qc = _clip(p, self.epsilon)

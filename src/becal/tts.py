@@ -13,6 +13,7 @@ on the set of samples drawn, not on the order they were drawn in.
 
 Draws are k of a group's n samples without replacement, and each point is
 exact wherever exactness is cheap:
+  k = 1                every strategy scores the one sample drawn: v/n
   mean, best, maxconf  always by closed form: v/n, the unbiased pass@k
                        1 - C(n-v, k)/C(n, k), and the level-wise maxconf sum
   majority, majconf    from per-answer subset tables. A state of answer a is
@@ -29,7 +30,16 @@ STATES_PER_DRAW * n_resamples * len(k_values) states, counted while the table
 grows, and at most _MAX_TABLED samples. Other groups are drawn: every (seed,
 k, resample, group) tuple gets its own Philox stream, so majority and majconf
 evaluated at the same tuple see the same draw and curves are paired. A point
-with no drawn group is exact and has stderr 0.
+with no drawn group is exact and has stderr 0; each point counts the groups
+valued by closed form, from tables and by draws, so a vote rule's k = 1 point
+counts every group as closed form where its other points count tables and
+draws.
+
+scaling_curves values every requested strategy in one pass: each batch of
+tables is built once and scored for both vote rules, each draw is made once
+and scored for both, and each group's closed-form inputs are read once for
+every k. Exact sums are integer numerators per denominator, one Fraction per
+distinct denominator. scaling_curve is its one-strategy case.
 
 exact_expected_accuracy is the same exact value, from the same closed forms
 and tables, for any group a table of at most _MAX_EXACT_STATES states holds.
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,11 +63,14 @@ from .simulate import _rng
 
 STRATEGIES = ("mean", "best", "majority", "maxconf", "majconf")
 
-# At the margin a table state costs about 1.2 us for one strategy, build
-# included, and a Monte-Carlo draw 37-39 us (timed in turn on the benchmark's
-# 16-sample groups on the 0.05 confidence grid, 2-core x86): a ratio of 32, so
-# a group is tabled when it has at most this many states per requested draw.
-# One table serves every k.
+# At the margin a table state costs about 0.9 us to build and 0.7 us more for
+# each vote rule scored from it, and a Monte-Carlo draw 31-39 us to make and
+# 5-6 us more for each rule that scores it (timed in turn on the benchmark's
+# 16-sample groups on the 0.05 confidence grid, 2-core x86): a ratio of 27 for
+# one rule and 20 for both. A group is tabled when it has at most this many
+# states per requested draw; the value stays 32, as it was when one rule cost
+# 1.2 us a state and 37-39 us a draw, since moving it moves which groups are
+# drawn and so the outputs. One table serves every k.
 STATES_PER_DRAW = 32
 
 # Subset counts of at most 62 samples stay below 2^62, so tables fit int64,
@@ -178,29 +192,43 @@ def _score(drawn, strategy: str) -> int:
     return 1 if any(v for _, v in tally[winner]) else 0
 
 
-def _closed_form(grp: SampleGroup, strategy: str, k: int) -> Fraction:
-    """Exact mean, best or maxconf accuracy of one group at k."""
-    n, subsets = grp.size, math.comb(grp.size, k)
-    if strategy == "mean":
-        return Fraction(sum(v for _, _, v in grp.samples), n)
-    if strategy == "best":
-        wrong = sum(1 for _, _, v in grp.samples if not v)
-        return 1 - Fraction(math.comb(wrong, k), subsets)
-    # maxconf: the top confidence level c in the draw holds the winner, and
-    # the first drawn of the m_c samples at c is uniform over them; the sum
-    # of v_c/m_c * (draws topped by c) is taken over the denominator lcm(m_c)
-    levels: dict[float, list[int]] = {}
-    for _, conf, valid in grp.samples:
-        level = levels.setdefault(conf, [0, 0])
-        level[0] += 1
-        level[1] += valid
-    scale = math.lcm(*(m for m, _ in levels.values()))
-    total, below = 0, 0
-    for conf in sorted(levels):
-        m, v = levels[conf]
-        total += v * (scale // m) * (math.comb(below + m, k) - math.comb(below, k))
-        below += m
-    return Fraction(total, scale * subsets)
+def _closed_form(grp: SampleGroup, strategy: str,
+                 ks: list[int]) -> list[tuple[int, int] | None]:
+    """Exact accuracy of one group at each k as (numerator, denominator).
+
+    At k = 1 every strategy scores the one sample drawn, so it is v/n. Above
+    it mean, best and maxconf have closed forms, majority and majconf None.
+    The group's samples are read once for every k.
+    """
+    n = grp.size
+    valid = sum(v for _, _, v in grp.samples)
+    if strategy == "maxconf":
+        # the top confidence level c in the draw holds the winner, and the
+        # first drawn of the m_c samples at c is uniform over them; the sum
+        # of v_c/m_c * (draws topped by c) is taken over the denominator lcm(m_c)
+        at: dict[float, list[int]] = {}
+        for _, conf, v in grp.samples:
+            level = at.setdefault(conf, [0, 0])
+            level[0] += 1
+            level[1] += v
+        levels = [at[conf] for conf in sorted(at)]
+        scale = math.lcm(*(m for m, _ in levels))
+    out: list[tuple[int, int] | None] = []
+    for k in ks:
+        if k == 1 or strategy == "mean":
+            out.append((valid, n))
+        elif strategy == "best":
+            subsets = math.comb(n, k)
+            out.append((subsets - math.comb(n - valid, k), subsets))
+        elif strategy == "maxconf":
+            total, below = 0, 0
+            for m, v in levels:
+                total += v * (scale // m) * (math.comb(below + m, k) - math.comb(below, k))
+                below += m
+            out.append((total, scale * math.comb(n, k)))
+        else:
+            out.append(None)
+    return out
 
 
 class _Table(NamedTuple):
@@ -365,30 +393,52 @@ def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
     return out
 
 
-def _exact(groups: list[SampleGroup], strategy: str, ks: list[int],
-           cap: float) -> tuple[dict[int, list[Fraction]], int]:
-    """Each exactly valued group's index -> its accuracy at each k, and the
-    table states behind them: every group by closed form, or each vote group
-    with at most cap states and _MAX_TABLED samples from its table."""
-    if strategy in _CLOSED:
-        return {index: [_closed_form(grp, strategy, k) for k in ks]
-                for index, grp in enumerate(groups)}, 0
-    exact, states = {}, 0
+def _exact(groups: list[SampleGroup], strategies: list[str], ks: list[int],
+           cap: float) -> tuple[dict[str, list[Counter]], list[SampleGroup], int]:
+    """Per strategy and k, the sum of every exactly valued group's accuracy
+    as {denominator: numerator}; the groups left to draw; and the table
+    states of the others.
+
+    Every group at k = 1 and every mean, best and maxconf value is a closed
+    form. Above k = 1 majority and majconf are valued from the table of each
+    group with at most cap states and _MAX_TABLED samples: each batch of
+    tables is built once and scored for both rules before the next is built.
+    """
+    sums = {strategy: [Counter() for _ in ks] for strategy in strategies}
+    for grp in groups:
+        for strategy in strategies:
+            for total, pair in zip(sums[strategy], _closed_form(grp, strategy, ks)):
+                if pair is not None:
+                    total[pair[1]] += pair[0]
+    votes = [strategy for strategy in strategies if strategy not in _CLOSED]
+    deep = [(j, k) for j, k in enumerate(ks) if k > 1]
+    if not votes or not deep:
+        return sums, [], 0
+    tabled, states = set(), 0
     for indices, table in _batches(groups, cap):
         states += len(table.size)
-        for index, hits in zip(indices, _vote_hits(table, strategy, ks).tolist()):
-            exact[index] = [Fraction(h, math.comb(groups[index].size, k))
-                            for h, k in zip(hits, ks)]
-    return exact, states
+        tabled.update(indices)
+        for strategy in votes:
+            hits = _vote_hits(table, strategy, [k for _, k in deep]).tolist()
+            for index, row in zip(indices, hits):
+                for (j, k), count in zip(deep, row):
+                    sums[strategy][j][math.comb(groups[index].size, k)] += count
+    return sums, [grp for index, grp in enumerate(groups) if index not in tabled], states
 
 
-def _checked(groups, strategy: str, ks: list[int]) -> list[SampleGroup]:
-    """groups as a list; an error if there are none or they do not suit the
+def _total(sums: Counter) -> Fraction:
+    """The exact sum of {denominator: numerator}: one Fraction per denominator."""
+    return sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
+
+
+def _checked(groups, strategies: list[str], ks: list[int]) -> list[SampleGroup]:
+    """groups as a list; an error if there are none or they do not suit every
     strategy and every k."""
     groups = list(groups)
     if not groups:
         raise DataError("no groups to evaluate")
-    _check_strategy(strategy, groups)
+    for strategy in strategies:
+        _check_strategy(strategy, groups)
     check_count("k", min(ks))
     for grp in groups:
         if max(ks) > grp.size:
@@ -414,55 +464,78 @@ class ScalingPoint:
         return self.drawn == 0
 
 
-def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
-                  seed: int = 0) -> list[ScalingPoint]:
-    """Accuracy per k: exact per group where cheap, else n_resamples paired draws.
+def scaling_curves(groups, strategies, k_values, n_resamples: int,
+                   seed: int = 0) -> dict[str, list[ScalingPoint]]:
+    """Each strategy's accuracy per k, in one pass: exact per group where
+    cheap, else n_resamples paired draws.
 
     Each resample's accuracy is (sum of exact group values + sum of drawn
-    group scores) / G; the point is their mean and its standard error.
+    group scores) / G; the point is their mean and its standard error. Each
+    drawn group's (seed, k, resample) draw is made once and scored by every
+    vote rule requested.
     """
     seed = check_seed(seed)
     check_count("n_resamples", n_resamples)
     ks = [int(k) for k in k_values]
     if not ks:
         raise DomainError("k_values must be non-empty")
-    groups = _checked(groups, strategy, ks)
-    exact, states = _exact(groups, strategy, ks, STATES_PER_DRAW * n_resamples * len(ks))
-    drawn = [grp for index, grp in enumerate(groups) if index not in exact]
-    sums = [sum((values[i] for values in exact.values()), Fraction(0))
-            for i in range(len(ks))]
-    closed = strategy in _CLOSED
-    counts = {"closed_form": len(exact) if closed else 0,
-              "tabled": 0 if closed else len(exact), "drawn": len(drawn),
-              "states": states, "draws": len(drawn) * n_resamples}
-    curve = []
-    for k, exact_sum in zip(ks, sums):
-        if not drawn:
-            curve.append(ScalingPoint(k=k, mean=float(exact_sum / len(groups)),
-                                      stderr=0.0, **counts))
-            continue
-        # majority and majconf score a whole draw 0 or 1, so the sum is exact
-        accs = np.array([float((exact_sum + sum(
-            _score(_draw(grp, k, _group_rng(seed, k, r, grp.group)), strategy)
-            for grp in drawn)) / len(groups)) for r in range(n_resamples)])
-        stderr = 0.0 if n_resamples == 1 else float(
-            accs.std(ddof=1) / math.sqrt(n_resamples))
-        curve.append(ScalingPoint(k=k, mean=float(accs.mean()), stderr=stderr, **counts))
-    return curve
+    strategies = list(dict.fromkeys(strategies))
+    groups = _checked(groups, strategies, ks)
+    sums, drawn, states = _exact(groups, strategies, ks,
+                                 STATES_PER_DRAW * n_resamples * len(ks))
+    votes = [strategy for strategy in strategies if strategy not in _CLOSED]
+    # per vote rule, k and resample: the drawn groups whose vote is valid;
+    # with no group drawn nothing is kept or run per resample
+    hits = {strategy: [[0] * n_resamples for _ in ks] for strategy in votes} if drawn else {}
+    for j, k in enumerate(ks):
+        if k == 1 or not drawn:
+            continue  # valued exactly for every group
+        for r in range(n_resamples):
+            for grp in drawn:
+                sample = _draw(grp, k, _group_rng(seed, k, r, grp.group))
+                for strategy in votes:
+                    hits[strategy][j][r] += _score(sample, strategy)
+    closed = {"closed_form": len(groups), "tabled": 0, "drawn": 0, "states": 0, "draws": 0}
+    voted = {"closed_form": 0, "tabled": len(groups) - len(drawn), "drawn": len(drawn),
+             "states": states, "draws": len(drawn) * n_resamples}
+    curves = {}
+    for strategy in strategies:
+        curve = []
+        for j, k in enumerate(ks):
+            exact_sum = _total(sums[strategy][j])
+            counts = closed if k == 1 or strategy in _CLOSED else voted
+            if not counts["drawn"]:
+                curve.append(ScalingPoint(k=k, mean=float(exact_sum / len(groups)),
+                                          stderr=0.0, **counts))
+                continue
+            # majority and majconf score a whole draw 0 or 1, so the sum is exact
+            accs = np.array([float((exact_sum + h) / len(groups))
+                             for h in hits[strategy][j]])
+            stderr = 0.0 if n_resamples == 1 else float(
+                accs.std(ddof=1) / math.sqrt(n_resamples))
+            curve.append(ScalingPoint(k=k, mean=float(accs.mean()), stderr=stderr,
+                                      **counts))
+        curves[strategy] = curve
+    return curves
+
+
+def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
+                  seed: int = 0) -> list[ScalingPoint]:
+    """One strategy's accuracy per k: scaling_curves for that strategy alone."""
+    return scaling_curves(groups, [strategy], k_values, n_resamples, seed)[strategy]
 
 
 def exact_expected_accuracy(groups, k: int, strategy: str) -> Fraction:
     """Exact expected accuracy of k samples drawn without replacement, as a fraction.
 
     mean, best and maxconf come from their closed forms, majority and
-    majconf from vote tables: the values scaling_curve reports as exact. A
-    DomainError names a group whose vote table would pass _MAX_EXACT_STATES
-    states or _MAX_TABLED samples.
+    majconf from vote tables above k = 1: the values scaling_curves reports
+    as exact. Above k = 1 a DomainError names a group whose vote table would
+    pass _MAX_EXACT_STATES states or _MAX_TABLED samples.
     """
-    groups = _checked(groups, strategy, [k])
-    exact, _ = _exact(groups, strategy, [k], _MAX_EXACT_STATES)
-    for index, grp in enumerate(groups):
-        if index not in exact:
-            raise DomainError(f"group {grp.group!r}: more than {_MAX_TABLED} samples or "
-                              f"{_MAX_EXACT_STATES} vote states, too many to value exactly")
-    return sum(values[0] for values in exact.values()) / len(groups)
+    groups = _checked(groups, [strategy], [k])
+    sums, drawn, _ = _exact(groups, [strategy], [k], _MAX_EXACT_STATES)
+    if drawn:
+        raise DomainError(f"group {drawn[0].group!r}: more than {_MAX_TABLED} samples or "
+                          f"{_MAX_EXACT_STATES} vote states, too many to value exactly")
+    return _total(sums[strategy][0]) / len(groups)

@@ -1,6 +1,7 @@
 import numpy as np
 
 from becal.model import ClaimRecord, Dataset, PredictionRecord
+from becal.tts import group_records
 
 
 def make_dataset(pairs, label="test") -> Dataset:
@@ -21,6 +22,14 @@ def make_grouped(rows, label="test") -> Dataset:
         for i, (g, a, c, v) in enumerate(rows)
     )
     return Dataset(records=records, label=label)
+
+
+def grid_groups(rng, n_groups, size):
+    """Random groups with confidences on a 0.05 grid, as verbalized ones are."""
+    return group_records(make_grouped(
+        (f"g{g}", answer, rng.randint(1, 19) / 20, answer == "A")
+        for g in range(n_groups)
+        for answer in (rng.choice("AABCD") for _ in range(size))))
 
 
 def make_claims(confidences) -> tuple[ClaimRecord, ...]:

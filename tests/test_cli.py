@@ -481,7 +481,8 @@ class TestTtsOutput:
 
     def test_exact_and_drawn_points_repeat_byte_for_byte(self, tmp_path, monkeypatch):
         # group g (3 samples) is tabled; h has 63, past the 62 whose subset
-        # counts fit int64, so it is drawn at every k
+        # counts fit int64, so it is drawn at every k above 1; at k = 1 every
+        # group is valued by closed form
         rows = [(g, "AB"[s % 2], 0.5 + 0.05 * (s % 3), s % 2 == 0)
                 for g, size in (("g", 3), ("h", 63)) for s in range(size)]
         path = write_jsonl(tmp_path / "g.jsonl", grouped_rows(rows))
@@ -496,14 +497,15 @@ class TestTtsOutput:
             assert (tmp_path / "first" / name).read_bytes() == \
                 (tmp_path / "second" / name).read_bytes(), name
         curves = json.loads((tmp_path / "first" / "t.json").read_text())["curves"]
-        assert [pt["exact"] for pt in curves["majority"]] == [False, False, False]
+        assert [pt["exact"] for pt in curves["majority"]] == [True, False, False]
         assert [pt["exact"] for pt in curves["maxconf"]] == [True, True, True]
         for curve in curves.values():
             for pt in curve:
                 assert (pt["stderr"] == 0.0) == pt["exact"]
         # g's table: A has {}, {0.5}, {0.6}, {0.5, 0.6}; B has {}, {0.55}
         assert [(pt["groups"], pt["states"], pt["draws"]) for pt in curves["majority"]] == \
-            [({"closed_form": 0, "tabled": 1, "drawn": 1}, 6, 2)] * 3
+            [({"closed_form": 2, "tabled": 0, "drawn": 0}, 0, 0)] + \
+            [({"closed_form": 0, "tabled": 1, "drawn": 1}, 6, 2)] * 2
         assert [(pt["groups"], pt["states"], pt["draws"]) for pt in curves["maxconf"]] == \
             [({"closed_form": 2, "tabled": 0, "drawn": 0}, 0, 0)] * 3
         csv_text = (tmp_path / "first" / "t.csv").read_text()

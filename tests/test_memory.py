@@ -7,6 +7,7 @@ own footprint, so each bound is about what becal itself holds.
 import gc
 import io
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -15,6 +16,9 @@ from becal.cli import main
 from becal.model import dump_jsonl, read_jsonl
 from becal.simulate import (AgentSpec, IdentityReport, UniformDifficulty, generate,
                             generate_ensemble)
+from becal.tts import STRATEGIES, scaling_curves
+
+from conftest import grid_groups
 
 N = 20_000
 
@@ -138,3 +142,24 @@ def test_generators_hold_nothing_for_fields_they_lack():
         assert column.strides == (0,)
     assert (flat.group == -1).all() and not ensemble.claim_offsets.any()
     assert not flat.claim_offsets.any() and len(flat.claim_confidence) == 0
+
+
+# scaling_curves builds the vote tables of one batch of groups (_BATCH_STATES
+# states), scores them for every vote rule and drops them before it builds the
+# next batch, so what it holds while it runs is one batch's arrays, which peak
+# near 1.6 MB at max k = 16, however many groups there are. Measured on
+# bench-like groups (16 samples on the 0.05 grid, about 170 states each):
+# 2.02 MB at 200 groups, 2.18 MB at 800. Keeping every table for the second
+# rule would hold 48 bytes per state, about 4.9 MB more at 800 groups.
+BATCH_BYTES = 1_600_000
+
+
+def test_tts_transient_is_one_batch():
+    def transient(n_groups: int) -> int:
+        groups = grid_groups(random.Random(1), n_groups, 16)
+        _, held, peak = _traced(lambda: scaling_curves(groups, STRATEGIES, [1, 2, 4, 8, 16],
+                                                       6, seed=1))
+        return peak - held
+
+    small, large = transient(200), transient(800)
+    assert large - small < BATCH_BYTES

@@ -100,7 +100,7 @@ RANGES = [
      [-1, 2 ** 53]),
     ("q", lambda x: expected_reward_curve(UniformPrior(), x, points=5), [0.0, 1.0],
      [below(0.0), above(1.0)]),
-    ("k", lambda x: tts._checked([GROUP], "mean", [x]), [1, 3], [0, 2 ** 53]),
+    ("k", lambda x: tts._checked([GROUP], ["mean"], [x]), [1, 3], [0, 2 ** 53]),
 ]
 
 

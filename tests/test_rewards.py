@@ -93,10 +93,13 @@ class TestCeReward:
         assert reward_ce(True, 1.0, eps) == reward_ce(True, 1 - eps, eps)
         assert reward_ce(False, 0.0, eps) == reward_ce(False, eps, eps)
 
-    @pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-12, 3e-16, 0.01])
+    @pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-12, 3e-16, 0.01, 0.3,
+                                     0.49999999999999994])
     def test_exact_at_both_ends(self, eps):
         """1 - eps rounds, so an upper clip taken from the clipped p missed
-        -1 by up to 2.3e-5; clipping 1 - p itself meets -1, 0 and 1 exactly."""
+        -1 by up to 2.3e-5; clipping 1 - p itself meets -1, 0 and 1 exactly.
+        The prior's CDF is 0 and 1 at the clip ends, where the log ratios
+        alone give 0.25 at p = 0 for eps 0.49999999999999994."""
         prior = TruncatedBetaPrior(eps)
         for reward in (lambda v, p: reward_ce(v, p, eps),
                        lambda v, p: reward_integrated(v, p, prior)):

@@ -6,15 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becal import tts
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
 from becal.simulate import generate_ensemble
 from becal.tts import (STRATEGIES, SampleGroup, _batches, _closed_form, _score,
-                       _vote_hits, exact_expected_accuracy, group_records, scaling_curve)
+                       _vote_hits, exact_expected_accuracy, group_records, scaling_curve,
+                       scaling_curves)
 
-from conftest import make_dataset, make_grouped
+from conftest import grid_groups, make_dataset, make_grouped
 
 
 def at_k(groups, strategy, k, seed=0):
@@ -216,14 +219,6 @@ class TestMajconf:
                     at_k(groups, "majority", k, seed)
 
 
-def grid_groups(rng, n_groups, size):
-    """Random groups with confidences on a 0.05 grid, as verbalized ones are."""
-    return group_records(make_grouped(
-        (f"g{g}", answer, rng.randint(1, 19) / 20, answer == "A")
-        for g in range(n_groups)
-        for answer in (rng.choice("AABCD") for _ in range(size))))
-
-
 @pytest.fixture()
 def forced_draws(monkeypatch):
     """Every majority/majconf group is drawn, none tabled."""
@@ -266,7 +261,8 @@ class TestExactPaths:
                 if strategy in ("majority", "majconf"):
                     assert tabled(grp, strategy, ks) == oracle, strategy
                 else:
-                    assert [_closed_form(grp, strategy, k) for k in ks] == oracle, strategy
+                    assert [Fraction(*pair) for pair in _closed_form(grp, strategy, ks)] \
+                        == oracle, strategy
                 # n samples give at most 2^n states, within 32 x 5 resamples x n k
                 curve = scaling_curve([grp], strategy, ks, n_resamples=5)
                 assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == \
@@ -294,12 +290,14 @@ class TestExactPaths:
                 for k in ks], strategy
 
     def test_state_limit_is_inclusive(self):
-        # two answers at one confidence: sizes 0..m of each, size + 2 states
-        limit = tts.STATES_PER_DRAW * 2
+        # two answers at one confidence: sizes 0..m of each, size + 2 states;
+        # both sizes are under the 62 samples a table holds, so the state
+        # limit alone draws the larger group
+        limit = tts.STATES_PER_DRAW
         for size, exact in ((limit - 2, True), (limit - 1, False)):
             groups = group_records(make_grouped(
                 ("g", "AB"[s % 2], 0.5, s % 2 == 0) for s in range(size)))
-            point, = scaling_curve(groups, "majority", [1], n_resamples=2)
+            point, = scaling_curve(groups, "majority", [2], n_resamples=1)
             assert point.exact is exact, size
             assert (point.tabled, point.states) == ((1, limit) if exact else (0, 0))
 
@@ -310,7 +308,7 @@ class TestExactPaths:
                 (f"g{g}", "A", 0.5, s % 2 == 0) for g in range(4) for s in range(size)))
             for strategy in ("majority", "majconf"):
                 curve = scaling_curve(groups, strategy, [1, 31, size], n_resamples=5)
-                assert [pt.exact for pt in curve] == [exact] * 3, size
+                assert [pt.exact for pt in curve] == [True, exact, exact], size
                 if exact:  # the one answer always wins, so the vote is best's
                     best = scaling_curve(groups, "best", [1, 31, size], n_resamples=5)
                     assert [pt.mean for pt in curve] == [pt.mean for pt in best]
@@ -331,6 +329,54 @@ class TestExactPaths:
                 (float(known) + drawn.mean * len(large)) / len(small + large), abs=1e-12)
             assert point.stderr == pytest.approx(
                 drawn.stderr * len(large) / len(small + large), abs=1e-12)
+
+
+class TestOnePass:
+    """scaling_curves values every strategy at once as scaling_curve values each alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           strategies=st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=5,
+                               unique=True),
+           ks=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           n_resamples=st.integers(1, 3), forced=st.booleans())
+    def test_matches_one_strategy_at_a_time(self, seed, strategies, ks, n_resamples,
+                                            forced):
+        # at one resample and one k the cap is 32 states, which 12-sample
+        # groups often pass; 63 samples are drawn however few states they have
+        rng = random.Random(seed)
+        groups = [SampleGroup(group=f"{size}{grp.group}", samples=grp.samples)
+                  for size in (4, 12, 63) for grp in grid_groups(rng, 2, size)]
+        with pytest.MonkeyPatch.context() as mp:
+            if forced:
+                mp.setattr(tts, "STATES_PER_DRAW", 0)
+            curves = scaling_curves(groups, strategies, ks, n_resamples, seed % 5)
+            assert list(curves) == strategies
+            for strategy in strategies:
+                assert curves[strategy] == scaling_curve(groups, strategy, ks, n_resamples,
+                                                         seed % 5), strategy
+
+    def test_each_table_and_draw_is_made_once(self, monkeypatch):
+        small = ragged_groups(random.Random(5), 12, sizes=(3, 4))
+        large = [SampleGroup(group="big" + grp.group, samples=grp.samples)
+                 for grp in ragged_groups(random.Random(6), 4, sizes=(63, 63))]
+        calls = {"_states": [], "_group_rng": []}
+        for name, log in calls.items():
+            def logged(*args, _call=getattr(tts, name), _log=log):
+                _log.append(args)
+                return _call(*args)
+            monkeypatch.setattr(tts, name, logged)
+        curves = scaling_curves(small + large, ["majority", "mean", "majconf"], [1, 2, 3],
+                                4, seed=9)
+        # every group's table is tried once, and each drawn (k, resample,
+        # group) has one stream; k = 1 needs neither
+        assert sorted(grp.group for grp, _ in calls["_states"]) == \
+            sorted(grp.group for grp in small + large)
+        assert sorted(calls["_group_rng"]) == sorted(
+            (9, k, r, grp.group) for k in (2, 3) for r in range(4) for grp in large)
+        for strategy in ("majority", "majconf"):
+            assert [(pt.tabled, pt.drawn, pt.draws) for pt in curves[strategy]] == \
+                [(0, 0, 0), (12, 4, 16), (12, 4, 16)]
 
 
 class TestVoteTables:
@@ -409,23 +455,25 @@ class TestVoteTables:
 
 
 class TestForcedDraws:
-    """With tables off, votes are the paired draws of earlier releases, bit for bit."""
+    """With tables off, votes above k = 1 are the paired draws of earlier
+    releases, bit for bit; k = 1 is v/n, exact, for every strategy."""
 
     PINNED = {
-        "majority": [(1, 0.46, 0.052915026221291815), (2, 0.5, 0.03829708431025353),
+        "majority": [(1, 78 / 175, 0.0), (2, 0.5, 0.03829708431025353),
                      (3, 0.51, 0.057445626465380296), (5, 0.62, 0.011547005383792526),
                      (7, 0.76, 0.0)],
-        "majconf": [(1, 0.46, 0.052915026221291815), (2, 0.5, 0.03829708431025353),
+        "majconf": [(1, 78 / 175, 0.0), (2, 0.5, 0.03829708431025353),
                     (3, 0.52, 0.05416025603090641), (5, 0.55, 0.025166114784235836),
                     (7, 0.64, 0.0)],
     }
 
     def test_votes_match_pinned_curves(self, forced_draws):
         groups = grid_groups(random.Random(31), 25, 7)
+        assert exact_expected_accuracy(groups, 1, "mean") == Fraction(78, 175)
         for strategy, pinned in self.PINNED.items():
             curve = scaling_curve(groups, strategy, [1, 2, 3, 5, 7], 4, seed=11)
             assert [(pt.k, pt.mean, pt.stderr) for pt in curve] == pinned
-            assert not any(pt.exact for pt in curve)
+            assert [pt.exact for pt in curve] == [True] + [False] * 4
 
     def test_closed_forms_ignore_the_limit(self, forced_draws):
         groups = grid_groups(random.Random(31), 25, 7)
@@ -523,6 +571,11 @@ class TestScalingCurve:
         exact = [exact_expected_accuracy(groups, k, "best") for k in (1, 2, 3, 4)]
         assert all(lo <= hi for lo, hi in zip(exact, exact[1:]))
         assert exact[-1] == 1
+
+    def test_exact_points_hold_nothing_per_resample(self):
+        # no group is drawn, so a huge resample count costs nothing
+        curves = scaling_curves(paradox_groups(), STRATEGIES, [1, 2], n_resamples=10 ** 12)
+        assert all(pt.exact for curve in curves.values() for pt in curve)
 
     def test_monte_carlo_tracks_exact(self, forced_draws):
         groups = grid_groups(random.Random(41), 4, 5)
