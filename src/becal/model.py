@@ -56,12 +56,14 @@ columns through one appender, _Columns.add, which checks a list of decoded
 objects field by field as columns (the keys, the types of each field's
 values, the confidences against [0, 1] and the ids against those seen),
 after folding unknown fields into meta. read_jsonl takes lines in chunks of
-about 64 KiB (_INGEST_CHUNK). Each run of lines with no \\u escape is decoded
-with no per-object hook, and repeats a key exactly when its text holds more
-":" than it has decoded keys plus ":" in decoded strings. Only a run of
-escaped lines, or one that add refuses, is read line by line by _parse_lines,
-which checks each line for lone surrogates, each field and each id,
-and names the first bad line.
+about 64 KiB (_INGEST_CHUNK). Each chunk is decoded with no per-object hook,
+and may repeat a key only when its text holds more ":" and \\u003a escapes
+than it has decoded keys plus ":" in decoded strings; a chunk holding a
+\\uD800-style escape is checked for a lone surrogate over its decoded
+objects. Only a chunk that fails a check, because it holds a bad line, a
+repeated key or id, an integer past float range, a lone surrogate or an
+escaped backslash before u003a, is read line by line by _parse_lines, which
+names the first bad line.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from types import NoneType
 from typing import IO, Iterable, Iterator
 
@@ -538,15 +540,18 @@ class _Columns:
         if not (_only(keys, str) and _only(values, str)):
             return False
         if raw is not None:
-            # With no \u escape, a ":" in raw separates a key from its value or
-            # sits in a string, where it decodes to itself. Every string the
-            # checks let through is below (a folded field is a meta key and its
-            # value, compact JSON with as many ":" as its text unless it repeats
-            # a key), so the counts differ exactly when dict() dropped a key.
+            # A ":" in raw separates a key from its value or sits in a string,
+            # where it decodes to itself, as a \u003a or \u003A escape does.
+            # Every string the checks let through is below (a folded field is a
+            # meta key and its value, compact JSON with as many ":" as its text
+            # unless it repeats a key). A key dict() dropped takes its ":" from
+            # the right side only, and a \u003a after an escaped backslash adds
+            # one to the left only, so the counts agree only if none was dropped.
             separators += sum(map(len, flat))
             strings = chain(ids, text, filter(None, rationale), filter(None, group),
                             filter(None, answer), keys, values)
-            if "\\u" in raw or raw.count(":") != separators + "".join(strings).count(":"):
+            colons = raw.count(":") + len(_COLON_ESCAPE.findall(raw))
+            if colons != separators + "".join(strings).count(":"):
                 return False
 
         first_claim = len(self.claim_confidence)
@@ -712,20 +717,32 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# built once: a decoder per line would add about a tenth to the decode time.
-# _parse_line calls its scanner directly, skipping the JSON whitespace itself,
-# which takes another eighth off the time per line
-_SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
 _JSON_SPACE = " \t\n\r"
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-# _plain decodes with no hook, a Python call per object fewer, and
-# _Columns.add finds a repeated key by counting colons instead
+_COLON_ESCAPE = re.compile(r"\\u003[aA]")
+# built once: _plain decodes with no hook, a Python call per object fewer, and
+# _Columns.add finds a repeated key by counting colons instead. _ENCODE writes
+# dump_jsonl's lines and finds lone surrogates for _check_surrogates
 _SCAN_PLAIN = json.JSONDecoder().scan_once
+_ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 # bytes of JSONL (characters, for str lines) read per chunk. Only one chunk's
 # decoded objects are alive at a time: about 0.6 MB for 64 KiB of chain lines.
 # Twice that raised the peak RSS of commands reading 8,000 eight-claim chains
 # by about 0.7 MB, past that of simulating them, with no measurable gain in speed
 _INGEST_CHUNK = 1 << 16
+
+
+def _check_surrogates(objs: list, text: str) -> None:
+    """A UnicodeEncodeError if an object of objs, decoded from the JSON text,
+    holds a lone surrogate, which no UTF-8 output can hold: a \\uD800-style
+    escape decodes to one, and a str line can hold one itself."""
+    if _SURROGATE_ESCAPE.search(text):
+        # 16 objects per call: about the time per object of one call for a
+        # whole chunk, at a quarter of its memory
+        for start in range(0, len(objs), 16):
+            _ENCODE(objs[start:start + 16]).encode("utf-8")
+    elif not text.isascii():
+        text.encode("utf-8")
 
 
 def _parse_line(line: str | bytes) -> dict | None:
@@ -734,19 +751,10 @@ def _parse_line(line: str | bytes) -> dict | None:
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
-        text = line.strip(_JSON_SPACE)
-        if not text.strip():
+        if not line.strip():
             return None
-        try:
-            obj, end = _SCAN(text, 0)
-        except StopIteration:
-            raise json.JSONDecodeError("Expecting value", text, 0) from None
-        if end < len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
-        if _SURROGATE_ESCAPE.search(text) or not text.isascii():
-            # a \uD800-style escape decodes to a lone surrogate, which no
-            # UTF-8 output can hold, and a str line can hold one itself
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
+        _check_surrogates([obj], line)
     except UnicodeEncodeError:
         raise DataError("string holds a lone surrogate escape") from None
     except UnicodeDecodeError as exc:
@@ -803,41 +811,23 @@ def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
 
 def _add_lines(cols: _Columns, lines: list[str | bytes], first: int, source: str) -> int:
     """Append the records of lines, numbered from first; the number of the
-    line after them. Each run of lines with no \\u escape is decoded by _plain
-    and added by columns; a run of escaped lines, or one add refuses, is read
-    one line at a time."""
-    for escaped, run in _runs(lines):
-        decoded = None if escaped else _plain(run)
-        if decoded is None or not cols.add(*decoded):
-            _parse_lines(cols, run, first, source)
-        first += len(run)
-    return first
-
-
-def _runs(lines: list[str | bytes]) -> list[tuple[bool, list[str | bytes]]]:
-    """lines as runs of lines with and without a \\u escape: whether each run
-    has one, and its lines. Files written as ASCII-only JSON escape every
-    non-ASCII character, and such lines may be few among plain ones."""
-    try:
-        if b"\\u" not in b"".join(lines):
-            return [(False, lines)]
-    except TypeError:  # str lines
-        pass
-    runs = groupby(lines, lambda line: ("\\u" if isinstance(line, str) else b"\\u") in line)
-    return [(escaped, list(run)) for escaped, run in runs]
+    line after them. The lines are decoded by _plain and added by columns or,
+    where either refuses them, read one line at a time."""
+    decoded = _plain(lines)
+    if decoded is None or not cols.add(*decoded):
+        _parse_lines(cols, lines, first, source)
+    return first + len(lines)
 
 
 def _plain(lines: list[str | bytes]) -> tuple[list, str] | None:
     """The object of each non-blank line, decoded on its own with no hook, and
     the text they were decoded from; None if a line is not one JSON value in
-    UTF-8 (a str line's lone surrogate is not), which _parse_line reports."""
+    UTF-8 or a string holds a lone surrogate, which _parse_line reports."""
     objs, texts = [], []
     try:
         for line in lines:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
-            elif not line.isascii():
-                line.encode("utf-8")
             try:
                 obj, end = _SCAN_PLAIN(line, 0)
             except StopIteration:  # a leading space, or a blank line
@@ -849,9 +839,11 @@ def _plain(lines: list[str | bytes]) -> tuple[list, str] | None:
                 return None
             objs.append(obj)
             texts.append(line)
+        text = "".join(texts)
+        _check_surrogates(objs, text)
     except (StopIteration, ValueError, RecursionError):  # a UnicodeError is a ValueError
         return None
-    return objs, "".join(texts)
+    return objs, text
 
 
 def _parse_lines(cols: _Columns, lines: list[str | bytes], first: int, source: str) -> None:
@@ -886,7 +878,6 @@ def load_jsonl(path: str, label: str | None = None) -> Dataset:
 
 # records rendered per .tolist() and write, so output memory does not grow with n
 _DUMP_CHUNK = 256
-_ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 def dump_jsonl(dataset: Dataset, fh: IO[str]) -> None:

@@ -35,8 +35,9 @@ class Action(enum.Enum):
 def decide(p: float, t: float) -> Action:
     """Threshold rule: abstain if and only if p < t; ties answer.
 
-    Every module routes its answer/abstain decisions through here so the tie
-    convention lives in one place.
+    The one tie rule. reward calls it per record; sweep and
+    abstention_accuracy count the same decisions over arrays (p >= t), and
+    the tests check those counts against this function at ties.
     """
     return Action.ABS if p < t else Action.ANS
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from becal.behavior import (check_objectives, default_grid, snr_gain,
                             snr_interval, snr_point, sweep)
 from becal.errors import DataError, DomainError
+from becal.rewards import Action, decide
 
 from conftest import make_dataset, random_dataset
 
@@ -164,15 +165,18 @@ CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
 @given(st.lists(st.tuples(CONFIDENCES, st.booleans()), min_size=1, max_size=200),
        st.integers(2, 60), st.data())
 def test_counts_match_direct_decisions(pairs, points, data):
-    """Curves equal a direct per-threshold count, bit for bit, and the count
-    SNR on any on-grid interval equals the float trapezoid."""
-    ds = make_dataset(pairs)
+    """Curves equal a count of decide's decisions at each threshold, bit for
+    bit, with some confidences on grid points so ties are counted, and the
+    count SNR on any on-grid interval equals the float trapezoid."""
     grid = default_grid(points)
+    ties = data.draw(st.lists(st.tuples(st.sampled_from(grid.tolist()), st.booleans()),
+                              min_size=1, max_size=20))
+    ds = make_dataset(pairs + ties)
     sw = sweep(ds, grid)
     p, v = ds.confidences(), ds.valids()
     n = p.size
-    for i, t in enumerate(grid):
-        answers = p >= t
+    for i, t in enumerate(grid.tolist()):
+        answers = np.array([decide(pi, t) is Action.ANS for pi in p.tolist()])
         av = int(np.sum(answers & v))
         ai = int(np.sum(answers & ~v))
         bv = int(np.sum(~answers & v))

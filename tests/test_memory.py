@@ -57,24 +57,29 @@ def test_ingest_holds_no_object_per_field():
 # eight-claim chains: 0.60 MB at 2,000 records, most of it one 64 KiB chunk's
 # decoded objects, and then 136 bytes more per record for the set of ids seen,
 # which finds a duplicate (a str per id and its share of the set's table).
-# A chunk twice as large (1.22 MB) would break the first bound.
+# With every claim text starting with a \u2019 and an emoji's surrogate-pair
+# escape, as json.dumps writes them: 0.63 MB and 119 bytes. A chunk twice as
+# large (1.22 MB), or the lone-surrogate check encoding a chunk's objects at
+# once (1.12 MB), would break the first bound.
 CHUNK_TRANSIENT_BYTES = 800_000
 SEEN_ID_BYTES_PER_RECORD = 160
 
 
 def test_ingest_transient_is_one_chunk_and_the_id_set():
-    def transient(n: int) -> int:
+    def transient(n: int, escape: bytes) -> int:
         buf = io.StringIO()
         dump_jsonl(generate(AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=n,
                                       n_claims=8, seed=1)), buf)
-        lines = buf.getvalue().encode("utf-8").splitlines(keepends=True)
+        lines = buf.getvalue().encode("utf-8").replace(b'"text":"', b'"text":"' + escape)
         del buf
+        lines = lines.splitlines(keepends=True)
         _, held, peak = _traced(lambda: read_jsonl(lines))
         return peak - held
 
-    small, large = transient(2_000), transient(20_000)
-    assert small <= CHUNK_TRANSIENT_BYTES
-    assert large - small <= 18_000 * SEEN_ID_BYTES_PER_RECORD
+    for escape in (b"", b"\\u2019\\ud83d\\ude00"):
+        small, large = transient(2_000, escape), transient(20_000, escape)
+        assert small <= CHUNK_TRANSIENT_BYTES, escape
+        assert large - small <= 18_000 * SEEN_ID_BYTES_PER_RECORD, escape
 
 
 def test_claim_text_is_held_as_its_bytes():

@@ -12,7 +12,7 @@ from becal.metrics import (abstention_accuracy, brier_score,
                            calibration_diagram, confidence_auc, metric_report,
                            nll, predictive_accuracy, smece, smece_at_bandwidth)
 from becal.model import Dataset, PredictionRecord
-from becal.rewards import reward_brier
+from becal.rewards import Action, decide, reward_brier
 
 from conftest import make_dataset, random_dataset
 
@@ -136,13 +136,17 @@ class TestAccuracies:
     def test_abstention_examples(self):
         assert abstention_accuracy(make_dataset([(0.9, True), (0.1, False)])) == 1.0
         assert abstention_accuracy(make_dataset([(0.9, False), (0.1, True)])) == 0.0
-        assert abstention_accuracy(make_dataset([(0.5, True)])) == 1.0  # tie answers
+        for valid in (True, False):  # a tie is scored as decide decides it
+            correct = (decide(0.5, 0.5) is Action.ANS) == valid
+            assert abstention_accuracy(make_dataset([(0.5, valid)])) == float(correct)
 
     def test_abstention_error_partition(self):
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, 300, quantize=10)
         p, v = ds.confidences(), ds.valids()
-        errors = np.mean(((p >= 0.5) & ~v) | ((p < 0.5) & v))
+        assert (p == 0.5).any()  # ties answer
+        answers = np.array([decide(pi, 0.5) is Action.ANS for pi in p.tolist()])
+        errors = np.mean((answers & ~v) | (~answers & v))
         np.testing.assert_allclose(abstention_accuracy(ds) + errors, 1.0,
                                    atol=1e-15)
 

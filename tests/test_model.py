@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from collections import OrderedDict, defaultdict
 from enum import Enum
 from unittest import mock
@@ -113,6 +114,22 @@ class TestReadJsonl:
         with pytest.raises(DataError, match="^test.jsonl: string holds a lone surrogate "
                                             "escape at line 2$"):
             read_lines('{"id":"a","valid":true}', '{"id":"b\udcff","valid":true%s}' % rest)
+
+    @pytest.mark.parametrize("rest", [',"meta":{"k":"v\\udfff"}', ',"x":{"k":["\\uDC00"]}'],
+                             ids=["meta-value", "folded-nested-value"])
+    def test_lone_surrogate_escapes_rejected_in_any_string(self, rest):
+        """A folded field is kept as ASCII JSON, which would hide a lone
+        surrogate, so the decoded objects are checked."""
+        for kind in (str, lambda line: line.encode()):
+            with pytest.raises(DataError, match="^test.jsonl: string holds a lone surrogate "
+                                                "escape at line 2$"):
+                read_lines('{"id":"a","valid":true}', kind('{"id":"b","valid":true%s}' % rest))
+
+    def test_byte_order_mark_is_malformed(self):
+        for line in ('\ufeff{"id":"b","valid":true}', b'\xef\xbb\xbf{"id":"b","valid":true}'):
+            with pytest.raises(DataError, match=r"^test.jsonl: malformed JSON: Unexpected UTF-8 "
+                                                r"BOM \(decode using utf-8-sig\) at line 2$"):
+                read_lines('{"id":"a","valid":true}', line)
 
     def test_surrogate_pair_escapes_accepted(self):
         ds = read_lines('{"id":"\\ud83d\\ude00","valid":true,"x":"\\u00e9\\\\ud800"}')
@@ -402,31 +419,41 @@ def outcome(read, lines):
             for name, column in columns.items()}
 
 
+def rarely(usual, odd, one_in=30):
+    """usual, but odd about once in one_in draws."""
+    return st.integers(1, one_in).flatmap(lambda k: odd if k == 1 else usual)
+
+
 class Pairs(tuple):
     """A JSON object written from its (key, value) pairs, so a key can repeat."""
 
 
 def render(value, escape):
-    """JSON text of value; where escape is set, strings are ASCII with ":" as
-    \\u003a."""
+    """JSON text of value. Where escape is "u" or "U", strings are ASCII, ":"
+    is escaped too, and the hex digits of every escape are lowercase or
+    uppercase."""
     if isinstance(value, Pairs):
         return "{" + ",".join(f"{render(k, escape)}:{render(v, escape)}" for k, v in value) + "}"
     if isinstance(value, list):
         return "[" + ",".join(render(v, escape) for v in value) + "]"
     if isinstance(value, str):
-        text = json.dumps(value, ensure_ascii=escape)
-        return text.replace(":", "\\u003a") if escape else text
+        if not escape:
+            return json.dumps(value, ensure_ascii=False)
+        text = json.dumps(value).replace(":", "\\u003a")
+        return re.sub(r"\\u[0-9a-f]{4}", lambda m: "\\u" + m[0][2:].upper(),
+                      text) if escape == "U" else text
     return json.dumps(value)  # nan and inf as NaN and Infinity
 
 
-COLON_TEXT = st.text(st.sampled_from('ab:\u00e9" \\'), max_size=4)
+# strings with ":" in them, as itself and as an escaped backslash before
+# u003a, characters outside the BMP, whose escapes are surrogate pairs, and
+# rarely a lone surrogate
+COLON_TEXT = rarely(
+    st.lists(st.sampled_from(["a", "b", ":", "\u00e9", '"', " ", "\\", "\\u003a",
+                              "\U0001f600"]), max_size=4).map("".join),
+    st.sampled_from(["\ud800", "a:\udfff", "\ude00\ud83d"]), 60)
 ODD_VALUES = st.one_of(st.none(), st.integers(-1, 2), st.just(7 * 10 ** 399), st.text(max_size=2),
                        st.sampled_from([float("nan"), float("inf"), -0.0, True, [], {}, "\ud800"]))
-
-
-def rarely(usual, odd, one_in=30):
-    """usual, but odd about once in one_in draws."""
-    return st.integers(1, one_in).flatmap(lambda k: odd if k == 1 else usual)
 
 
 UNIT_OR_ODD = rarely(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 1.0]), ODD_VALUES)
@@ -479,7 +506,7 @@ def jsonl_lines(draw):
         if draw(rarely(st.just(False), st.just(True), 4)):  # fields folded into meta
             record = Pairs([*record, *draw(st.lists(st.tuples(
                 st.sampled_from(["model", "x:y"]) | COLON_TEXT, NESTED), min_size=1, max_size=2))])
-        text = render(record, escape=draw(rarely(st.just(False), st.just(True), 10)))
+        text = render(record, escape=draw(st.sampled_from(["", "", "u", "U"])))
         text = draw(rarely(st.just(""), st.sampled_from(["\n", " ", "\r\n"]), 10)) + text
         text += draw(st.sampled_from(["", "\n", "\n", "\r\n", " \n"]))
         if draw(rarely(st.just(False), st.just(True), 10)):
@@ -546,8 +573,9 @@ def test_chunk_path_reads_plain_lines(line):
     '{"id":"a","valid":true,"claims":[{"text":"s","confidence":0.5,"text":"t"}]}',
     '{"id":"a","valid":true,"meta":{"k":"v","k":"w"}}',  # in meta,
     '{"id":"a","valid":true,"meta":{"k":"v:w","k":"v"}}',  # with a colon dropped
-    '{"id":"a\\u003a","valid":true}',  # a \u escape,
-    '{"id":"a\\u003a","valid":true,"valid":false}',  # one that hides a repeated key,
+    '{"id":"a\\u003a","valid":true,"valid":false}',  # with an escaped colon,
+    '{"id":"a","valid":true,"meta":{"k":"v\\u003aw","k":"v"}}',  # one dropped with its key,
+    '{"id":"a\\\\u003a","valid":true}',  # an escaped backslash before u003a,
     '{"id":"a\\ud800","valid":true}',  # a lone surrogate
     '{"id":"","valid":true}',
     '{"id":"a","valid":true,"confidence":NaN}',
@@ -562,18 +590,47 @@ def test_chunk_path_leaves_unusual_lines_to_the_line_reader(line):
     assert not cols.valid and not cols.seen  # nothing appended
 
 
+# \u escapes in lowercase and uppercase hex, as json.dumps writes every
+# non-ASCII character by default: in each kind of string, an emoji as a
+# surrogate pair, and an escaped ":" in an id, a meta key, a folded field's
+# name and a folded nested value
+ESCAPED_LINES = [
+    '{"id":"\\u00e9","valid":true}',
+    '{"id":"e2","valid":true,"claims":[{"text":"it\\u2019s","confidence":0.5,'
+    '"rationale":"\\u2019"}],"group":"g\\u00E9"}',
+    '{"id":"\\ud83d\\ude00","valid":true,"answer":"\\uD83D\\uDE00"}',
+    '{"id":"e4\\u003a","valid":true}',
+    '{"id":"e5","valid":true,"meta":{"k\\u003Ab":"v:"}}',
+    '{"id":"e6","valid":true,"x\\u003ay":"v"}',
+    '{"id":"e7","valid":true,"z":{"k\\u003a":["v\\u003A",{"k":"\\u003a"}]}}',
+]
+
+
 def test_escaped_lines_are_read_on_their_own():
-    """Lines with a \\u escape go to _parse_line, and a run of them is added
-    by one add; the lines around them stay on the chunk path."""
-    lines = [CHAIN_LINE % 0, '{"id":"\\u00e9","valid":true}', '{"id":"\\u00ea","valid":true}',
-             CHAIN_LINE % 1]
+    """Lines with \\u escapes need no reader of their own: a chunk of them is
+    added by one add, with no _parse_line call, and gives the columns of
+    reading it line by line."""
+    lines = [CHAIN_LINE % 0, *ESCAPED_LINES, CHAIN_LINE % 1]
     for kind in (str, lambda line: line.encode()):
         with (mock.patch.object(model, "_parse_line", wraps=_parse_line) as by_line,
               mock.patch.object(_Columns, "add", autospec=True, side_effect=_Columns.add) as add):
-            ds = read_jsonl(map(kind, lines))
-        assert list(ds.ids) == ["r0", "\u00e9", "\u00ea", "r1"]
-        assert [c.args[0] for c in by_line.call_args_list] == [kind(line) for line in lines[1:3]]
-        assert [len(c.args[1]) for c in add.call_args_list] == [1, 2, 1]
+            got = outcome(read_jsonl, list(map(kind, lines)))
+        assert not by_line.called and add.call_count == 1
+        assert got == outcome(lambda ls: read_line_by_line(ls, "<stream>"), lines)
+        assert got["ids"][1:4] == ["\u00e9", "e2", "\U0001f600"]
+        assert got["meta"][5:8] == [[("k:b", "v:")], [("x:y", "v")],
+                                    [("z", '{"k:":["v:",{"k":":"}]}')]]
+
+
+def test_escaped_backslash_before_u003a_is_read_line_by_line():
+    """Text \\u003a decodes to no ":", so add refuses it as it would a
+    repeated key, and the line reader gives the same columns."""
+    lines = ['{"id":"a\\\\u003a","valid":true,"meta":{"k":"\\\\u003A"}}']
+    with mock.patch.object(model, "_parse_line", wraps=_parse_line) as by_line:
+        got = outcome(read_jsonl, lines)
+    assert by_line.call_count == 1
+    assert got == outcome(lambda ls: read_line_by_line(ls, "<stream>"), lines)
+    assert got["ids"] == ["a\\u003a"] and got["meta"] == [[("k", "\\u003A")]]
 
 
 class TestChunkBoundaries:
@@ -602,7 +659,7 @@ class TestChunkBoundaries:
         ([0, 1, 0, "bad"], "duplicate id 'r0' at line 3"),
         ([0, "bad", 0], "valid must be boolean at line 2")])
     def test_escaped_run_names_its_first_bad_line(self, lines, name):
-        """A run read line by line names a repeated id or a bad field,
+        """A chunk read line by line names a repeated id or a bad field,
         whichever line comes first."""
         escaped = CHAIN_LINE.replace("a:b", "\\u00e9")
         lines = [escaped.replace("true", "1", 1) % 9 if i == "bad" else escaped % i
