@@ -14,26 +14,21 @@ on the set of samples drawn, not on the order they were drawn in.
 Draws are k of a group's n samples without replacement, and each point is
 exact wherever exactness is cheap:
   k = 1                every strategy scores the one sample drawn: v/n
+  k = n                the draw is the whole group: majority and majconf
+                       score it once, 0 or 1
   mean, best, maxconf  always by closed form: v/n, the unbiased pass@k
                        1 - C(n-v, k)/C(n, k), and the level-wise maxconf sum
-  majority, majconf    from per-answer subset tables. A state of answer a is
-                       a subset size c and an exact confidence sum; it counts
-                       a's subsets there and those holding a valid sample.
-                       a's subset wins iff every other answer b's subset
-                       loses to it: a lower key, or an equal one when b's
-                       name sorts after a's (the empty subset always loses).
-                       So a wins sum count_valid * [x^(k-c)] prod_b L_b(x)
-                       valid k-subsets over its states, L_b counting b's
-                       losing subsets by size. One table serves every k.
-A group is tabled when its answers have at most
-STATES_PER_DRAW * n_resamples * len(k_values) states, counted while the table
-grows, and at most _MAX_TABLED samples. Other groups are drawn: every (seed,
-k, resample, group) tuple gets its own Philox stream, so majority and majconf
-evaluated at the same tuple see the same draw and curves are paired. A point
-with no drawn group is exact and has stderr 0; each point counts the groups
-valued by closed form, from tables and by draws, so a vote rule's k = 1 point
-counts every group as closed form where its other points count tables and
-draws.
+  majority, majconf    at 1 < k < n from per-answer subset tables
+                       (becal.votes), one table per group for every k
+A group with some requested 1 < k < n is tabled when its answers have at
+most STATES_PER_DRAW * n_resamples * len(k_values) states and it has at most
+_MAX_TABLED samples, so it is tabled or drawn alike at every such k. Other
+groups are drawn there: every (seed, k, resample, group) tuple gets its own
+Philox stream, so majority and majconf evaluated at the same tuple see the
+same draw and curves are paired. A point with no drawn group is exact and has
+stderr 0; each point counts the groups valued by closed form, from tables and
+by draws, so a vote rule's point at k counts a group as closed form where k
+is 1 or the group's size, and by its table or draws elsewhere.
 
 scaling_curves values every requested strategy in one pass: each batch of
 tables is built once and scored for both vote rules, each draw is made once
@@ -42,7 +37,8 @@ every k. Exact sums are integer numerators per denominator, one Fraction per
 distinct denominator. scaling_curve is its one-strategy case.
 
 exact_expected_accuracy is the same exact value, from the same closed forms
-and tables, for any group a table of at most _MAX_EXACT_STATES states holds.
+and tables: at k = 1 and k = n for every group, and between them for any group
+a table of at most _MAX_EXACT_STATES states holds.
 The brute-force oracle, every ordered draw scored in turn, is in the tests.
 """
 
@@ -53,7 +49,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,27 +58,21 @@ from .simulate import _rng
 
 STRATEGIES = ("mean", "best", "majority", "maxconf", "majconf")
 
-# At the margin a table state costs about 0.9 us to build and 0.7 us more for
-# each vote rule scored from it, and a Monte-Carlo draw 31-39 us to make and
-# 5-6 us more for each rule that scores it (timed in turn on the benchmark's
-# 16-sample groups on the 0.05 confidence grid, 2-core x86): a ratio of 27 for
-# one rule and 20 for both. A group is tabled when it has at most this many
-# states per requested draw; the value stays 32, as it was when one rule cost
-# 1.2 us a state and 37-39 us a draw, since moving it moves which groups are
-# drawn and so the outputs. One table serves every k.
+# At the margin a table state costs about 0.45 us to build and 0.3 us more for
+# each vote rule scored from it at k up to 8 (0.4 us up to 16), and a
+# Monte-Carlo draw about 26 us to make and 4 us more for each rule that scores
+# it (medians of 7 runs on the benchmark's 16-sample groups on the 0.05
+# confidence grid, 2-core x86): a ratio of about 40 for one rule and 32 for
+# both. A group is tabled when it has at most this many states per requested
+# draw; the value stays 32, as it was when one rule cost 1.2 us a state and
+# 37-39 us a draw, since moving it moves which groups are drawn and so the
+# outputs. One table serves every k.
 STATES_PER_DRAW = 32
 
-# Subset counts of at most 62 samples stay below 2^62, so tables fit int64,
-# and a state's size fits the 6 low bits of its key
-_MAX_TABLED = 62
-
 # exact_expected_accuracy tables a vote group of at most this many states.
-# At the cap, 4 answers of 14 samples at distinct confidences, k = 56 takes
-# about 1.3 s and 160 MB (2-core x86)
+# At the cap, 4 answers of 14 samples at distinct confidences, k = 55 takes
+# about 0.5 s and 140 MB (2-core x86); k = 56 is the whole group
 _MAX_EXACT_STATES = 1 << 16
-
-# Vote states scored at once; their arrays peak near 1.6 MB at max k = 16
-_BATCH_STATES = 1 << 12
 
 _CLOSED = ("mean", "best", "maxconf")  # valued by closed form, never drawn
 
@@ -154,21 +143,6 @@ def group_records(dataset: Dataset) -> list[SampleGroup]:
             for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(samples)])]
 
 
-def _check_strategy(strategy: str, groups) -> None:
-    if strategy not in _REQUIRES:
-        raise DomainError(f"unknown strategy {strategy!r}; expected one of "
-                          + ", ".join(STRATEGIES))
-    needs_answer, needs_conf = _REQUIRES[strategy]
-    for grp in groups:
-        for answer, conf, _ in grp.samples:
-            if needs_answer and answer is None:
-                raise DataError(f"strategy {strategy!r} needs answers; "
-                                f"group {grp.group!r} has a sample without one")
-            if needs_conf and conf is None:
-                raise DataError(f"strategy {strategy!r} needs confidences; "
-                                f"group {grp.group!r} has a sample without one")
-
-
 def _group_rng(seed: int, k: int, resample: int, group: str) -> np.random.Generator:
     digest = hashlib.sha256(group.encode("utf-8")).digest()[:8]
     return _rng([int(seed), int(k), int(resample), *digest])
@@ -196,9 +170,10 @@ def _closed_form(grp: SampleGroup, strategy: str,
                  ks: list[int]) -> list[tuple[int, int] | None]:
     """Exact accuracy of one group at each k as (numerator, denominator).
 
-    At k = 1 every strategy scores the one sample drawn, so it is v/n. Above
-    it mean, best and maxconf have closed forms, majority and majconf None.
-    The group's samples are read once for every k.
+    At k = 1 every strategy scores the one sample drawn, so it is v/n, and at
+    k = n the draw is the whole group, so majority and majconf score it once,
+    0 or 1. Between them mean, best and maxconf have closed forms, majority
+    and majconf None. The group's samples are read once for every k.
     """
     n = grp.size
     valid = sum(v for _, _, v in grp.samples)
@@ -227,182 +202,22 @@ def _closed_form(grp: SampleGroup, strategy: str,
                 below += m
             out.append((total, scale * math.comb(n, k)))
         else:
-            out.append(None)
-    return out
-
-
-class _Table(NamedTuple):
-    """Vote states of a batch of groups, by group, then answer in name order."""
-
-    group: np.ndarray   # the state's group, counted within the batch
-    answer: np.ndarray  # the state's answer, counted within the batch
-    size: np.ndarray    # subset size c
-    total: np.ndarray   # confidence sum, correctly rounded as math.fsum rounds it
-    count: np.ndarray   # subsets of that answer with this size and exact sum
-    valid: np.ndarray   # of those, the subsets holding a valid sample
-
-
-def _subsets(levels: dict[int, int], limit: float) -> dict[int, int] | None:
-    """sum << 6 | size -> the subsets with that size and exact sum, of samples
-    at the given levels (scaled confidence -> samples there); None once
-    there are more than limit keys."""
-    count = {0: 1}
-    for x, m in levels.items():
-        grown = dict(count)
-        for j in range(1, m + 1):
-            shift, ways = j * (x << 6 | 1), math.comb(m, j)
-            for key, n in count.items():
-                grown[key + shift] = grown.get(key + shift, 0) + n * ways
-            if len(grown) > limit:
-                return None
-        count = grown
-    return count
-
-
-def _states(grp: SampleGroup, cap: int) -> tuple[list, ...] | None:
-    """How many states each answer has, answers in name order, then the
-    states' sizes, sums and counts as in _Table; None past cap states.
-
-    Each state counts the subsets of one answer's samples with one size and
-    one exact confidence sum, the empty subset included. Sums are integers
-    over the group's common dyadic denominator while the states grow, then
-    divided once: int true division rounds correctly, as math.fsum does.
-    """
-    if grp.size > _MAX_TABLED:
-        return None
-    ratios = [(0.0 if conf is None else conf).as_integer_ratio()
-              for _, conf, _ in grp.samples]
-    denom = max(q for _, q in ratios)  # every q is a power of two
-    # per answer, scaled confidence -> samples there: all, and the invalid
-    levels: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
-    for (answer, _, valid), (p, q) in zip(grp.samples, ratios):
-        x = p * (denom // q)
-        every, invalid = levels.setdefault(answer, ({}, {}))
-        every[x] = every.get(x, 0) + 1
-        if not valid:
-            invalid[x] = invalid.get(x, 0) + 1
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    for answer in sorted(levels):
-        every, invalid = levels[answer]
-        count = _subsets(every, cap - len(columns[1]))
-        if count is None:
-            return None
-        # the subsets with no valid sample are those of the invalid samples
-        invalid = count if invalid == every else _subsets(invalid, math.inf)
-        columns[0].append(len(count))
-        columns[1].extend([key & 63 for key in count])
-        columns[2].extend([(key >> 6) / denom for key in count])
-        columns[3].extend(count.values())
-        columns[4].extend([n - invalid.get(key, 0) for key, n in count.items()])
-    return columns
-
-
-def _batches(groups: list[SampleGroup], cap: int):
-    """(indices into groups, _Table) for every group with at most cap states.
-
-    A batch closes once it holds _BATCH_STATES states, so the arrays scored
-    at once stay bounded however many groups there are.
-    """
-    def batch():
-        answer = np.repeat(np.arange(len(columns[0])), columns[0])
-        group = np.repeat(np.arange(len(indices)), answers)[answer]
-        return indices, _Table(group, answer, np.array(columns[1], dtype=np.int64),
-                               np.array(columns[2], dtype=np.float64),
-                               *(np.array(c, dtype=np.int64) for c in columns[3:]))
-
-    indices: list[int] = []
-    answers: list[int] = []  # answers per group
-    columns: tuple[list, ...] = ([], [], [], [], [])  # as _states returns them
-    for index, grp in enumerate(groups):
-        states = _states(grp, cap)
-        if states is None:
-            continue
-        indices.append(index)
-        answers.append(len(states[0]))
-        for column, values in zip(columns, states):
-            column.extend(values)
-        if len(columns[1]) >= _BATCH_STATES:
-            yield batch()
-            indices, answers, columns = [], [], ([], [], [], [], [])
-    if indices:
-        yield batch()
-
-
-def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
-    """Per group of the batch and k: the k-subsets whose vote goes to a valid sample."""
-    n = len(table.size)
-    minor, major = (table.total, table.size) if strategy == "majority" else \
-        (table.size, table.total)
-    order = np.lexsort((minor, major, table.group))
-    changed = np.ones(n, dtype=bool)
-    changed[1:] = ((np.diff(table.group[order]) != 0) | (np.diff(table.size[order]) != 0)
-                   | (np.diff(table.total[order]) != 0))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.cumsum(changed)  # equal vote keys of a group share a rank
-    # states by answer, then rank: answers are numbered group after group,
-    # and each answer's empty subset, the least key, comes first
-    by = np.lexsort((rank, table.answer))
-    group, answer, size, rank = (column[by] for column in (table.group, table.answer,
-                                                           table.size, rank))
-    start = np.flatnonzero(np.diff(answer, prepend=-1))  # each answer's first state
-    reach = np.maximum.reduceat(size, start)  # each answer's sample count
-    # each group's first answer, and its number of answers
-    first = np.searchsorted(group[start], np.arange(group[-1] + 1))
-    answers = np.diff(first, append=len(start))
-    # running[p]: by size, the subsets in states of p's answer up to p, then
-    # one row for "no answer"; sizes from width on are never needed, as the
-    # winner fills one of the k <= width places. Each answer's sum restarts
-    # from 0, so no sum exceeds one answer's subsets and int64 holds it.
-    width = max(ks)
-    fits = size < width
-    running = np.zeros((n + 1, width), dtype=np.int64)
-    running[np.flatnonzero(fits), size[fits]] = table.count[by][fits]
-    running[start[1:]] -= np.add.reduceat(running[:n], start)[:-1]
-    np.cumsum(running[:n], axis=0, out=running[:n])
-    running[n, 0] = 1
-    # a row per state holding a valid sample; another answer b of its group
-    # loses below its key, and at an equal key iff b's name sorts after a's
-    rows = np.flatnonzero((table.valid[by] > 0) & (size <= width))
-    a, g = answer[rows], group[rows]
-    slots = np.arange(int(answers.max()) - 1)
-    other = slots + (slots >= (a - first[g])[:, None])
-    real = other < answers[g, None]
-    b = np.where(real, first[g, None] + other, len(start))
-    last = np.searchsorted(answer * (2 * n + 2) + 2 * rank,
-                           b * (2 * n + 2) + 2 * rank[rows, None] + (b > a[:, None])) - 1
-    last[~real] = n
-    # the product of the L_b depends on a row only through last, which rises
-    # with the rank, so rows sharing it are adjacent: multiply once for them
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (a[1:] != a[:-1]) | (last[1:] != last[:-1]).any(axis=1)
-    b, last = b[fresh], last[fresh]
-    depth = np.append(reach, 0)[b]
-    poly = np.zeros((len(b), width), dtype=np.int64)
-    poly[:, 0] = 1
-    for slot in slots:
-        factor = running[last[:, slot]]  # factor[:, 0] is 1: the empty subset
-        product = poly.copy()
-        for t in range(1, min(width, int(depth[:, slot].max(initial=0)) + 1)):
-            product[:, t:] += poly[:, :-t] * factor[:, t:t + 1]
-        poly = product
-    place = np.array(ks) - size[rows, None]  # a fills c of the k places
-    hits = (poly[np.cumsum(fresh)[:, None] - 1, np.maximum(place, 0)] * (place >= 0)
-            * table.valid[by][rows, None])
-    out = np.zeros((int(group[-1]) + 1, len(ks)), dtype=np.int64)
-    np.add.at(out, g, hits)
+            out.append((_score(grp.samples, strategy), 1) if k == n else None)
     return out
 
 
 def _exact(groups: list[SampleGroup], strategies: list[str], ks: list[int],
-           cap: float) -> tuple[dict[str, list[Counter]], list[SampleGroup], int]:
+           cap: float) -> tuple[dict[str, list[Counter]], list[SampleGroup], np.ndarray]:
     """Per strategy and k, the sum of every exactly valued group's accuracy
-    as {denominator: numerator}; the groups left to draw; and the table
-    states of the others.
+    as {denominator: numerator}; the groups left to draw; and each group's
+    table states, 0 for a group with no table.
 
-    Every group at k = 1 and every mean, best and maxconf value is a closed
-    form. Above k = 1 majority and majconf are valued from the table of each
-    group with at most cap states and _MAX_TABLED samples: each batch of
-    tables is built once and scored for both rules before the next is built.
+    Every group at k = 1 and at k = its size, and every mean, best and
+    maxconf value, is a closed form. At 1 < k < n majority and majconf are
+    valued from the table of each group with at most cap states and
+    _MAX_TABLED samples: each batch of tables is built once and scored for
+    both rules before the next is built. A group with no such k needs
+    neither a table nor a draw.
     """
     sums = {strategy: [Counter() for _ in ks] for strategy in strategies}
     for grp in groups:
@@ -411,19 +226,27 @@ def _exact(groups: list[SampleGroup], strategies: list[str], ks: list[int],
                 if pair is not None:
                     total[pair[1]] += pair[0]
     votes = [strategy for strategy in strategies if strategy not in _CLOSED]
-    deep = [(j, k) for j, k in enumerate(ks) if k > 1]
-    if not votes or not deep:
-        return sums, [], 0
-    tabled, states = set(), 0
-    for indices, table in _batches(groups, cap):
-        states += len(table.size)
-        tabled.update(indices)
+    sizes = np.array([grp.size for grp in groups])
+    above = np.array([k for k in ks if k > 1], dtype=np.int64)
+    voted = np.flatnonzero((sizes[:, None] > above).any(axis=1) if votes else sizes[:0])
+    states = np.zeros(len(groups), dtype=np.int64)
+    if not len(voted):
+        return sums, [], states
+    # the tables' module is compiled and loaded only by a command that needs them
+    from .votes import _batches, _vote_hits
+    for indices, table in _batches([groups[index] for index in voted.tolist()], cap):
+        indices = voted[indices]
+        states[indices] = np.bincount(table.group)
+        batch = sizes[indices].tolist()
+        # scored up to the largest k below a group's size; k = n is closed
+        deep = [(j, k) for j, k in enumerate(ks) if 1 < k < max(batch)]
         for strategy in votes:
             hits = _vote_hits(table, strategy, [k for _, k in deep]).tolist()
-            for index, row in zip(indices, hits):
+            for size, row in zip(batch, hits):
                 for (j, k), count in zip(deep, row):
-                    sums[strategy][j][math.comb(groups[index].size, k)] += count
-    return sums, [grp for index, grp in enumerate(groups) if index not in tabled], states
+                    if k < size:
+                        sums[strategy][j][math.comb(size, k)] += count
+    return sums, [groups[index] for index in voted[states[voted] == 0].tolist()], states
 
 
 def _total(sums: Counter) -> Fraction:
@@ -433,16 +256,36 @@ def _total(sums: Counter) -> Fraction:
 
 def _checked(groups, strategies: list[str], ks: list[int]) -> list[SampleGroup]:
     """groups as a list; an error if there are none or they do not suit every
-    strategy and every k."""
+    strategy and every k.
+
+    The samples are read once; each strategy in turn is then checked against
+    the first sample that lacks what it needs.
+    """
     groups = list(groups)
     if not groups:
         raise DataError("no groups to evaluate")
+    # (group, sample) of the first sample without an answer, and without a confidence
+    missing: list[tuple[int, int] | None] = [None, None]
+    for g, grp in enumerate(groups):
+        for s, sample in enumerate(grp.samples):
+            for field in (0, 1):
+                if sample[field] is None and missing[field] is None:
+                    missing[field] = (g, s)
     for strategy in strategies:
-        _check_strategy(strategy, groups)
+        if strategy not in _REQUIRES:
+            raise DomainError(f"unknown strategy {strategy!r}; expected one of "
+                              + ", ".join(STRATEGIES))
+        found = [(missing[field], what) for field, what in enumerate(("answers", "confidences"))
+                 if _REQUIRES[strategy][field] and missing[field]]
+        if found:
+            (g, _), what = min(found, key=lambda item: item[0])
+            raise DataError(f"strategy {strategy!r} needs {what}; "
+                            f"group {groups[g].group!r} has a sample without one")
     check_count("k", min(ks))
+    top = max(ks)
     for grp in groups:
-        if max(ks) > grp.size:
-            raise DomainError(f"k={max(ks)} exceeds group {grp.group!r} size {grp.size}")
+        if top > grp.size:
+            raise DomainError(f"k={top} exceeds group {grp.group!r} size {grp.size}")
     return groups
 
 
@@ -487,23 +330,27 @@ def scaling_curves(groups, strategies, k_values, n_resamples: int,
     # per vote rule, k and resample: the drawn groups whose vote is valid;
     # with no group drawn nothing is kept or run per resample
     hits = {strategy: [[0] * n_resamples for _ in ks] for strategy in votes} if drawn else {}
+    sizes = np.array([grp.size for grp in groups])
+    valued = []  # per k, how a vote rule's groups are valued
     for j, k in enumerate(ks):
-        if k == 1 or not drawn:
-            continue  # valued exactly for every group
-        for r in range(n_resamples):
-            for grp in drawn:
+        # at k = 1 and at k = n a group is valued by closed form
+        tabled = states[(states > 0) & (1 < k) & (k < sizes)]
+        drawn_at = [grp for grp in drawn if 1 < k < grp.size]
+        valued.append({"closed_form": len(groups) - len(tabled) - len(drawn_at),
+                       "tabled": len(tabled), "drawn": len(drawn_at),
+                       "states": int(tabled.sum()), "draws": len(drawn_at) * n_resamples})
+        for r in range(n_resamples if drawn_at else 0):
+            for grp in drawn_at:
                 sample = _draw(grp, k, _group_rng(seed, k, r, grp.group))
                 for strategy in votes:
                     hits[strategy][j][r] += _score(sample, strategy)
     closed = {"closed_form": len(groups), "tabled": 0, "drawn": 0, "states": 0, "draws": 0}
-    voted = {"closed_form": 0, "tabled": len(groups) - len(drawn), "drawn": len(drawn),
-             "states": states, "draws": len(drawn) * n_resamples}
     curves = {}
     for strategy in strategies:
         curve = []
         for j, k in enumerate(ks):
             exact_sum = _total(sums[strategy][j])
-            counts = closed if k == 1 or strategy in _CLOSED else voted
+            counts = closed if strategy in _CLOSED else valued[j]
             if not counts["drawn"]:
                 curve.append(ScalingPoint(k=k, mean=float(exact_sum / len(groups)),
                                           stderr=0.0, **counts))
@@ -528,14 +375,16 @@ def scaling_curve(groups, strategy: str, k_values, n_resamples: int,
 def exact_expected_accuracy(groups, k: int, strategy: str) -> Fraction:
     """Exact expected accuracy of k samples drawn without replacement, as a fraction.
 
-    mean, best and maxconf come from their closed forms, majority and
-    majconf from vote tables above k = 1: the values scaling_curves reports
-    as exact. Above k = 1 a DomainError names a group whose vote table would
-    pass _MAX_EXACT_STATES states or _MAX_TABLED samples.
+    mean, best and maxconf come from their closed forms, and so do majority
+    and majconf at k = 1 and k = n; between them they come from vote tables:
+    the values scaling_curves reports as exact. At 1 < k < n a DomainError
+    names a group whose vote table would pass _MAX_EXACT_STATES states or
+    _MAX_TABLED samples.
     """
     groups = _checked(groups, [strategy], [k])
     sums, drawn, _ = _exact(groups, [strategy], [k], _MAX_EXACT_STATES)
     if drawn:
+        from .votes import _MAX_TABLED
         raise DomainError(f"group {drawn[0].group!r}: more than {_MAX_TABLED} samples or "
                           f"{_MAX_EXACT_STATES} vote states, too many to value exactly")
     return _total(sums[strategy][0]) / len(groups)

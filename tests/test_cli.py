@@ -480,9 +480,10 @@ class TestTtsOutput:
         assert {(r[3], r[4]) for r in rows[1:]} == {("0.0", "true")}
 
     def test_exact_and_drawn_points_repeat_byte_for_byte(self, tmp_path, monkeypatch):
-        # group g (3 samples) is tabled; h has 63, past the 62 whose subset
-        # counts fit int64, so it is drawn at every k above 1; at k = 1 every
-        # group is valued by closed form
+        # group g (3 samples) is tabled at k = 2; h has 63, past the 62 whose
+        # subset counts fit int64, so it is drawn at every k above 1; at k = 1
+        # every group is valued by closed form, and so is g at k = 3, where
+        # the draw is the whole group
         rows = [(g, "AB"[s % 2], 0.5 + 0.05 * (s % 3), s % 2 == 0)
                 for g, size in (("g", 3), ("h", 63)) for s in range(size)]
         path = write_jsonl(tmp_path / "g.jsonl", grouped_rows(rows))
@@ -503,9 +504,10 @@ class TestTtsOutput:
             for pt in curve:
                 assert (pt["stderr"] == 0.0) == pt["exact"]
         # g's table: A has {}, {0.5}, {0.6}, {0.5, 0.6}; B has {}, {0.55}
-        assert [(pt["groups"], pt["states"], pt["draws"]) for pt in curves["majority"]] == \
-            [({"closed_form": 2, "tabled": 0, "drawn": 0}, 0, 0)] + \
-            [({"closed_form": 0, "tabled": 1, "drawn": 1}, 6, 2)] * 2
+        assert [(pt["groups"], pt["states"], pt["draws"]) for pt in curves["majority"]] == [
+            ({"closed_form": 2, "tabled": 0, "drawn": 0}, 0, 0),
+            ({"closed_form": 0, "tabled": 1, "drawn": 1}, 6, 2),
+            ({"closed_form": 1, "tabled": 0, "drawn": 1}, 0, 2)]
         assert [(pt["groups"], pt["states"], pt["draws"]) for pt in curves["maxconf"]] == \
             [({"closed_form": 2, "tabled": 0, "drawn": 0}, 0, 0)] * 3
         csv_text = (tmp_path / "first" / "t.csv").read_text()
@@ -526,12 +528,13 @@ class TestTtsOutput:
         assert outputs[0] == outputs[1]
         curves = json.loads(outputs[0])["curves"]
         for name, curve in curves.items():
-            vote = name in ("majority", "majconf")
             for pt in curve:
+                # a vote at k = 2 is tabled; at k = 6 the draw is the whole group
+                tabled = name in ("majority", "majconf") and pt["k"] == 2
                 assert pt["exact"] and pt["draws"] == 0
-                assert pt["groups"] == {"closed_form": 0 if vote else 3,
-                                        "tabled": 3 if vote else 0, "drawn": 0}
-                assert (pt["states"] > 0) == vote
+                assert pt["groups"] == {"closed_form": 0 if tabled else 3,
+                                        "tabled": 3 if tabled else 0, "drawn": 0}
+                assert (pt["states"] > 0) == tabled
 
     def test_unknown_strategy(self, tmp_path):
         path = write_jsonl(tmp_path / "g.jsonl",

@@ -5,17 +5,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from becal import tts
+from becal import tts, votes
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
 from becal.simulate import generate_ensemble
-from becal.tts import (STRATEGIES, SampleGroup, _batches, _closed_form, _score,
-                       _vote_hits, exact_expected_accuracy, group_records, scaling_curve,
+from becal.tts import (STRATEGIES, SampleGroup, _closed_form, _draw, _group_rng, _score,
+                       exact_expected_accuracy, group_records, scaling_curve,
                        scaling_curves)
+from becal.votes import _batches, _levels, _vote_hits
 
 from conftest import grid_groups, make_dataset, make_grouped
 
@@ -64,6 +66,17 @@ def tabled(grp, strategy, ks):
     (_, table), = _batches([grp], cap=math.inf)
     hits, = _vote_hits(table, strategy, list(ks))
     return [Fraction(int(h), math.comb(grp.size, k)) for h, k in zip(hits, ks)]
+
+
+def state_count(grp):
+    """Distinct (size, exact confidence sum) of each answer's subsets, the
+    empty one included, summed over the answers: the states of a vote table."""
+    by_answer = {}
+    for answer, conf, _ in grp.samples:
+        by_answer.setdefault(answer, []).append(Fraction(conf or 0.0))
+    return sum(len({(r, sum(subset)) for r in range(len(confs) + 1)
+                    for subset in itertools.combinations(confs, r)})
+               for confs in by_answer.values())
 
 
 def paradox_groups():
@@ -236,10 +249,16 @@ class TestOrderFreeVotes:
                             for order in itertools.permutations(grp.samples)}) == 1
 
     def test_full_draws_agree_across_resamples(self, forced_draws):
+        # every resample's draw at k = n is the whole group in some order, so
+        # the group is scored once by closed form, even with tables off
         groups = grid_groups(random.Random(23), 200, 16)
         for strategy in ("majority", "majconf"):
             point, = scaling_curve(groups, strategy, [16], n_resamples=8, seed=3)
-            assert not point.exact and point.stderr == 0.0, strategy
+            assert point.exact and point.stderr == 0.0, strategy
+            assert (point.closed_form, point.drawn, point.draws) == (200, 0, 0)
+            for grp in groups[:20]:
+                assert {_score(_draw(grp, 16, _group_rng(3, 16, r, grp.group)), strategy)
+                        for r in range(8)} == {_closed_form(grp, strategy, [16])[0][0]}
 
 
 def ragged_groups(rng, n_groups, sizes=(1, 7)):
@@ -278,6 +297,27 @@ class TestExactPaths:
             assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == [
                 (float(f), 0.0, True) for f in oracle], strategy
 
+    def test_whole_group_is_one_closed_form(self):
+        # at k = n the draw is the whole group: one _score, the oracle's value
+        groups = ragged_groups(random.Random(4), 40, sizes=(1, 8))
+        for grp in groups:
+            n = grp.size
+            for strategy in ("majority", "majconf"):
+                pair, = _closed_form(grp, strategy, [n])
+                assert pair == (_score(grp.samples, strategy), 1)
+                assert Fraction(*pair) == enumerated(grp, strategy, n) == \
+                    exact_expected_accuracy([grp], n, strategy)
+                if n <= 6:
+                    assert Fraction(*pair) == permuted([grp], n, strategy)
+        # no table is built for a group whose only k above 1 is its size
+        sizes = {grp.size for grp in groups}
+        for strategy in ("majority", "majconf"):
+            for size in sizes - {1}:
+                alike = [grp for grp in groups if grp.size == size]
+                point, = scaling_curve(alike, strategy, [size], n_resamples=3)
+                assert (point.closed_form, point.tabled, point.states) == (len(alike), 0, 0)
+                assert point.exact and point.stderr == 0.0
+
     def test_exact_value_at_every_benchmark_k(self):
         # 16 samples at k = 8 have 518,918,400 ordered draws; the tables need
         # no enumeration, and every point of the curves is the exact value
@@ -302,26 +342,32 @@ class TestExactPaths:
             assert (point.tabled, point.states) == ((1, limit) if exact else (0, 0))
 
     def test_more_than_62_samples_are_drawn(self):
-        # counts of 63 samples' subsets need not fit int64, however few states
+        # counts of 63 samples' subsets need not fit int64, however few states;
+        # at k = n the draw is the whole group, scored once whatever its size
         for size, exact in ((62, True), (63, False)):
             groups = group_records(make_grouped(
                 (f"g{g}", "A", 0.5, s % 2 == 0) for g in range(4) for s in range(size)))
             for strategy in ("majority", "majconf"):
                 curve = scaling_curve(groups, strategy, [1, 31, size], n_resamples=5)
-                assert [pt.exact for pt in curve] == [True, exact, exact], size
+                assert [pt.exact for pt in curve] == [True, exact, True], size
+                assert (curve[2].mean, curve[2].stderr, curve[2].closed_form) == (1.0, 0.0, 4)
                 if exact:  # the one answer always wins, so the vote is best's
                     best = scaling_curve(groups, "best", [1, 31, size], n_resamples=5)
                     assert [pt.mean for pt in curve] == [pt.mean for pt in best]
 
     def test_tabled_and_drawn_groups_mix(self):
-        # the 63-sample groups are drawn, the 3- and 4-sample ones tabled
+        # the 63-sample groups are drawn, the 4-sample ones tabled and the
+        # 3-sample ones, drawn whole at k = 3, valued by closed form
         small = ragged_groups(random.Random(5), 12, sizes=(3, 4))
         large = [SampleGroup(group="big" + grp.group, samples=grp.samples)
                  for grp in ragged_groups(random.Random(6), 8, sizes=(63, 63))]
+        whole = sum(grp.size == 3 for grp in small)
+        assert 0 < whole < 12
         for strategy in ("majority", "majconf"):
             point, = scaling_curve(small + large, strategy, [3], n_resamples=5, seed=9)
             assert not point.exact and point.stderr > 0.0
-            assert (point.tabled, point.drawn, point.draws) == (12, 8, 40)
+            assert (point.closed_form, point.tabled, point.drawn, point.draws) == \
+                (whole, 12 - whole, 8, 40)
             # each resample adds the exact small-group sum to the same draws
             drawn, = scaling_curve(large, strategy, [3], n_resamples=5, seed=9)
             known = sum(permuted([g], 3, strategy) for g in small)
@@ -360,23 +406,26 @@ class TestOnePass:
         small = ragged_groups(random.Random(5), 12, sizes=(3, 4))
         large = [SampleGroup(group="big" + grp.group, samples=grp.samples)
                  for grp in ragged_groups(random.Random(6), 4, sizes=(63, 63))]
-        calls = {"_states": [], "_group_rng": []}
-        for name, log in calls.items():
-            def logged(*args, _call=getattr(tts, name), _log=log):
+        calls = {(votes, "_levels"): [], (tts, "_group_rng"): []}
+        for (module, name), log in calls.items():
+            def logged(*args, _call=getattr(module, name), _log=log):
                 _log.append(args)
                 return _call(*args)
-            monkeypatch.setattr(tts, name, logged)
+            monkeypatch.setattr(module, name, logged)
         curves = scaling_curves(small + large, ["majority", "mean", "majconf"], [1, 2, 3],
                                 4, seed=9)
-        # every group's table is tried once, and each drawn (k, resample,
-        # group) has one stream; k = 1 needs neither
-        assert sorted(grp.group for grp, _ in calls["_states"]) == \
-            sorted(grp.group for grp in small + large)
-        assert sorted(calls["_group_rng"]) == sorted(
+        # the levels of every group of at most 62 samples are read once, for
+        # its one table, and each drawn (k, resample, group) has one stream;
+        # k = 1 and k = n need neither
+        assert sorted(grp.group for (groups,) in calls[votes, "_levels"] for grp in groups) \
+            == sorted(grp.group for grp in small)
+        assert sorted(calls[tts, "_group_rng"]) == sorted(
             (9, k, r, grp.group) for k in (2, 3) for r in range(4) for grp in large)
+        whole = sum(grp.size == 3 for grp in small)
         for strategy in ("majority", "majconf"):
-            assert [(pt.tabled, pt.drawn, pt.draws) for pt in curves[strategy]] == \
-                [(0, 0, 0), (12, 4, 16), (12, 4, 16)]
+            assert [(pt.closed_form, pt.tabled, pt.drawn, pt.draws)
+                    for pt in curves[strategy]] == \
+                [(16, 0, 0, 0), (0, 12, 4, 16), (whole, 12 - whole, 4, 16)]
 
 
 class TestVoteTables:
@@ -421,13 +470,50 @@ class TestVoteTables:
 
     def test_batches_match_single_groups(self, monkeypatch):
         groups = ragged_groups(random.Random(15), 50, sizes=(3, 8))
-        monkeypatch.setattr(tts, "_BATCH_STATES", 16)
+        monkeypatch.setattr(votes, "_BATCH_STATES", 16)
         assert len(list(_batches(groups, math.inf))) > 1
         for strategy in ("majority", "majconf"):
             curve = scaling_curve(groups, strategy, [1, 2, 3], n_resamples=5)
             assert [pt.mean for pt in curve] == [
                 float(sum(enumerated(g, strategy, k) for g in groups) / len(groups))
                 for k in (1, 2, 3)]
+
+    def test_sums_past_int64(self):
+        # over the denominator 2^70 of 2^-70 a 0.5 is 2^69, so these groups'
+        # sums are Python ints, the same code on a wider dtype
+        tiny = 2.0 ** -70
+        rng = random.Random(16)
+        groups = group_records(make_grouped(
+            (f"g{g}", rng.choice("AB"), rng.choice((tiny, 3 * tiny, 0.5, 0.25, 5e-324)),
+             rng.random() < 0.5)
+            for g in range(12) for _ in range(rng.randint(2, 8))))
+        assert _levels(groups).value.dtype == object
+        self.assert_oracle(groups)
+        # tiny sums that tie, and the same vote key rounded from unequal sums
+        rows = [("g", "A", tiny, True), ("g", "A", tiny, False), ("g", "B", 2 * tiny, False),
+                ("g", "B", 0.5 + 2.0 ** -53, True), ("g", "A", 0.5, True)]
+        self.assert_oracle(group_records(make_grouped(rows)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), slack=st.integers(-3, 3),
+           batch=st.sampled_from([4, 16, 1 << 12]))
+    def test_cap_picks_the_groups_whose_states_fit(self, seed, slack, batch):
+        # the cap decision against brute-force states: a group is tabled iff
+        # its distinct (answer, size, exact sum) states are at most cap, with
+        # small batches merging rows before the last level is grown
+        rng = random.Random(seed)
+        grid = rng.choice([(0.25, 0.5, 0.75, 1.0), (0.05, 0.1, 0.15, 0.3, 0.45),
+                           (0.125, 0.25, 0.375, 0.5, 0.3, 0.2)])
+        groups = group_records(make_grouped(
+            (f"g{g}", rng.choice("ABC"), rng.choice(grid), rng.random() < 0.5)
+            for g in range(6) for _ in range(rng.randint(1, 10))))
+        counts = [state_count(grp) for grp in groups]
+        cap = max(1, rng.choice(counts) + slack)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(votes, "_BATCH_STATES", batch)
+            tabled = {index: count for indices, table in _batches(groups, cap)
+                      for index, count in zip(indices, np.bincount(table.group).tolist())}
+        assert tabled == {i: count for i, count in enumerate(counts) if count <= cap}
 
     def test_key_tie_broken_by_name_only(self):
         # 0.3 + 0.2 and 0.25 + 0.25 are both exactly 0.5: equal counts and sums
@@ -455,8 +541,9 @@ class TestVoteTables:
 
 
 class TestForcedDraws:
-    """With tables off, votes above k = 1 are the paired draws of earlier
-    releases, bit for bit; k = 1 is v/n, exact, for every strategy."""
+    """With tables off, votes at 1 < k < n are the paired draws of earlier
+    releases, bit for bit; k = 1 is v/n, exact, for every strategy, and a
+    vote at k = n scores the whole group once, exact."""
 
     PINNED = {
         "majority": [(1, 78 / 175, 0.0), (2, 0.5, 0.03829708431025353),
@@ -473,7 +560,7 @@ class TestForcedDraws:
         for strategy, pinned in self.PINNED.items():
             curve = scaling_curve(groups, strategy, [1, 2, 3, 5, 7], 4, seed=11)
             assert [(pt.k, pt.mean, pt.stderr) for pt in curve] == pinned
-            assert [pt.exact for pt in curve] == [True] + [False] * 4
+            assert [pt.exact for pt in curve] == [True] + [False] * 3 + [True]
 
     def test_closed_forms_ignore_the_limit(self, forced_draws):
         groups = grid_groups(random.Random(31), 25, 7)
@@ -499,6 +586,41 @@ class TestPreconditions:
             at_k(groups, "maxconf", 1)
         assert at_k(groups, "best", 2) == 1.0
 
+    def test_each_strategy_names_its_first_failing_group(self):
+        # group a lacks an answer, b a confidence; c lacks both in one sample
+        groups = group_records(make_grouped(
+            [("a", None, 0.5, True), ("a", "B", 0.5, False), ("b", "A", None, True),
+             ("c", None, None, False)]))
+        cases = [(["maxconf", "majority"], "strategy 'maxconf' needs confidences; group 'b'"),
+                 (["majority", "maxconf"], "strategy 'majority' needs answers; group 'a'"),
+                 (["mean", "majconf"], "strategy 'majconf' needs answers; group 'a'"),
+                 (["majconf"], "strategy 'majconf' needs answers; group 'a'")]
+        for strategies, message in cases:
+            with pytest.raises(DataError, match=f"^{message} has a sample without one$"):
+                scaling_curves(groups, strategies, [1], 1)
+        with pytest.raises(DataError, match="'maxconf' needs confidences; group 'c'"):
+            scaling_curves(groups[2:], ["maxconf", "majority"], [1], 1)
+        with pytest.raises(DataError, match="'majconf' needs answers; group 'c'"):
+            scaling_curves(groups[2:], ["majconf"], [1], 1)
+        # the first failing strategy wins over an unknown one after it, not before
+        with pytest.raises(DataError, match="'majority'"):
+            scaling_curves(groups, ["majority", "oracle"], [1], 1)
+        with pytest.raises(DomainError, match="unknown strategy 'oracle'"):
+            scaling_curves(groups, ["oracle", "majority"], [1], 1)
+
+    def test_samples_are_read_once_for_every_strategy(self):
+        reads = []
+
+        class Samples(tuple):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        groups = [SampleGroup(group=grp.group, samples=Samples(grp.samples))
+                  for grp in grid_groups(random.Random(2), 5, 4)]
+        tts._checked(groups, list(STRATEGIES), [1, 4])
+        assert len(reads) == len(groups)
+
     def test_k_bounds(self):
         groups = group_records(make_grouped(
             [("g", "A", 0.5, True), ("g", "B", 0.5, False)]))
@@ -516,10 +638,14 @@ class TestPreconditions:
 
     def test_table_guard(self, monkeypatch):
         # no vote table holds 63 samples; the closed forms need none
+        # and none is needed at k = 1 or k = n, so only 1 < k < n raises
         big = group_records(make_grouped(("big", "A", 0.5, s < 21) for s in range(63)))
         for strategy in ("majority", "majconf"):
-            with pytest.raises(DomainError, match="group 'big': more than 62 samples"):
-                exact_expected_accuracy(big, 2, strategy)
+            for k in (2, 62):
+                with pytest.raises(DomainError, match="group 'big': more than 62 samples"):
+                    exact_expected_accuracy(big, k, strategy)
+            assert exact_expected_accuracy(big, 1, strategy) == Fraction(1, 3)
+            assert exact_expected_accuracy(big, 63, strategy) == 1
         assert exact_expected_accuracy(big, 2, "mean") == Fraction(1, 3)
         # confidences 2^-1 .. 2^-6: each of one answer's 2^6 subsets has its own sum
         many = group_records(make_grouped(("many", "A", 2.0 ** -s, True) for s in range(1, 7)))
