@@ -58,12 +58,12 @@ values, the confidences against [0, 1] and the ids against those seen),
 after folding unknown fields into meta. read_jsonl takes lines in chunks of
 about 64 KiB (_INGEST_CHUNK). Each chunk is decoded with no per-object hook,
 and may repeat a key only when its text holds more ":" and \\u003a escapes
-than it has decoded keys plus ":" in decoded strings; a chunk holding a
-\\uD800-style escape is checked for a lone surrogate over its decoded
-objects. Only a chunk that fails a check, because it holds a bad line, a
-repeated key or id, an integer past float range, a lone surrogate or an
-escaped backslash before u003a, is read line by line by _parse_lines, which
-names the first bad line.
+(escape pairs read left to right) than it has decoded keys plus ":" in
+decoded strings; a chunk holding a \\uD800-style escape is checked for a
+lone surrogate over its decoded objects. Only a chunk that holds an error
+fails a check. It is read line by line by _parse_lines, which builds each
+line into the row classes, the one validator that words an error, and names
+the first bad line.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ import json
 import math
 import re
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from types import NoneType
@@ -92,7 +92,7 @@ _COLUMNS = ("ids", "valid", "confidence", "group", "group_names", "answer",
 
 
 # ---------------------------------------------------------------------------
-# field checks, shared by the row classes and the column ingest
+# field checks, for the row classes and both JSONL paths
 
 def _check_number(name: str, value: object) -> None:
     # JSON true/false would pass as the integers 1 and 0. A plain float, by far
@@ -145,37 +145,6 @@ def _row_text(name: str, text: str | None) -> str | None:
     return str.__str__(text)
 
 
-def _check_record(rid: object, valid: object, confidence: object, group: object,
-                  answer: object) -> tuple[bool, float | None]:
-    """The checked valid flag and confidence of one record."""
-    if valid is None:
-        raise DataError("missing required field valid")
-    valid = _check_flag("valid", valid)
-    _check_text("group", group)
-    _check_text("answer", answer)
-    if not isinstance(rid, str) or not rid:
-        raise DataError("record id must be a non-empty string")
-    if confidence is not None:
-        _check_number("confidence", confidence)
-        try:
-            confidence = _check_unit("confidence", confidence)
-        except DataError:  # the record's name is built only for a bad value
-            raise DataError(f"record {rid!r}: confidence out of range") from None
-    return valid, confidence
-
-
-def _check_claim(text: object, confidence: object, valid: object,
-                 rationale: object) -> tuple[float, bool | None]:
-    """The checked confidence and label of one claim."""
-    if not isinstance(text, str):
-        raise DataError("claim text missing or not a string")
-    _check_number("claim confidence", confidence)
-    if valid is not None:
-        valid = _check_flag("claim valid", valid)
-    _check_text("claim rationale", rationale)
-    return _check_unit("claim confidence", confidence), valid
-
-
 def _check_meta(meta: object) -> None:
     if not isinstance(meta, dict):
         raise DataError("meta must be an object")
@@ -218,10 +187,13 @@ class ClaimRecord:
     rationale: str | None = None
 
     def __post_init__(self) -> None:
-        confidence, valid = _check_claim(self.text, self.confidence, self.valid,
-                                         self.rationale)
-        object.__setattr__(self, "confidence", confidence)
-        object.__setattr__(self, "valid", valid)
+        if not isinstance(self.text, str):
+            raise DataError("claim text missing or not a string")
+        _check_number("claim confidence", self.confidence)
+        if self.valid is not None:
+            object.__setattr__(self, "valid", _check_flag("claim valid", self.valid))
+        _check_text("claim rationale", self.rationale)
+        object.__setattr__(self, "confidence", _check_unit("claim confidence", self.confidence))
         object.__setattr__(self, "text", _row_text("claim text", self.text))
         object.__setattr__(self, "rationale", _row_text("claim rationale", self.rationale))
 
@@ -243,10 +215,19 @@ class PredictionRecord:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        valid, confidence = _check_record(self.id, self.valid, self.confidence,
-                                          self.group, self.answer)
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "confidence", confidence)
+        if self.valid is None:
+            raise DataError("missing required field valid")
+        object.__setattr__(self, "valid", _check_flag("valid", self.valid))
+        _check_text("group", self.group)
+        _check_text("answer", self.answer)
+        if not isinstance(self.id, str) or not self.id:
+            raise DataError("record id must be a non-empty string")
+        if self.confidence is not None:
+            _check_number("confidence", self.confidence)
+            try:
+                object.__setattr__(self, "confidence", _check_unit("confidence", self.confidence))
+            except DataError:  # the record's name is built only for a bad value
+                raise DataError(f"record {self.id!r}: confidence out of range") from None
         claims = tuple(self.claims)
         if not all(isinstance(c, ClaimRecord) for c in claims):
             raise DataError("claims must be ClaimRecord objects")
@@ -454,6 +435,17 @@ def _first_repeat(ids: list[str], seen: set[str]) -> int | None:
                  if rid in seen or first.setdefault(rid, i) != i), None)
 
 
+def _add_rows(cols: _Columns, rows: Sequence[PredictionRecord],
+              word: Callable[[str, int], str]) -> None:
+    """Append rows, checked by their classes, as the JSON objects they stand
+    for. A repeated id is a DataError worded by word(message, index of the row)."""
+    at = _first_repeat([row.id for row in rows], cols.seen)
+    if at is not None:
+        raise DataError(word(f"duplicate id {rows[at].id!r}", at))
+    if not cols.add([{**vars(row), "claims": list(map(vars, row.claims))} for row in rows]):
+        raise AssertionError("checked rows refused")  # add takes every row its class checks
+
+
 def _codes(names: list[str | None], codes: dict[str, int]) -> Iterable[int]:
     """The code of each name, numbered in order of first appearance, -1 for None."""
     if names.count(None) == len(names):
@@ -492,11 +484,11 @@ class _Columns:
 
     def add(self, objs: list, raw: str | None = None) -> bool:
         """Check decoded JSONL objects field by field as columns and append
-        them, or return False and append nothing: for a bad field, an integer
-        too large for a float or, where raw (the text objs were decoded from
-        with no duplicate-key hook) is given, a key that may be repeated. The
-        caller then reads their lines with _parse_lines, which names the first
-        bad one."""
+        them, or return False and append nothing: for a bad field, a repeated
+        id, an integer too large for a float or, where raw (the text objs were
+        decoded from with no duplicate-key hook) is given, a repeated key. So
+        only objects holding an error are refused; the caller reads their
+        lines with _parse_lines, which words it and names the first bad line."""
         if not _only(objs, dict):
             return False
         names = set().union(*objs)
@@ -544,13 +536,15 @@ class _Columns:
             # where it decodes to itself, as a \u003a or \u003A escape does.
             # Every string the checks let through is below (a folded field is a
             # meta key and its value, compact JSON with as many ":" as its text
-            # unless it repeats a key). A key dict() dropped takes its ":" from
-            # the right side only, and a \u003a after an escaped backslash adds
-            # one to the left only, so the counts agree only if none was dropped.
+            # unless it repeats a key). Escapes pair up left to right, so an
+            # escaped backslash before u003a is no colon. A key dict() dropped
+            # takes its ":" from the right side only, so the counts agree only
+            # if none was dropped.
             separators += sum(map(len, flat))
             strings = chain(ids, text, filter(None, rationale), filter(None, group),
                             filter(None, answer), keys, values)
-            colons = raw.count(":") + len(_COLON_ESCAPE.findall(raw))
+            escapes = _COLON_ESCAPE.findall(raw) if "\\" in raw else []
+            colons = raw.count(":") + len(escapes) - escapes.count("")
             if colons != separators + "".join(strings).count(":"):
                 return False
 
@@ -609,13 +603,7 @@ class Dataset:
         rows = tuple(records)
         cols = _Columns()
         for start in range(0, len(rows), _TEXT_CHUNK):
-            chunk = rows[start:start + _TEXT_CHUNK]
-            at = _first_repeat([rec.id for rec in chunk], cols.seen)
-            if at is not None:
-                raise DataError(f"duplicate id {chunk[at].id!r}")
-            if not cols.add([{**vars(rec), "claims": list(map(vars, rec.claims))}
-                             for rec in chunk]):  # add takes every row its class checks
-                raise AssertionError("checked rows refused")
+            _add_rows(cols, rows[start:start + _TEXT_CHUNK], lambda message, at: message)
         self._set(cols.columns(), label)
         self._rows = rows
 
@@ -719,7 +707,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 _JSON_SPACE = " \t\n\r"
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-_COLON_ESCAPE = re.compile(r"\\u003[aA]")
+# JSON escape pairs, left to right: an escaped backslash, "" in findall, or
+# an escaped ":", "u003a" or "u003A"
+_COLON_ESCAPE = re.compile(r"\\(?:\\|(u003[aA]))")
 # built once: _plain decodes with no hook, a Python call per object fewer, and
 # _Columns.add finds a repeated key by counting colons instead. _ENCODE writes
 # dump_jsonl's lines and finds lone surrogates for _check_surrogates
@@ -745,9 +735,10 @@ def _check_surrogates(objs: list, text: str) -> None:
         text.encode("utf-8")
 
 
-def _parse_line(line: str | bytes) -> dict | None:
-    """One JSONL line's object with every field checked, None for a blank
-    line. Every failure is a DataError; _parse_lines checks the ids."""
+def _parse_line(line: str | bytes) -> PredictionRecord | None:
+    """One JSONL line as a PredictionRecord, None for a blank line; every
+    failure is a DataError, worded by the row classes for a field.
+    _parse_lines checks the ids."""
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
@@ -765,23 +756,21 @@ def _parse_line(line: str | bytes) -> dict | None:
     if not isinstance(obj, dict):
         raise DataError("expected a JSON object")
     claims = obj.get("claims")
-    if claims is not None:
-        if not isinstance(claims, list):
-            raise DataError("claims must be an array")
-        for claim in claims:
-            if not isinstance(claim, dict):
-                raise DataError("claim must be an object")
-            if not claim.keys() <= _CLAIM_FIELDS:
-                key = next(k for k in claim if k not in _CLAIM_FIELDS)
-                raise DataError(f"unknown claim field {key!r}")
-            _check_claim(claim.get("text"), claim.get("confidence"), claim.get("valid"),
-                         claim.get("rationale"))
+    if claims is not None and not isinstance(claims, list):
+        raise DataError("claims must be an array")
+    claim_rows = []
+    for claim in claims or ():
+        if not isinstance(claim, dict):
+            raise DataError("claim must be an object")
+        if not claim.keys() <= _CLAIM_FIELDS:
+            key = next(k for k in claim if k not in _CLAIM_FIELDS)
+            raise DataError(f"unknown claim field {key!r}")
+        claim_rows.append(ClaimRecord(**{key: claim.get(key) for key in _CLAIM_KEYS}))
     if obj.get("meta") is not None:
         _check_meta(obj["meta"])
-    _folded_meta(obj)  # a field colliding with a meta key fails here
-    _check_record(obj.get("id"), obj.get("valid"), obj.get("confidence"), obj.get("group"),
-                  obj.get("answer"))
-    return obj
+    meta = _folded_meta(obj)  # a field colliding with a meta key fails here
+    return PredictionRecord(**{**{key: obj.get(key) for key in _RECORD_KEYS},
+                               "claims": claim_rows, "meta": meta or {}})
 
 
 def read_jsonl(lines: Iterable[str | bytes], source: str = "<stream>",
@@ -849,23 +838,20 @@ def _plain(lines: list[str | bytes]) -> tuple[list, str] | None:
 def _parse_lines(cols: _Columns, lines: list[str | bytes], first: int, source: str) -> None:
     """Append the records of lines, numbered from first, each line checked on
     its own by _parse_line; a DataError names the first bad line."""
-    objs, linenos, error = [], [], None
+    rows, linenos, error = [], [], None
     for lineno, line in enumerate(lines, start=first):
         try:
-            obj = _parse_line(line)
+            row = _parse_line(line)
         except DataError as exc:
             error = DataError(f"{source}: {exc} at line {lineno}")
             break
-        if obj is not None:
-            objs.append(obj)
+        if row is not None:
+            rows.append(row)
             linenos.append(lineno)
-    at = _first_repeat([obj["id"] for obj in objs], cols.seen)
-    if at is not None:  # a repeated id comes before the bad line, if any
-        raise DataError(f"{source}: duplicate id {objs[at]['id']!r} at line {linenos[at]}")
+    # a repeated id comes before the bad line, if any
+    _add_rows(cols, rows, lambda message, at: f"{source}: {message} at line {linenos[at]}")
     if error is not None:
         raise error
-    if not cols.add(objs):  # add takes every object _parse_line passes
-        raise AssertionError("checked JSONL objects refused")
 
 
 def load_jsonl(path: str, label: str | None = None) -> Dataset:

@@ -31,9 +31,9 @@ by draws, so a vote rule's point at k counts a group as closed form where k
 is 1 or the group's size, and by its table or draws elsewhere.
 
 scaling_curves values every requested strategy in one pass: each batch of
-tables is built once and scored for both vote rules, each draw is made once
-and scored for both, and each group's closed-form inputs are read once for
-every k. Exact sums are integer numerators per denominator, one Fraction per
+tables is built once and scored for both vote rules, each draw (and each
+whole group at k = n) is tallied once and scored for both, and each group's
+closed-form inputs are read once for every strategy and k. Exact sums are integer numerators per denominator, one Fraction per
 distinct denominator. scaling_curve is its one-strategy case.
 
 exact_expected_accuracy is the same exact value, from the same closed forms
@@ -153,56 +153,62 @@ def _draw(grp: SampleGroup, k: int, rng: np.random.Generator):
     return [grp.samples[int(i)] for i in idx]
 
 
-def _score(drawn, strategy: str) -> int:
-    """1 if a majority or majconf vote over the drawn samples goes to a valid one."""
+def _score(drawn, strategies: list[str]) -> dict[str, int]:
+    """Per vote rule in strategies, majority or majconf, 1 if its vote over
+    the drawn samples goes to a valid one: one answer tally scores every rule."""
     tally: dict[str, list[tuple[float, bool]]] = {}
     for answer, conf, valid in drawn:
         tally.setdefault(answer, []).append((0.0 if conf is None else conf, valid))
-    keys = {a: (len(votes), math.fsum(c for c, _ in votes)) for a, votes in tally.items()}
-    if strategy == "majconf":
-        keys = {a: (weight, count) for a, (count, weight) in keys.items()}
-    top = max(keys.values())
-    winner = min(a for a, key in keys.items() if key == top)
-    return 1 if any(v for _, v in tally[winner]) else 0
+    count = {a: len(votes) for a, votes in tally.items()}
+    weight = {a: math.fsum(c for c, _ in votes) for a, votes in tally.items()}
+    rank = {"majority": lambda a: (-count[a], -weight[a], a),
+            "majconf": lambda a: (-weight[a], -count[a], a)}
+    return {rule: int(any(v for _, v in tally[min(tally, key=rank[rule])])) for rule in strategies}
 
 
-def _closed_form(grp: SampleGroup, strategy: str,
-                 ks: list[int]) -> list[tuple[int, int] | None]:
-    """Exact accuracy of one group at each k as (numerator, denominator).
+def _closed_form(grp: SampleGroup, strategies: list[str],
+                 ks: list[int]) -> dict[str, list[tuple[int, int] | None]]:
+    """Per strategy, the exact accuracy of one group at each k as
+    (numerator, denominator).
 
     At k = 1 every strategy scores the one sample drawn, so it is v/n, and at
     k = n the draw is the whole group, so majority and majconf score it once,
-    0 or 1. Between them mean, best and maxconf have closed forms, majority
-    and majconf None. The group's samples are read once for every k.
+    0 or 1, from one tally. Between them mean, best and maxconf have closed
+    forms, majority and majconf None. The group's samples are read once for
+    every strategy and k.
     """
     n = grp.size
     valid = sum(v for _, _, v in grp.samples)
-    if strategy == "maxconf":
-        # the top confidence level c in the draw holds the winner, and the
-        # first drawn of the m_c samples at c is uniform over them; the sum
-        # of v_c/m_c * (draws topped by c) is taken over the denominator lcm(m_c)
-        at: dict[float, list[int]] = {}
-        for _, conf, v in grp.samples:
-            level = at.setdefault(conf, [0, 0])
-            level[0] += 1
-            level[1] += v
-        levels = [at[conf] for conf in sorted(at)]
-        scale = math.lcm(*(m for m, _ in levels))
-    out: list[tuple[int, int] | None] = []
-    for k in ks:
-        if k == 1 or strategy == "mean":
-            out.append((valid, n))
-        elif strategy == "best":
-            subsets = math.comb(n, k)
-            out.append((subsets - math.comb(n - valid, k), subsets))
-        elif strategy == "maxconf":
-            total, below = 0, 0
-            for m, v in levels:
-                total += v * (scale // m) * (math.comb(below + m, k) - math.comb(below, k))
-                below += m
-            out.append((total, scale * math.comb(n, k)))
-        else:
-            out.append((_score(grp.samples, strategy), 1) if k == n else None)
+    votes = [strategy for strategy in strategies if strategy not in _CLOSED]
+    whole = _score(grp.samples, votes) if votes and n in ks else {}
+    out: dict[str, list[tuple[int, int] | None]] = {}
+    for strategy in strategies:
+        if strategy == "maxconf":
+            # the top confidence level c in the draw holds the winner, and the
+            # first drawn of the m_c samples at c is uniform over them; the sum
+            # of v_c/m_c * (draws topped by c) is taken over the denominator lcm(m_c)
+            at: dict[float, list[int]] = {}
+            for _, conf, v in grp.samples:
+                level = at.setdefault(conf, [0, 0])
+                level[0] += 1
+                level[1] += v
+            levels = [at[conf] for conf in sorted(at)]
+            scale = math.lcm(*(m for m, _ in levels))
+        out[strategy] = row = []
+        for k in ks:
+            if k == 1 or strategy == "mean":
+                row.append((valid, n))
+            elif strategy == "best":
+                subsets = math.comb(n, k)
+                row.append((subsets - math.comb(n - valid, k), subsets))
+            elif strategy == "maxconf":
+                total, below = 0, 0
+                for m, v in levels:
+                    total += v * (scale // m) * (math.comb(below + m, k) - math.comb(below, k))
+                    below += m
+                row.append((total, scale * math.comb(n, k)))
+            else:
+                row.append((whole[strategy], 1) if k == n else None)
     return out
 
 
@@ -221,8 +227,8 @@ def _exact(groups: list[SampleGroup], strategies: list[str], ks: list[int],
     """
     sums = {strategy: [Counter() for _ in ks] for strategy in strategies}
     for grp in groups:
-        for strategy in strategies:
-            for total, pair in zip(sums[strategy], _closed_form(grp, strategy, ks)):
+        for strategy, pairs in _closed_form(grp, strategies, ks).items():
+            for total, pair in zip(sums[strategy], pairs):
                 if pair is not None:
                     total[pair[1]] += pair[0]
     votes = [strategy for strategy in strategies if strategy not in _CLOSED]
@@ -342,8 +348,8 @@ def scaling_curves(groups, strategies, k_values, n_resamples: int,
         for r in range(n_resamples if drawn_at else 0):
             for grp in drawn_at:
                 sample = _draw(grp, k, _group_rng(seed, k, r, grp.group))
-                for strategy in votes:
-                    hits[strategy][j][r] += _score(sample, strategy)
+                for strategy, hit in _score(sample, votes).items():
+                    hits[strategy][j][r] += hit
     closed = {"closed_form": len(groups), "tabled": 0, "drawn": 0, "states": 0, "draws": 0}
     curves = {}
     for strategy in strategies:

@@ -141,8 +141,17 @@ class TestReadJsonl:
             read_lines(line)
 
 
+def assert_line_worded_alike(row_error, obj):
+    """obj read as the one JSONL line of test.jsonl fails with the message of
+    row_error, a pytest.raises result, naming line 1."""
+    with pytest.raises(DataError) as line_error:
+        read_lines(json.dumps(obj))
+    assert str(line_error.value) == f"test.jsonl: {row_error.value} at line 1"
+
+
 class TestRecordFields:
-    """A record built in code is checked like one read from JSONL."""
+    """A record built in code is checked like one read from JSONL, and
+    worded alike."""
 
     @pytest.mark.parametrize("fields,message", [
         ({"valid": "no", "confidence": 0.5}, "valid must be boolean"),
@@ -154,8 +163,9 @@ class TestRecordFields:
         ({"valid": True, "answer": 7}, "answer must be a string"),
     ])
     def test_wrong_types_rejected(self, fields, message):
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=message) as error:
             PredictionRecord(id="a", **fields)
+        assert_line_worded_alike(error, {"id": "a", **fields})
 
     @pytest.mark.parametrize("fields,message", [
         ({"text": 1, "confidence": 0.5, "valid": "no"}, "claim text missing or not a string"),
@@ -165,8 +175,9 @@ class TestRecordFields:
         ({"text": "s", "confidence": 1.5}, "claim confidence out of range"),
     ])
     def test_wrong_claim_types_rejected(self, fields, message):
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=message) as error:
             ClaimRecord(**fields)
+        assert_line_worded_alike(error, {"id": "a", "valid": True, "claims": [fields]})
 
     @pytest.mark.parametrize("fields,message", [
         ({"meta": {"k": 1}}, "meta values must be strings"),
@@ -175,8 +186,11 @@ class TestRecordFields:
         ({"claims": ["x"]}, "claims must be ClaimRecord objects"),
     ])
     def test_wrong_meta_and_claims_rejected(self, fields, message):
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=message) as error:
             PredictionRecord(id="a", valid=True, **fields)
+        # JSON has no integer key, and a line's claims are objects, not rows
+        if message.startswith(("meta values", "meta must")):
+            assert_line_worded_alike(error, {"id": "a", "valid": True, **fields})
 
     @pytest.mark.parametrize("name,build", [
         ("id", lambda t: PredictionRecord(id=t, valid=True)),
@@ -562,9 +576,11 @@ def add_plain(lines):
     '{"id":"a","valid":true,"model":"m"}',  # an unknown field,
     '{"id":"a","valid":true,"x:":{"k:1":["v:2",{"k":null}],"k":{}},"meta":{"m":"n"}}',
     ' {"id":"a","valid":true}',  # a leading space
+    '{"id":"a\\\\u003a","valid":true}',  # an escaped backslash before u003a
 ])
 def test_chunk_path_reads_plain_lines(line):
-    cols, added = add_plain([line, "\n", line.replace('"a"', '"b"').replace("r0", "r1").encode()])
+    other = line.replace('"id":"a', '"id":"b').replace("r0", "r1")
+    cols, added = add_plain([line, "\n", other.encode()])
     assert added and len(cols.valid) == 2
 
 
@@ -575,7 +591,6 @@ def test_chunk_path_reads_plain_lines(line):
     '{"id":"a","valid":true,"meta":{"k":"v:w","k":"v"}}',  # with a colon dropped
     '{"id":"a\\u003a","valid":true,"valid":false}',  # with an escaped colon,
     '{"id":"a","valid":true,"meta":{"k":"v\\u003aw","k":"v"}}',  # one dropped with its key,
-    '{"id":"a\\\\u003a","valid":true}',  # an escaped backslash before u003a,
     '{"id":"a\\ud800","valid":true}',  # a lone surrogate
     '{"id":"","valid":true}',
     '{"id":"a","valid":true,"confidence":NaN}',
@@ -622,15 +637,21 @@ def test_escaped_lines_are_read_on_their_own():
                                     [("z", '{"k:":["v:",{"k":":"}]}')]]
 
 
-def test_escaped_backslash_before_u003a_is_read_line_by_line():
-    """Text \\u003a decodes to no ":", so add refuses it as it would a
-    repeated key, and the line reader gives the same columns."""
-    lines = ['{"id":"a\\\\u003a","valid":true,"meta":{"k":"\\\\u003A"}}']
-    with mock.patch.object(model, "_parse_line", wraps=_parse_line) as by_line:
+def test_escaped_backslash_before_u003a_is_read_by_columns():
+    """Text \\u003a is an escaped backslash before u003a, no ":": a chunk
+    holding it in an id and a meta value is added by one add, with no
+    _parse_line call, and a key repeated beside it is still found."""
+    lines = [CHAIN_LINE % 0, '{"id":"a\\\\u003a","valid":true,"meta":{"k":"\\\\u003A"}}',
+             '{"id":"b\\\\\\u003a","valid":true}']
+    with (mock.patch.object(model, "_parse_line", wraps=_parse_line) as by_line,
+          mock.patch.object(_Columns, "add", autospec=True, side_effect=_Columns.add) as add):
         got = outcome(read_jsonl, lines)
-    assert by_line.call_count == 1
+    assert not by_line.called and add.call_count == 1
     assert got == outcome(lambda ls: read_line_by_line(ls, "<stream>"), lines)
-    assert got["ids"] == ["a\\u003a"] and got["meta"] == [[("k", "\\u003A")]]
+    assert got["ids"][1:] == ["a\\u003a", "b\\:"]
+    assert got["meta"][1] == [("k", "\\u003A")]
+    with pytest.raises(DataError, match="^<stream>: duplicate key 'k' at line 1$"):
+        read_jsonl(['{"id":"a","valid":true,"meta":{"k":"\\\\u003a","k":"v"}}'])
 
 
 class TestChunkBoundaries:

@@ -245,6 +245,21 @@ class TestTabulatedPrior:
             TabulatedPrior(np.array([0.0, 0.5, 1.0]),
                            np.array([0.0, 0.7, 0.5]))  # cdf decreasing
 
+    @pytest.mark.parametrize("knots,cdf", [
+        ([0.0, 0.5, 1.0], [0.0, 1.0]),  # mismatched
+        ([0.5], [1.0]),  # one knot
+        ([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]),  # 2-D
+    ], ids=["mismatched", "one-knot", "2-d"])
+    def test_knot_arrays_must_match(self, knots, cdf):
+        with pytest.raises(DomainError, match="^tabulated prior needs matching 1-d arrays "
+                                              "of >= 2 knots$"):
+            TabulatedPrior(np.array(knots), np.array(cdf))
+
+    def test_decreasing_cdf_rejected(self):
+        # from 0 to 1, so only the non-decreasing check refuses it
+        with pytest.raises(DomainError, match="^tabulated CDF must be non-decreasing$"):
+            TabulatedPrior(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 0.6, 0.4, 1.0]))
+
     def test_cdf_interpolates(self):
         prior = TabulatedPrior(np.array([0.0, 0.5, 1.0]),
                                np.array([0.0, 0.8, 1.0]))

@@ -33,7 +33,7 @@ def at_k(groups, strategy, k, seed=0):
 
 def enumerated(grp, strategy, k):
     """Exact majority or majconf accuracy of one group: the mean over its k-subsets."""
-    hits = sum(_score(subset, strategy)
+    hits = sum(_score(subset, [strategy])[strategy]
                for subset in itertools.combinations(grp.samples, k))
     return Fraction(hits, math.comb(grp.size, k))
 
@@ -50,7 +50,7 @@ def scored(drawn, strategy):
             if sample[1] > best[1]:
                 best = sample
         return int(best[2])
-    return _score(drawn, strategy)
+    return _score(drawn, [strategy])[strategy]
 
 
 def permuted(groups, k, strategy):
@@ -245,7 +245,7 @@ class TestOrderFreeVotes:
         rng = random.Random(17)
         for grp in grid_groups(rng, 300, 6):
             for strategy in ("majority", "majconf"):
-                assert len({_score(list(order), strategy)
+                assert len({_score(list(order), [strategy])[strategy]
                             for order in itertools.permutations(grp.samples)}) == 1
 
     def test_full_draws_agree_across_resamples(self, forced_draws):
@@ -257,8 +257,9 @@ class TestOrderFreeVotes:
             assert point.exact and point.stderr == 0.0, strategy
             assert (point.closed_form, point.drawn, point.draws) == (200, 0, 0)
             for grp in groups[:20]:
-                assert {_score(_draw(grp, 16, _group_rng(3, 16, r, grp.group)), strategy)
-                        for r in range(8)} == {_closed_form(grp, strategy, [16])[0][0]}
+                drawn = [_draw(grp, 16, _group_rng(3, 16, r, grp.group)) for r in range(8)]
+                assert {_score(sample, [strategy])[strategy] for sample in drawn} == {
+                    _closed_form(grp, [strategy], [16])[strategy][0][0]}
 
 
 def ragged_groups(rng, n_groups, sizes=(1, 7)):
@@ -280,8 +281,8 @@ class TestExactPaths:
                 if strategy in ("majority", "majconf"):
                     assert tabled(grp, strategy, ks) == oracle, strategy
                 else:
-                    assert [Fraction(*pair) for pair in _closed_form(grp, strategy, ks)] \
-                        == oracle, strategy
+                    pairs = _closed_form(grp, [strategy], ks)[strategy]
+                    assert [Fraction(*pair) for pair in pairs] == oracle, strategy
                 # n samples give at most 2^n states, within 32 x 5 resamples x n k
                 curve = scaling_curve([grp], strategy, ks, n_resamples=5)
                 assert [(pt.mean, pt.stderr, pt.exact) for pt in curve] == \
@@ -298,13 +299,16 @@ class TestExactPaths:
                 (float(f), 0.0, True) for f in oracle], strategy
 
     def test_whole_group_is_one_closed_form(self):
-        # at k = n the draw is the whole group: one _score, the oracle's value
+        # at k = n the draw is the whole group: one _score for both rules,
+        # each the oracle's value
         groups = ragged_groups(random.Random(4), 40, sizes=(1, 8))
+        votes = ["majority", "majconf"]
         for grp in groups:
             n = grp.size
-            for strategy in ("majority", "majconf"):
-                pair, = _closed_form(grp, strategy, [n])
-                assert pair == (_score(grp.samples, strategy), 1)
+            whole = _closed_form(grp, votes, [n])
+            assert whole == {rule: [(hit, 1)] for rule, hit in _score(grp.samples, votes).items()}
+            for strategy in votes:
+                pair, = whole[strategy]
                 assert Fraction(*pair) == enumerated(grp, strategy, n) == \
                     exact_expected_accuracy([grp], n, strategy)
                 if n <= 6:
@@ -561,6 +565,20 @@ class TestForcedDraws:
             curve = scaling_curve(groups, strategy, [1, 2, 3, 5, 7], 4, seed=11)
             assert [(pt.k, pt.mean, pt.stderr) for pt in curve] == pinned
             assert [pt.exact for pt in curve] == [True] + [False] * 3 + [True]
+
+    def test_one_tally_per_draw(self, forced_draws, monkeypatch):
+        """Both vote rules score each draw, and each whole group, from one
+        _score call, and give the curves of each rule alone."""
+        calls = []
+        monkeypatch.setattr(tts, "_score", lambda drawn, rules: calls.append(rules)
+                            or _score(drawn, rules))
+        groups = grid_groups(random.Random(31), 25, 7)
+        curves = scaling_curves(groups, ["majority", "majconf"], [1, 2, 3, 5, 7], 4, seed=11)
+        for strategy, pinned in self.PINNED.items():
+            assert [(pt.k, pt.mean, pt.stderr) for pt in curves[strategy]] == pinned
+        draws = sum(pt.draws for pt in curves["majority"])
+        assert draws == 25 * 3 * 4  # groups x k in (2, 3, 5) x resamples
+        assert calls == [["majority", "majconf"]] * (draws + 25)  # + each group at k = 7
 
     def test_closed_forms_ignore_the_limit(self, forced_draws):
         groups = grid_groups(random.Random(31), 25, 7)
