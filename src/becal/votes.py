@@ -9,28 +9,31 @@ loses). So a wins sum count_valid * [x^(k-c)] prod_b L_b(x) valid k-subsets
 over its states, L_b counting b's losing subsets by size, and one table serves
 every k.
 
-Tables are numpy arrays built and scored a batch of groups at a time, so the
-memory held stays bounded however many groups there are.
+Tables are numpy arrays read from the tts columns and built and scored a
+batch of groups at a time, so the memory held stays bounded however many
+groups there are. Each other answer's losing states are found by running
+counts over the group's states in key order, and the whole group's vote
+(k = n) is read from the same table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .tts import SampleGroup
+    from .tts import Groups
 
 # Subset counts of at most 62 samples stay below 2^62, so tables fit int64,
 # and a state's size fits the 6 low bits of its key
 _MAX_TABLED = 62
 
-# Vote states built and scored at once. On the benchmark's 16-sample groups a
-# batch's arrays peak near 0.7 MB to build and 0.8 MB to score at k up to 8
-# (1.1 MB up to 16)
-_BATCH_STATES = 1 << 12
+# Vote states built and scored at once, about. On the benchmark's 16-sample
+# groups a batch of 8,400 states peaks near 1.4 MB to build and 2.2 MB to
+# score at k up to 8 (3.0 MB up to 16; tracemalloc); with 4,096 the fixed
+# numpy cost of more batches made scaling_curves there about 6 % slower
+_BATCH_STATES = 1 << 13
 
 
 class _Table(NamedTuple):
@@ -47,95 +50,114 @@ class _Table(NamedTuple):
 
 
 class _Levels(NamedTuple):
-    """A batch's answers and their confidence levels: answers are numbered
-    group after group in name order, levels answer after answer, the fullest
-    first. A level's value is its confidence times its group's power-of-two
-    denominator, an integer: int64, or Python ints in a batch where some
-    group's denominator or sum could pass 63 bits."""
+    """Some groups' answers and their confidence levels: answers are
+    numbered group after group in name order, levels answer after answer,
+    the fullest first. A level's confidence is mantissa * 2^exponent, the
+    mantissa odd or 0."""
 
-    owner: np.ndarray    # each answer's group
-    answer: np.ndarray   # each level's answer
-    depth: np.ndarray    # the level's place among its answer's levels
-    samples: np.ndarray  # samples at the level
-    invalid: np.ndarray  # invalid samples at the level
-    value: np.ndarray    # the level's scaled confidence
-    denom: np.ndarray    # each group's denominator
+    owner: np.ndarray     # each answer's group
+    answer: np.ndarray    # each level's answer
+    depth: np.ndarray     # the level's place among its answer's levels
+    samples: np.ndarray   # samples at the level
+    invalid: np.ndarray   # invalid samples at the level
+    mantissa: np.ndarray
+    exponent: np.ndarray
 
 
-def _levels(groups: list[SampleGroup]) -> _Levels:
-    """The groups' answers and confidence levels, for _table."""
-    samples = [sample for grp in groups for sample in grp.samples]
-    names = {name: code for code, name in enumerate(sorted({s[0] for s in samples}))}
-    group = np.repeat(np.arange(len(groups)), [grp.size for grp in groups])
-    # samples by group and answer name (the canonical order already is)
-    key = group * len(names) + np.array([names[answer] for answer, _, _ in samples])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # no confidence: 0
-    conf = np.array([0.0 if c is None else c for _, c, _ in samples])[order]
-    invalid = ~np.array([valid for _, _, valid in samples])[order]
+def _levels(groups: Groups, chosen: np.ndarray) -> _Levels:
+    """The answers and confidence levels of groups[chosen], for _table."""
+    sizes = np.diff(groups.offsets)[chosen]
+    group = np.repeat(np.arange(len(chosen)), sizes)
+    at = np.repeat(groups.offsets[chosen] - np.cumsum(sizes) + sizes, sizes) + \
+        np.arange(len(group))  # the samples, group after group
+    # samples by group, answer and confidence (no confidence: 0)
+    key = group * (len(groups.answers) + 1) + groups.answer[at]
+    conf = np.nan_to_num(groups.confidence[at])
+    order = np.lexsort((conf, key))
+    key, conf = key[order], conf[order]
+    invalid = ~groups.valid[at][order]
     first = np.flatnonzero(np.append(True, (key[1:] != key[:-1]) | (conf[1:] != conf[:-1])))
     key, conf = key[first], conf[first]
     samples = np.diff(first, append=len(order))
-    invalid = np.add.reduceat(invalid, first).astype(np.int64)
+    invalid = np.add.reduceat(invalid, first, dtype=np.int64)
     answer = np.cumsum(np.append(False, key[1:] != key[:-1]))
     answer_levels = np.flatnonzero(np.diff(answer, prepend=-1))
-    owner = key[answer_levels] // len(names)
+    owner = key[answer_levels] // (len(groups.answers) + 1)
     # the fullest level of each answer first
     order = np.argsort(answer * 64 + 63 - samples, kind="stable")
     conf, samples, invalid = conf[order], samples[order], invalid[order]
     depth = np.arange(len(order)) - answer_levels[answer]
-    # conf = mantissa * 2^exponent, the mantissa odd or 0
     fraction, exponent = np.frexp(conf)
     mantissa = (fraction * 2.0 ** 53).astype(np.int64)
     zeros = np.where(mantissa > 0,
                      np.frexp((mantissa & -mantissa).astype(np.float64))[1] - 1, 0)
     mantissa >>= zeros
-    exponent = np.where(mantissa > 0, exponent - 53 + zeros, 0)
-    group_levels = answer_levels[np.searchsorted(owner, np.arange(len(groups)))]
-    scale = -np.minimum.reduceat(exponent, group_levels)  # denominators are 2^scale
-    top = np.add.reduceat(conf * samples, group_levels)  # the group's whole sum
+    return _Levels(owner, answer, depth, samples, invalid, mantissa,
+                   np.where(mantissa > 0, exponent - 53 + zeros, 0))
+
+
+def _scaled(levels: _Levels) -> tuple[np.ndarray, np.ndarray]:
+    """Each level's confidence times its group's power-of-two denominator,
+    an integer, and each group's denominator: int64, or Python ints where
+    some group's denominator or sum could pass 63 bits."""
+    group_levels = np.flatnonzero(np.diff(levels.owner[levels.answer], prepend=-1))
+    scale = -np.minimum.reduceat(levels.exponent, group_levels)  # denominators are 2^scale
+    # each group's whole sum
+    top = np.add.reduceat(np.ldexp(levels.mantissa, levels.exponent) * levels.samples,
+                          group_levels)
     wide = (scale > 62).any() or (np.ldexp(top, np.minimum(scale, 62)) >= 2.0 ** 62).any()
     dtype = object if wide else np.int64
-    shift = exponent + scale[owner[answer]]
-    return _Levels(owner, answer, depth, samples, invalid,
-                   mantissa.astype(dtype) << shift.astype(dtype),
-                   np.left_shift(1, scale.astype(dtype)))
+    shift = levels.exponent + scale[levels.owner[levels.answer]]
+    return (levels.mantissa.astype(dtype) << shift.astype(dtype),
+            np.left_shift(1, scale.astype(dtype)))
 
 
-def _batches(groups: list[SampleGroup], cap: float):
-    """(indices into groups, _Table) for every group with at most cap states
-    and _MAX_TABLED samples.
+def _batches(groups: Groups, voted: np.ndarray, cap: float):
+    """(indices into groups, _Table) for every voted group with at most cap
+    states and _MAX_TABLED samples.
 
-    A batch closes once its groups could hold _BATCH_STATES rows (their
-    answers' subsets counted by how many samples of each level they take,
-    and at most cap a group), so the arrays built and scored at once stay
-    bounded however many groups there are.
+    A batch holds about _BATCH_STATES states, so the arrays built and
+    scored at once stay bounded however many groups there are. A group's
+    bound on its rows counts its answers' subsets by how many samples of
+    each level they take, at most cap, and is read from runs of equal answer
+    and confidence in the columns (a canonically ordered group holds each
+    level in one run; a level split over runs only raises it). Where sums
+    coincide it passes the states, so a batch's groups may bound as many
+    rows as _BATCH_STATES times the ratio of bound to states so far, at most
+    2: past 2 * _BATCH_STATES rows a build merges them anyway.
     """
     pascal = np.zeros((_MAX_TABLED + 1, _MAX_TABLED + 1), dtype=np.int64)
     pascal[:, 0] = 1
     for m in range(1, _MAX_TABLED + 1):
         pascal[m, 1:] = pascal[m - 1, 1:] + pascal[m - 1, :-1]
-    batch, bound = [], 0
-    for index, grp in enumerate(groups):
-        if grp.size <= _MAX_TABLED:
-            batch.append(index)
-            ways: dict[str, int] = {}
-            for (answer, _), m in Counter((a, c) for a, c, _ in grp.samples).items():
-                ways[answer] = ways.get(answer, 1) * (m + 1)
-            # rows past cap are merged, and the group dropped if it is past cap
-            bound += min(sum(ways.values()), cap)
-        if batch and (bound >= _BATCH_STATES or index == len(groups) - 1):
-            built = _table([groups[i] for i in batch], cap, pascal)
-            if built is not None:
-                yield [batch[g] for g in built[0]], built[1]
-            batch, bound = [], 0
+    answer, conf = groups.answer, np.nan_to_num(groups.confidence)
+    opens = np.zeros(len(answer), dtype=bool)  # a group's first sample
+    opens[groups.offsets[:-1]] = True
+    turns = opens.copy()  # an answer's first sample
+    turns[1:] |= answer[1:] != answer[:-1]
+    runs = np.flatnonzero(turns | np.append(False, conf[1:] != conf[:-1]))
+    ways = np.multiply.reduceat(np.diff(runs, append=len(answer)) + 1,
+                                np.flatnonzero(turns[runs]))
+    bound = np.add.reduceat(ways, np.flatnonzero(opens[runs[turns[runs]]]))
+    voted = voted[np.diff(groups.offsets)[voted] <= _MAX_TABLED]
+    # rows past cap are merged, and the group dropped if it is past cap
+    total = np.cumsum(np.minimum(bound[voted], cap))
+    lo, states = 0, 0
+    while lo < len(voted):
+        before = total[lo - 1] if lo else 0
+        ratio = min(before / states, 2.0) if states else 1.0
+        hi = int(np.searchsorted(total, before + _BATCH_STATES * ratio)) + 1
+        built = _table(_levels(groups, voted[lo:hi]), cap, pascal)
+        if built is not None:
+            states += len(built[1].size)
+            yield voted[lo:hi][built[0]], built[1]
+        lo = hi
 
 
-def _table(groups: list[SampleGroup], cap: float,
+def _table(levels: _Levels, cap: float,
            pascal: np.ndarray) -> tuple[list[int], _Table] | None:
-    """The groups with at most cap states, as their indices and _Table; None
-    if there are none.
+    """The groups of levels with at most cap states, as their indices and
+    _Table; None if there are none.
 
     Each state counts the subsets of one answer's samples with one size and
     one exact confidence sum, the empty subset included, and of those the
@@ -150,13 +172,15 @@ def _table(groups: list[SampleGroup], cap: float,
     denominator, divided once at the end: int64 to float64 rounds once, and
     int true division rounds correctly, as math.fsum does.
     """
-    levels = _levels(groups)
     owner = levels.owner
+    groups = int(owner[-1]) + 1
+    value, denom = _scaled(levels)
     shape = (int(levels.depth.max()) + 1, len(owner))
-    level_x = np.zeros(shape, dtype=levels.value.dtype)
+    level_x = np.zeros(shape, dtype=value.dtype)
     level_m, level_u = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
     at = (levels.depth, levels.answer)
-    level_x[at], level_m[at], level_u[at] = levels.value, levels.samples, levels.invalid
+    level_x[at], level_m[at], level_u[at] = value, levels.samples, levels.invalid
+    pascal = pascal.ravel()  # C(m, j) at m * (_MAX_TABLED + 1) + j
     tag = np.arange(len(owner)) << 6  # answer << 6 | subset size
     total = np.zeros(len(owner), dtype=level_x.dtype)
     count, invalid = np.ones(len(owner), dtype=np.int64), np.ones(len(owner), dtype=np.int64)
@@ -167,31 +191,30 @@ def _table(groups: list[SampleGroup], cap: float,
         tag = tag[src] + j
         answer = tag >> 6
         total = total[src] + j * level_x[depth, answer]
-        count = count[src] * pascal[level_m[depth, answer], j]
-        invalid = invalid[src] * pascal[level_u[depth, answer], j]
-        rows = np.bincount(owner[tag >> 6], minlength=len(groups))
+        count = count[src] * pascal[(level_m[depth] * (_MAX_TABLED + 1))[answer] + j]
+        invalid = invalid[src] * pascal[(level_u[depth] * (_MAX_TABLED + 1))[answer] + j]
+        rows = np.bincount(owner[answer], minlength=groups)
         if (len(tag) <= 2 * _BATCH_STATES and rows.max() <= cap
                 and depth < shape[0] - 1):
             continue
-        # equal sums next to each other, then by answer and size within them
+        # equal states next to each other: by answer and size, then sum
         order = np.argsort(total)
         key = total[order]
-        key = (np.cumsum(np.append(False, key[1:] != key[:-1])) * (len(owner) << 6)
-               + tag[order])
-        by = np.argsort(key, kind="stable")
+        key = tag[order] * len(key) + np.cumsum(np.append(False, key[1:] != key[:-1]))
+        by = np.argsort(key)
         order, key = order[by], key[by]
         first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
         tag, total = tag[order[first]], total[order[first]]
         count, invalid = (np.add.reduceat(column[order], first) for column in (count, invalid))
-        states = np.bincount(owner[tag >> 6], minlength=len(groups))
+        states = np.bincount(owner[tag >> 6], minlength=groups)
         if (states > cap).any():
             keep = states[owner[tag >> 6]] <= cap
             if not keep.any():
                 return None
             tag, total, count, invalid = (column[keep] for column in (tag, total, count, invalid))
     group = owner[tag >> 6]
-    tabled = np.bincount(group, minlength=len(groups)) > 0
-    value = (total / levels.denom[group]).astype(np.float64)
+    tabled = np.bincount(group, minlength=groups) > 0
+    value = (total / denom[group]).astype(np.float64)
     order = np.argsort(value)
     value = value[order]
     rank = np.empty(len(value), dtype=np.int64)
@@ -202,15 +225,17 @@ def _table(groups: list[SampleGroup], cap: float,
 
 
 def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
-    """Per group of the batch and k: the k-subsets whose vote goes to a valid sample."""
+    """Per group of the batch and k: the k-subsets whose vote goes to a
+    valid sample; in a last column, 1 if the whole group's vote does."""
     n = len(table.size)
     span = 64 * (int(table.rank.max()) + 1)
     # one int64 orders a group's states by the rule's vote key
     key = table.size * (span >> 6) + table.rank if strategy == "majority" else \
         table.rank * 64 + table.size
     # states by answer, then key: answers are numbered group after group,
-    # and each answer's empty subset, the least key, comes first
-    by = np.argsort(table.answer * span + key)
+    # and each answer's empty subset, the least key, comes first. Table rows
+    # run by answer, size and sum, so a stable sort (timsort) only merges runs
+    by = np.argsort(table.answer * span + key, kind="stable")
     group, answer, size, key = (column[by] for column in (table.group, table.answer,
                                                           table.size, key))
     start = np.flatnonzero(np.diff(answer, prepend=-1))  # each answer's first state
@@ -230,21 +255,35 @@ def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
     np.cumsum(running[:n], axis=0, out=running[:n])
     running[n, 0] = 1
     # a row per state holding a valid sample; another answer b of its group
-    # loses below its key, and at an equal key iff b's name sorts after a's
+    # loses below its key, and at an equal key iff b's name sorts after a's.
+    # So b's losing states are its states up to the row's seat, where the
+    # group's states run by key and the later name first at equal keys (by
+    # holds each answer's states in that order: again only runs to merge)
     rows = np.flatnonzero((table.valid[by] > 0) & (size <= width))
-    a, g = answer[rows], group[rows]
-    slots = np.arange(int(answers.max()) - 1)
-    other = slots + (slots >= (a - first[g])[:, None])
+    local = answer - first[group]  # the state's answer within its group
+    wide = int(answers.max())
+    seat = np.empty(n, dtype=np.int64)
+    seat[np.argsort((group * span + key) * wide + wide - 1 - local, kind="stable")] = np.arange(n)
+    # the product of the L_b depends on a row only through those states, so
+    # rows of an answer share it unless another answer's state is seated
+    # between them: their seats then differ by more than their places in by
+    a, passed = answer[rows], seat[rows] - rows
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (a[1:] != a[:-1]) | (passed[1:] != passed[:-1])
+    picked = rows[fresh]
+    g = group[picked]
+    # last[:, slot]: each other answer's latest losing state, a running
+    # maximum of places in by over the seats, one per answer place: a
+    # group's states come after earlier groups' in by, and each answer's
+    # empty subset (key 0) is seated before any row
+    latest = np.zeros((wide, n), dtype=np.int64)
+    latest[local, seat] = np.arange(n)
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    slots = np.arange(wide - 1)
+    other = (slots + (slots >= np.arange(wide)[:, None]))[local[picked]]
     real = other < answers[g, None]
     b = np.where(real, first[g, None] + other, len(start))
-    last = np.searchsorted(answer * 2 * span + 2 * key,
-                           b * 2 * span + 2 * key[rows, None] + (b > a[:, None])) - 1
-    last[~real] = n
-    # the product of the L_b depends on a row only through last, which rises
-    # with the key, so rows sharing it are adjacent: multiply once for them
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (a[1:] != a[:-1]) | (last[1:] != last[:-1]).any(axis=1)
-    b, last = b[fresh], last[fresh]
+    last = np.where(real, latest.ravel()[other * n + seat[picked, None]], n)
     depth = np.append(reach, 0)[b]
     poly = np.zeros((len(b), width), dtype=np.int64)
     poly[:, 0] = 1
@@ -255,11 +294,17 @@ def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
             product[:, t:] += poly[:, :-t] * factor[:, t:t + 1]
         poly = product
     place = np.array(ks) - size[rows, None]  # a fills c of the k places
-    hits = (poly[np.cumsum(fresh)[:, None] - 1, np.maximum(place, 0)] * (place >= 0)
-            * table.valid[by][rows, None])
+    hits = (poly.ravel()[(np.cumsum(fresh)[:, None] - 1) * width + np.maximum(place, 0)]
+            * (place >= 0) * table.valid[by][rows, None])
     # rows run group after group: sum each group's at once
-    out = np.zeros((int(group[-1]) + 1, len(ks)), dtype=np.int64)
+    out = np.zeros((len(first), len(ks) + 1), dtype=np.int64)
     if len(rows):
+        g = group[rows]
         edges = np.flatnonzero(np.diff(g, prepend=-1))
-        out[g[edges]] = np.add.reduceat(hits, edges)
+        out[g[edges], :-1] = np.add.reduceat(hits, edges)
+    # k = n: each answer's last state is its whole set, and the vote goes to
+    # the greatest key of those, the first name at equal keys
+    whole = np.append(start[1:], n) - 1
+    won = whole[key[whole] == np.maximum.reduceat(key[whole], first)[group[whole]]]
+    out[:, -1] = table.valid[by][won[np.flatnonzero(np.diff(group[won], prepend=-1))]] > 0
     return out

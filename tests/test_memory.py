@@ -149,14 +149,14 @@ def test_generators_hold_nothing_for_fields_they_lack():
     assert not flat.claim_offsets.any() and len(flat.claim_confidence) == 0
 
 
-# scaling_curves builds the vote tables of one batch of groups (_BATCH_STATES
-# states), scores them for every vote rule and drops them before it builds the
-# next batch, so what it holds while it runs is one batch's arrays, which peak
-# near 0.8 MB scored at k up to 8 (k = 16 is a 16-sample group's closed form),
-# however many groups there are. Measured on bench-like groups (16 samples on
-# the 0.05 grid, about 170 states each): 1.15 MB at 200 groups, 1.33 MB at
-# 800. Keeping every table for the second rule would hold 48 bytes per state,
-# about 4.9 MB more at 800 groups.
+# scaling_curves builds the vote tables of one batch of groups (about
+# _BATCH_STATES states), scores them for every vote rule and drops them before
+# it builds the next batch, so what it holds while it runs is one batch's
+# arrays, which peak near 2.2 MB scored at k up to 8 (k = 16 is a 16-sample
+# group's closed form), however many groups there are. Measured on bench-like
+# groups (16 samples on the 0.05 grid, about 170 states each): 3.40 MB at 200
+# groups, 3.86 MB at 800. Keeping every table for the second rule would hold
+# 48 bytes per state, about 4.9 MB more at 800 groups.
 BATCH_BYTES = 1_600_000
 
 

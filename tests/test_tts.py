@@ -1,25 +1,92 @@
 """Test-time scaling strategies and their brute-force oracles."""
 
+import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from becal import tts, votes
+from becal import draws, tts, votes
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
-from becal.simulate import generate_ensemble
-from becal.tts import (STRATEGIES, SampleGroup, _closed_form, _draw, _group_rng, _score,
-                       exact_expected_accuracy, group_records, scaling_curve,
-                       scaling_curves)
-from becal.votes import _batches, _levels, _vote_hits
+from becal.simulate import _rng, generate_ensemble
+from becal.tts import (STRATEGIES, SampleGroup, _columns, _score, exact_expected_accuracy,
+                       group_records, scaling_curve, scaling_curves)
+from becal.votes import _levels, _scaled, _vote_hits
 
 from conftest import grid_groups, make_dataset, make_grouped
+
+
+def _group_rng(seed, k, resample, group):
+    """The stream of one (seed, k, resample, group) tuple, built on its own."""
+    digest = hashlib.sha256(group.encode("utf-8")).digest()[:8]
+    return _rng([int(seed), int(k), int(resample), *digest])
+
+
+def _draw(grp, k, rng):
+    idx = rng.permutation(grp.size)[:k]
+    return [grp.samples[int(i)] for i in idx]
+
+
+def _closed_form(grp, strategies, ks):
+    """Per strategy, the exact accuracy of one group at each k as
+    (numerator, denominator), group by group: the oracle of the column
+    closed forms.
+
+    At k = 1 every strategy scores the one sample drawn, so it is v/n, and at
+    k = n the draw is the whole group, so majority and majconf score it once,
+    0 or 1, from one tally. Between them mean, best and maxconf have closed
+    forms, majority and majconf None.
+    """
+    n = grp.size
+    valid = sum(v for _, _, v in grp.samples)
+    votes = [strategy for strategy in strategies if strategy not in tts._CLOSED]
+    whole = _score(grp.samples, votes) if votes and n in ks else {}
+    out = {}
+    for strategy in strategies:
+        if strategy == "maxconf":
+            # the top confidence level c in the draw holds the winner, and the
+            # first drawn of the m_c samples at c is uniform over them; the sum
+            # of v_c/m_c * (draws topped by c) is taken over the denominator lcm(m_c)
+            at = {}
+            for _, conf, v in grp.samples:
+                level = at.setdefault(conf, [0, 0])
+                level[0] += 1
+                level[1] += v
+            levels = [at[conf] for conf in sorted(at)]
+            scale = math.lcm(*(m for m, _ in levels))
+        out[strategy] = row = []
+        for k in ks:
+            if k == 1 or strategy == "mean":
+                row.append((valid, n))
+            elif strategy == "best":
+                subsets = math.comb(n, k)
+                row.append((subsets - math.comb(n - valid, k), subsets))
+            elif strategy == "maxconf":
+                total, below = 0, 0
+                for m, v in levels:
+                    total += v * (scale // m) * (math.comb(below + m, k) - math.comb(below, k))
+                    below += m
+                row.append((total, scale * math.comb(n, k)))
+            else:
+                row.append((whole[strategy], 1) if k == n else None)
+    return out
+
+
+def _batches(groups, cap):
+    """The vote tables of every group, a batch at a time."""
+    groups = _columns(groups)
+    return votes._batches(groups, np.arange(len(groups)), cap)
 
 
 def at_k(groups, strategy, k, seed=0):
@@ -100,7 +167,7 @@ class TestGrouping:
                 ("g", "A", 0.2, False)]
         a = group_records(make_grouped(rows))
         b = group_records(make_grouped(rows[::-1]))
-        assert a == b
+        assert list(a) == list(b)
 
     def test_mixed_grouping_rejected(self):
         ds = make_grouped([("g", "A", 0.5, True), (None, "B", 0.5, False)])
@@ -256,7 +323,7 @@ class TestOrderFreeVotes:
             point, = scaling_curve(groups, strategy, [16], n_resamples=8, seed=3)
             assert point.exact and point.stderr == 0.0, strategy
             assert (point.closed_form, point.drawn, point.draws) == (200, 0, 0)
-            for grp in groups[:20]:
+            for grp in list(groups)[:20]:
                 drawn = [_draw(grp, 16, _group_rng(3, 16, r, grp.group)) for r in range(8)]
                 assert {_score(sample, [strategy])[strategy] for sample in drawn} == {
                     _closed_form(grp, [strategy], [16])[strategy][0][0]}
@@ -362,7 +429,7 @@ class TestExactPaths:
     def test_tabled_and_drawn_groups_mix(self):
         # the 63-sample groups are drawn, the 4-sample ones tabled and the
         # 3-sample ones, drawn whole at k = 3, valued by closed form
-        small = ragged_groups(random.Random(5), 12, sizes=(3, 4))
+        small = list(ragged_groups(random.Random(5), 12, sizes=(3, 4)))
         large = [SampleGroup(group="big" + grp.group, samples=grp.samples)
                  for grp in ragged_groups(random.Random(6), 8, sizes=(63, 63))]
         whole = sum(grp.size == 3 for grp in small)
@@ -407,24 +474,27 @@ class TestOnePass:
                                                          seed % 5), strategy
 
     def test_each_table_and_draw_is_made_once(self, monkeypatch):
-        small = ragged_groups(random.Random(5), 12, sizes=(3, 4))
+        small = list(ragged_groups(random.Random(5), 12, sizes=(3, 4)))
         large = [SampleGroup(group="big" + grp.group, samples=grp.samples)
                  for grp in ragged_groups(random.Random(6), 4, sizes=(63, 63))]
-        calls = {(votes, "_levels"): [], (tts, "_group_rng"): []}
+        calls = {(votes, "_levels"): [], (draws, "keys"): []}
         for (module, name), log in calls.items():
             def logged(*args, _call=getattr(module, name), _log=log):
                 _log.append(args)
                 return _call(*args)
             monkeypatch.setattr(module, name, logged)
-        curves = scaling_curves(small + large, ["majority", "mean", "majconf"], [1, 2, 3],
-                                4, seed=9)
+        curves = scaling_curves(small + large, ["majority", "mean", "majconf"],
+                                [1, 2, 3], 4, seed=9)
         # the levels of every group of at most 62 samples are read once, for
-        # its one table, and each drawn (k, resample, group) has one stream;
+        # its one table, and each drawn (k, resample, group) is keyed once;
         # k = 1 and k = n need neither
-        assert sorted(grp.group for (groups,) in calls[votes, "_levels"] for grp in groups) \
-            == sorted(grp.group for grp in small)
-        assert sorted(calls[tts, "_group_rng"]) == sorted(
-            (9, k, r, grp.group) for k in (2, 3) for r in range(4) for grp in large)
+        assert sorted(groups.names[g] for groups, chosen in calls[votes, "_levels"]
+                      for g in chosen.tolist()) == sorted(grp.group for grp in small)
+        assert sorted((seed, k, r, bytes(row.tolist()))
+                      for seed, k, resample, digest in calls[draws, "keys"]
+                      for r, row in zip(resample.tolist(), digest)) == sorted(
+            (9, k, r, hashlib.sha256(grp.group.encode()).digest()[:8])
+            for k in (2, 3) for r in range(4) for grp in large)
         whole = sum(grp.size == 3 for grp in small)
         for strategy in ("majority", "majconf"):
             assert [(pt.closed_form, pt.tabled, pt.drawn, pt.draws)
@@ -482,6 +552,25 @@ class TestVoteTables:
                 float(sum(enumerated(g, strategy, k) for g in groups) / len(groups))
                 for k in (1, 2, 3)]
 
+    def test_batches_hold_about_batch_states(self, monkeypatch):
+        # valid samples answer A and the rest one of four wrong answers, on
+        # the 0.05 grid: sums coincide, so the bound on a group's rows passes
+        # its states by about 1.5, and batches take that ratio into account
+        rng = random.Random(3)
+        rows = []
+        for g in range(200):
+            q = rng.uniform(0.1, 0.9)
+            for _ in range(16):
+                valid = rng.random() < q
+                rows.append((f"g{g}", "A" if valid else f"W{rng.randrange(4)}",
+                             round(min(max(q + rng.uniform(-0.2, 0.2), 0.05), 0.95) * 20) / 20,
+                             valid))
+        monkeypatch.setattr(votes, "_BATCH_STATES", 2048)
+        states = [len(table.size) for _, table in _batches(group_records(make_grouped(rows)), 960)]
+        assert sum(states[:-1]) >= 0.9 * 2048 * (len(states) - 1)
+        assert max(states) <= 2 * 2048 + 960
+
+
     def test_sums_past_int64(self):
         # over the denominator 2^70 of 2^-70 a 0.5 is 2^69, so these groups'
         # sums are Python ints, the same code on a wider dtype
@@ -491,7 +580,8 @@ class TestVoteTables:
             (f"g{g}", rng.choice("AB"), rng.choice((tiny, 3 * tiny, 0.5, 0.25, 5e-324)),
              rng.random() < 0.5)
             for g in range(12) for _ in range(rng.randint(2, 8))))
-        assert _levels(groups).value.dtype == object
+        columns = _columns(groups)
+        assert _scaled(_levels(columns, np.arange(len(columns))))[0].dtype == object
         self.assert_oracle(groups)
         # tiny sums that tie, and the same vote key rounded from unequal sums
         rows = [("g", "A", tiny, True), ("g", "A", tiny, False), ("g", "B", 2 * tiny, False),
@@ -542,6 +632,83 @@ class TestVoteTables:
             assert tabled(grp, strategy, [4]) == [0] == [enumerated(grp, strategy, 4)]
             assert tabled(grp, strategy, [1, 2, 3]) == \
                 [enumerated(grp, strategy, k) for k in (1, 2, 3)]
+
+
+class TestClosedForms:
+    """The closed forms read from the columns equal _closed_form, group by group."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nones=st.booleans(),
+           sizes=st.sampled_from([(1, 8), (2, 6), (62, 62), (62, 70)]))
+    def test_match_the_per_group_oracle(self, seed, nones, sizes):
+        # confidences on an eighths grid tie within and across groups; a
+        # None confidence leaves maxconf and majconf out; C(70, 35) passes
+        # int64, so those sums are Python ints
+        rng = random.Random(seed)
+        groups = group_records(make_grouped(
+            (f"g{g}", rng.choice("ABC"), None if nones and rng.random() < 0.3 else
+             rng.randint(0, 8) / 8, rng.random() < 0.5)
+            for g in range(rng.randint(1, 6)) for _ in range(rng.randint(*sizes))))
+        strategies = ["mean", "best", "majority"] + ([] if nones else ["maxconf", "majconf"])
+        smallest = min(grp.size for grp in groups)
+        ks = sorted({1, smallest, rng.randint(1, smallest), (smallest + 1) // 2})
+        oracle = [_closed_form(grp, strategies, ks) for grp in groups]
+        for cap in (0, math.inf):
+            sums, _, _ = tts._exact(groups, strategies, ks, cap)
+            for strategy in strategies:
+                for j, k in enumerate(ks):
+                    if strategy in tts._CLOSED or k == 1:
+                        assert tts._total(sums[strategy][j]) == sum(
+                            Fraction(*pairs[strategy][j]) for pairs in oracle), (strategy, k)
+        # k = n alone, from a group's table where it has one, else one tally
+        for grp, pairs in zip(groups, oracle):
+            ks_g = sorted({1, min(2, grp.size), grp.size})
+            whole = _closed_form(grp, strategies, ks_g)
+            for cap in (0, math.inf):
+                sums, _, _ = tts._exact(_columns([grp]), strategies, ks_g, cap)
+                for strategy in strategies:
+                    assert tts._total(sums[strategy][-1]) == Fraction(*whole[strategy][-1])
+
+
+class TestBulkKeys:
+    """Draws keyed in bulk are the draws of a Philox built per tuple, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1)),
+           k=st.integers(2, 2 ** 33), resample=st.one_of(st.integers(0, 2 ** 32 - 1),
+                                                          st.integers(2 ** 32, 2 ** 64 - 1)),
+           name=st.text(max_size=6), n=st.integers(2, 70))
+    def test_keys_are_seed_sequence_keys(self, seed, k, resample, name, n):
+        digest = hashlib.sha256(name.encode("utf-8")).digest()[:8]
+        entropy = [seed, k, resample, *digest]
+        key = draws.keys(seed, k, np.array([resample], dtype=np.uint64),
+                         np.array([list(digest)], dtype=np.uint64))
+        assert key.tolist() == [np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+                                .tolist()]
+        # set into a reused Philox at counter 0, as draw_hits does
+        philox = np.random.Philox(0)
+        np.random.Generator(philox).permutation(5)  # a used stream, reset by the key
+        state = philox.state
+        state["state"]["key"][:] = key[0]
+        state["state"]["counter"][:] = 0
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        philox.state = state
+        built = _rng(entropy)
+        assert np.random.Generator(philox).permutation(n)[:min(k, n)].tolist() == \
+            built.permutation(n)[:min(k, n)].tolist()
+        assert philox.random_raw(9).tolist() == built.bit_generator.random_raw(9).tolist()
+
+    def test_draws_are_the_per_tuple_draws(self):
+        # every (seed, k, resample, group) draw, seeds past 2^32 included
+        groups = grid_groups(random.Random(9), 6, 9)
+        for seed in (0, 5, 2 ** 32 + 7, 2 ** 64 - 1):
+            seen = []
+            draws.draw_hits(groups, np.arange(len(groups)), [1, 3, 8, 9], 3, seed,
+                            lambda drawn: seen.append(drawn) or {})
+            names = {a: code for code, a in enumerate(groups.answers)}
+            assert seen == [[(names[a], c, v) for a, c, v in
+                             _draw(grp, k, _group_rng(seed, k, r, grp.group))]
+                            for k in (3, 8) for r in range(3) for grp in groups]
 
 
 class TestForcedDraws:
@@ -617,9 +784,9 @@ class TestPreconditions:
             with pytest.raises(DataError, match=f"^{message} has a sample without one$"):
                 scaling_curves(groups, strategies, [1], 1)
         with pytest.raises(DataError, match="'maxconf' needs confidences; group 'c'"):
-            scaling_curves(groups[2:], ["maxconf", "majority"], [1], 1)
+            scaling_curves(list(groups)[2:], ["maxconf", "majority"], [1], 1)
         with pytest.raises(DataError, match="'majconf' needs answers; group 'c'"):
-            scaling_curves(groups[2:], ["majconf"], [1], 1)
+            scaling_curves(list(groups)[2:], ["majconf"], [1], 1)
         # the first failing strategy wins over an unknown one after it, not before
         with pytest.raises(DataError, match="'majority'"):
             scaling_curves(groups, ["majority", "oracle"], [1], 1)
@@ -741,3 +908,42 @@ class TestScalingCurve:
             with pytest.raises(DomainError, match="64 unsigned bits"):
                 scaling_curve(groups, "mean", [1], n_resamples=1, seed=seed)
         assert scaling_curve(groups, "mean", [1], n_resamples=1, seed=2 ** 64 - 1)
+
+
+class TestLazyModules:
+    """Only a command that needs tables loads becal.votes, and only one that
+    draws loads becal.draws and hashlib."""
+
+    @staticmethod
+    def loaded(tmp_path, *argv):
+        child = ("import sys\nfrom becal.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n"
+                 "print(*[m for m in ('hashlib', 'becal.votes', 'becal.draws') "
+                 "if m in sys.modules])\n")
+        src = str(Path(tts.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", child, *argv, "--out",
+                               str(tmp_path / "out")], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_modules_load_only_where_needed(self, tmp_path):
+        flat = tmp_path / "flat.jsonl"
+        flat.write_text("".join(json.dumps({"id": f"r{i}", "confidence": i / 10,
+                                            "valid": i % 3 == 0}) + "\n" for i in range(10)))
+        ens = tmp_path / "ens.jsonl"
+        ens.write_text("".join(json.dumps({"id": f"{g}{s}", "group": g, "answer": "AB"[s % 2],
+                                           "confidence": s / 70, "valid": s % 2 == 0}) + "\n"
+                               for g, size in (("g", 6), ("big", 63)) for s in range(size)))
+        small = tmp_path / "small.jsonl"
+        small.write_text("".join(line + "\n" for line in ens.read_text().splitlines()[:6]))
+        assert self.loaded(tmp_path, "sweep", str(flat)) == []
+        assert self.loaded(tmp_path, "report", str(flat)) == []
+        assert self.loaded(tmp_path, "tts", str(ens), "--k", "1,2,6",
+                           "--strategy", "mean,best,maxconf") == []
+        # votes at k = 1 and k = n need no table
+        assert self.loaded(tmp_path, "tts", str(small), "--k", "1,6") == []
+        assert self.loaded(tmp_path, "tts", str(small), "--k", "1,2,6") == ["becal.votes"]
+        # 63 samples are drawn at 1 < k < n
+        assert self.loaded(tmp_path, "tts", str(ens), "--k", "1,2,6") == \
+            ["hashlib", "becal.votes", "becal.draws"]
