@@ -77,8 +77,9 @@ def keys(seed: int, k: int, resample: np.ndarray, digest: np.ndarray) -> np.ndar
 
 def draw_hits(groups: Groups, drawn: np.ndarray, ks: list[int], n_resamples: int,
               seed: int, score) -> list[list[dict[str, int]]]:
-    """Per k and resample, the sum of score({rule: hit}) over the drawn
-    groups with 1 < k < n, each scored on its (seed, k, resample) draw."""
+    """Per k and resample, {rule: hits} summed over the drawn groups with
+    1 < k < n of score(draw), each group's draw made from its own (seed, k,
+    resample) stream."""
     from .tts import _samples
     sizes = np.diff(groups.offsets)
     digest = np.array([list(hashlib.sha256(groups.names[g].encode("utf-8")).digest()[:8])
@@ -92,7 +93,8 @@ def draw_hits(groups: Groups, drawn: np.ndarray, ks: list[int], n_resamples: int
     for k in ks:
         at = np.flatnonzero((1 < k) & (k < sizes[drawn]))
         hits.append([{} for _ in range(n_resamples)] if len(at) else [])
-        # resamples in power-of-two steps: none crosses 2^32
+        # about 4,096 keys at once, in power-of-two steps of resamples: no
+        # step crosses 2^32, from where a resample is two words
         step = 1 << max(0, (4096 // max(len(at), 1)).bit_length() - 1)
         for lo in range(0, n_resamples if len(at) else 0, step):
             resample = np.arange(lo, min(lo + step, n_resamples), dtype=np.uint64)

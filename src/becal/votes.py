@@ -52,16 +52,17 @@ class _Table(NamedTuple):
 class _Levels(NamedTuple):
     """Some groups' answers and their confidence levels: answers are
     numbered group after group in name order, levels answer after answer,
-    the fullest first. A level's confidence is mantissa * 2^exponent, the
-    mantissa odd or 0."""
+    the fullest first. A level's value is its confidence times its group's
+    power-of-two denominator, an integer: int64, or Python ints where some
+    group's denominator or sum could pass 63 bits."""
 
-    owner: np.ndarray     # each answer's group
-    answer: np.ndarray    # each level's answer
-    depth: np.ndarray     # the level's place among its answer's levels
-    samples: np.ndarray   # samples at the level
-    invalid: np.ndarray   # invalid samples at the level
-    mantissa: np.ndarray
-    exponent: np.ndarray
+    owner: np.ndarray    # each answer's group
+    answer: np.ndarray   # each level's answer
+    depth: np.ndarray    # the level's place among its answer's levels
+    samples: np.ndarray  # samples at the level
+    invalid: np.ndarray  # invalid samples at the level
+    value: np.ndarray    # the level's scaled confidence
+    denom: np.ndarray    # each group's denominator
 
 
 def _levels(groups: Groups, chosen: np.ndarray) -> _Levels:
@@ -87,29 +88,22 @@ def _levels(groups: Groups, chosen: np.ndarray) -> _Levels:
     order = np.argsort(answer * 64 + 63 - samples, kind="stable")
     conf, samples, invalid = conf[order], samples[order], invalid[order]
     depth = np.arange(len(order)) - answer_levels[answer]
+    # conf = mantissa * 2^exponent, the mantissa odd or 0
     fraction, exponent = np.frexp(conf)
     mantissa = (fraction * 2.0 ** 53).astype(np.int64)
     zeros = np.where(mantissa > 0,
                      np.frexp((mantissa & -mantissa).astype(np.float64))[1] - 1, 0)
     mantissa >>= zeros
-    return _Levels(owner, answer, depth, samples, invalid, mantissa,
-                   np.where(mantissa > 0, exponent - 53 + zeros, 0))
-
-
-def _scaled(levels: _Levels) -> tuple[np.ndarray, np.ndarray]:
-    """Each level's confidence times its group's power-of-two denominator,
-    an integer, and each group's denominator: int64, or Python ints where
-    some group's denominator or sum could pass 63 bits."""
-    group_levels = np.flatnonzero(np.diff(levels.owner[levels.answer], prepend=-1))
-    scale = -np.minimum.reduceat(levels.exponent, group_levels)  # denominators are 2^scale
-    # each group's whole sum
-    top = np.add.reduceat(np.ldexp(levels.mantissa, levels.exponent) * levels.samples,
-                          group_levels)
+    exponent = np.where(mantissa > 0, exponent - 53 + zeros, 0)
+    group_levels = answer_levels[np.searchsorted(owner, np.arange(len(chosen)))]
+    scale = -np.minimum.reduceat(exponent, group_levels)  # denominators are 2^scale
+    top = np.add.reduceat(conf * samples, group_levels)  # the group's whole sum
     wide = (scale > 62).any() or (np.ldexp(top, np.minimum(scale, 62)) >= 2.0 ** 62).any()
     dtype = object if wide else np.int64
-    shift = levels.exponent + scale[levels.owner[levels.answer]]
-    return (levels.mantissa.astype(dtype) << shift.astype(dtype),
-            np.left_shift(1, scale.astype(dtype)))
+    shift = exponent + scale[owner[answer]]
+    return _Levels(owner, answer, depth, samples, invalid,
+                   mantissa.astype(dtype) << shift.astype(dtype),
+                   np.left_shift(1, scale.astype(dtype)))
 
 
 def _batches(groups: Groups, voted: np.ndarray, cap: float):
@@ -173,13 +167,12 @@ def _table(levels: _Levels, cap: float,
     int true division rounds correctly, as math.fsum does.
     """
     owner = levels.owner
-    groups = int(owner[-1]) + 1
-    value, denom = _scaled(levels)
+    groups = len(levels.denom)
     shape = (int(levels.depth.max()) + 1, len(owner))
-    level_x = np.zeros(shape, dtype=value.dtype)
+    level_x = np.zeros(shape, dtype=levels.value.dtype)
     level_m, level_u = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
     at = (levels.depth, levels.answer)
-    level_x[at], level_m[at], level_u[at] = value, levels.samples, levels.invalid
+    level_x[at], level_m[at], level_u[at] = levels.value, levels.samples, levels.invalid
     pascal = pascal.ravel()  # C(m, j) at m * (_MAX_TABLED + 1) + j
     tag = np.arange(len(owner)) << 6  # answer << 6 | subset size
     total = np.zeros(len(owner), dtype=level_x.dtype)
@@ -214,7 +207,7 @@ def _table(levels: _Levels, cap: float,
             tag, total, count, invalid = (column[keep] for column in (tag, total, count, invalid))
     group = owner[tag >> 6]
     tabled = np.bincount(group, minlength=groups) > 0
-    value = (total / denom[group]).astype(np.float64)
+    value = (total / levels.denom[group]).astype(np.float64)
     order = np.argsort(value)
     value = value[order]
     rank = np.empty(len(value), dtype=np.int64)

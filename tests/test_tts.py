@@ -22,7 +22,7 @@ from becal.model import Dataset
 from becal.simulate import _rng, generate_ensemble
 from becal.tts import (STRATEGIES, SampleGroup, _columns, _score, exact_expected_accuracy,
                        group_records, scaling_curve, scaling_curves)
-from becal.votes import _levels, _scaled, _vote_hits
+from becal.votes import _levels, _vote_hits
 
 from conftest import grid_groups, make_dataset, make_grouped
 
@@ -580,8 +580,7 @@ class TestVoteTables:
             (f"g{g}", rng.choice("AB"), rng.choice((tiny, 3 * tiny, 0.5, 0.25, 5e-324)),
              rng.random() < 0.5)
             for g in range(12) for _ in range(rng.randint(2, 8))))
-        columns = _columns(groups)
-        assert _scaled(_levels(columns, np.arange(len(columns))))[0].dtype == object
+        assert _levels(groups, np.arange(len(groups))).value.dtype == object
         self.assert_oracle(groups)
         # tiny sums that tie, and the same vote key rounded from unequal sums
         rows = [("g", "A", tiny, True), ("g", "A", tiny, False), ("g", "B", 2 * tiny, False),
