@@ -5,13 +5,16 @@
 For each n it simulates n flat records and n four-claim chains, runs
 validate, reward, metrics, sweep, objectives and report on the flat records,
 then reward and sweep on the chains, with each record's confidence the
-product of its claims'. Last it simulates n/16 groups of 16 samples and runs
+product of its claims'. Then it simulates n/16 groups of 16 samples and runs
 tts on them with the benchmark's k values (1, 2, 4, 8, 16) and 6 resamples.
-Every command is its own `python -m becal` child of this checkout's src/,
-reaped with os.wait4, so the wall time, CPU time and peak RSS (ru_maxrss) it
-reports are that child's alone. Inputs and outputs live in a temporary
-directory that is removed at the end; the largest (1e6 chains) is about
-360 MB.
+Last it runs validate, metrics, sweep and report on the chains rewritten as
+model logs look (see _derive_logs). Every command is its own `python -m
+becal` child of this checkout's src/, reaped with os.wait4, so the wall
+time, CPU time and peak RSS (ru_maxrss) it reports are that child's alone.
+A child's ru_maxrss counts the memory this script held when it started the
+child, so the script streams the derivation and never holds a whole file.
+Inputs and outputs live in a temporary directory that is removed at the
+end; the largest (1e6 log lines) is about 470 MB.
 
 It writes one JSON document (default BENCH_scale.json at the repo root): the
 git revision, host notes, and one row per (command, n). Peak RSS repeats
@@ -34,11 +37,12 @@ from time import perf_counter
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+CHAIN, LOGS = "chain.jsonl", "logs.jsonl"
 
 
 def _steps(n: int) -> list[tuple[str, list[str], str]]:
     """(name, becal argv, output file) in the order they run."""
-    flat, chain, product = "flat.jsonl", "chain.jsonl", ["--confidence-from", "product"]
+    flat, chain, product = "flat.jsonl", CHAIN, ["--confidence-from", "product"]
     groups = str(max(1, n // 16))
     return [
         ("simulate", ["simulate", "--n", str(n), "--seed", "0"], flat),
@@ -58,7 +62,31 @@ def _steps(n: int) -> list[tuple[str, list[str], str]]:
          "ensemble.jsonl"),
         ("tts", ["tts", "ensemble.jsonl", "--k", "1,2,4,8,16", "--resamples", "6"],
          "tts.csv"),
+        ("validate logs", ["validate", LOGS], "validate_logs.json"),
+        ("metrics logs", ["metrics", LOGS], "metrics_logs.json"),
+        ("sweep logs", ["sweep", LOGS], "sweep_logs.csv"),
+        ("report logs", ["report", LOGS], "report_logs.json"),
     ]
+
+
+def _derive_logs(chain: Path, logs: Path) -> None:
+    """Rewrite the chain file the way model logs look, one line at a time:
+    written by json.dumps with its defaults (so every non-ASCII character as
+    a \\u escape, and an emoji as a surrogate pair), record and claim
+    confidences on a 0.05 grid, as verbalized ones are, a curly apostrophe
+    in each claim text, an emoji in the first claim text of one line in ten,
+    and a "model" field, which ingest folds into meta, on every line."""
+    with open(chain, encoding="utf-8") as src, open(logs, "w", encoding="utf-8") as out:
+        for i, line in enumerate(src):
+            obj = json.loads(line)
+            obj["confidence"] = round(obj["confidence"] * 20) / 20
+            for claim in obj["claims"]:
+                claim["confidence"] = round(claim["confidence"] * 20) / 20
+                claim["text"] = "\u2019" + claim["text"]
+            if i % 10 == 0:
+                obj["claims"][0]["text"] = "\U0001f600 " + obj["claims"][0]["text"]
+            obj["model"] = "sim-chain-4"
+            out.write(json.dumps(obj) + "\n")
 
 
 def _child(argv: list[str], cwd: str) -> dict:
@@ -121,6 +149,8 @@ def main(argv: list[str] | None = None) -> int:
                 row["output_bytes"] = path.stat().st_size if path.exists() else None
                 doc["rows"].append(row)
                 print(json.dumps(row), flush=True)
+                if out == CHAIN:
+                    _derive_logs(path, Path(work, LOGS))
     doc["host"]["load_avg_1m_after"] = round(os.getloadavg()[0], 2)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     failed = [r for r in doc["rows"] if r["rc"]]

@@ -9,6 +9,8 @@ check_range for any other number with a domain. They take scalars; an array
 is checked through its min and max, which NaN propagates through.
 """
 
+import operator
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""
@@ -53,7 +55,12 @@ def check_count(name: str, value, least: int = 1):
 
 
 def check_seed(seed) -> int:
-    """The one seed rule: 0 <= seed < 2^64, else DomainError."""
-    if not 0 <= int(seed) < 2 ** 64:
+    """The one seed rule: an integer (a Python or numpy int, not a float or
+    a string) with 0 <= seed < 2^64, else DomainError."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer: {seed!r}") from None
+    if not 0 <= value < 2 ** 64:
         raise DomainError(f"seed must fit in 64 unsigned bits: {seed!r}")
-    return int(seed)
+    return value

@@ -56,14 +56,14 @@ columns through one appender, _Columns.add, which checks a list of decoded
 objects field by field as columns (the keys, the types of each field's
 values, the confidences against [0, 1] and the ids against those seen),
 after folding unknown fields into meta. read_jsonl takes lines in chunks of
-about 64 KiB (_INGEST_CHUNK). Each chunk is decoded with no per-object hook,
-and may repeat a key only when its text holds more ":" and \\u003a escapes
+about 64 KiB (_INGEST_CHUNK). Each chunk is decoded with no per-object hook.
+It may repeat a key only when its text holds more ":" and \\u003a escapes
 (escape pairs read left to right) than it has decoded keys plus ":" in
-decoded strings; a chunk holding a \\uD800-style escape is checked for a
-lone surrogate over its decoded objects. Only a chunk that holds an error
-fails a check. It is read line by line by _parse_lines, which builds each
-line into the row classes, the one validator that words an error, and names
-the first bad line.
+decoded strings, and it holds a lone surrogate only if those strings, joined,
+do not encode as UTF-8 (an unknown field's non-string value is encoded on
+its own). Only a chunk that holds an error fails a check. It is read line
+by line by _parse_lines, which builds each line into the row classes, the
+one validator that words an error, and names the first bad line.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def _check_meta(meta: object) -> None:
 def _folded_meta(obj: dict) -> dict | None:
     """A JSONL object's meta with its unknown top-level fields added, so they
     are kept, not dropped; a non-string value as compact JSON. A DataError if
-    one is also a meta key."""
+    one is also a meta key, a UnicodeEncodeError if a non-string value holds
+    a lone surrogate, which its ASCII JSON would hide."""
     if obj.keys() <= _KNOWN_FIELDS:
         return obj.get("meta")
     meta = dict(obj.get("meta") or ())
@@ -166,8 +167,10 @@ def _folded_meta(obj: dict) -> dict | None:
         if key not in _KNOWN_FIELDS:
             if key in meta:
                 raise DataError(f"field {key!r} collides with a meta key")
-            meta[key] = value if isinstance(value, str) else json.dumps(
-                value, sort_keys=True, separators=(",", ":"))
+            if not isinstance(value, str):
+                _ENCODE(value).encode("utf-8")
+                value = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            meta[key] = value
     return meta
 
 
@@ -486,9 +489,10 @@ class _Columns:
         """Check decoded JSONL objects field by field as columns and append
         them, or return False and append nothing: for a bad field, a repeated
         id, an integer too large for a float or, where raw (the text objs were
-        decoded from with no duplicate-key hook) is given, a repeated key. So
-        only objects holding an error are refused; the caller reads their
-        lines with _parse_lines, which words it and names the first bad line."""
+        decoded from with no duplicate-key hook) is given, a repeated key or a
+        lone surrogate. So only objects holding an error are refused; the
+        caller reads their lines with _parse_lines, which words it and names
+        the first bad line."""
         if not _only(objs, dict):
             return False
         names = set().union(*objs)
@@ -508,7 +512,7 @@ class _Columns:
         if not _KNOWN_FIELDS.issuperset(names):
             try:
                 meta = list(map(_folded_meta, objs))
-            except DataError:
+            except (DataError, UnicodeEncodeError):
                 return False
 
         claims = [() if c is None else c for c in claims] if None in claims else claims
@@ -539,14 +543,21 @@ class _Columns:
             # unless it repeats a key). Escapes pair up left to right, so an
             # escaped backslash before u003a is no colon. A key dict() dropped
             # takes its ":" from the right side only, so the counts agree only
-            # if none was dropped.
+            # if none was dropped. The same strings hold any lone surrogate,
+            # which no UTF-8 output can hold.
             separators += sum(map(len, flat))
-            strings = chain(ids, text, filter(None, rationale), filter(None, group),
-                            filter(None, answer), keys, values)
+            strings = "".join(chain(ids, text, filter(None, rationale), filter(None, group),
+                                    filter(None, answer), keys, values))
             escapes = _COLON_ESCAPE.findall(raw) if "\\" in raw else []
             colons = raw.count(":") + len(escapes) - escapes.count("")
-            if colons != separators + "".join(strings).count(":"):
+            if colons != separators + strings.count(":"):
                 return False
+            if not strings.isascii():
+                try:
+                    strings.encode("utf-8")
+                except UnicodeEncodeError:
+                    return False
+            del strings  # not held while the builders encode the strings below
 
         first_claim = len(self.claim_confidence)
         self.seen |= new_ids
@@ -706,13 +717,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _JSON_SPACE = " \t\n\r"
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 # JSON escape pairs, left to right: an escaped backslash, "" in findall, or
 # an escaped ":", "u003a" or "u003A"
 _COLON_ESCAPE = re.compile(r"\\(?:\\|(u003[aA]))")
 # built once: _plain decodes with no hook, a Python call per object fewer, and
 # _Columns.add finds a repeated key by counting colons instead. _ENCODE writes
-# dump_jsonl's lines and finds lone surrogates for _check_surrogates
+# dump_jsonl's lines and, encoded to UTF-8, finds a lone surrogate in a
+# decoded object
 _SCAN_PLAIN = json.JSONDecoder().scan_once
 _ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 # bytes of JSONL (characters, for str lines) read per chunk. Only one chunk's
@@ -720,19 +731,6 @@ _ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 # Twice that raised the peak RSS of commands reading 8,000 eight-claim chains
 # by about 0.7 MB, past that of simulating them, with no measurable gain in speed
 _INGEST_CHUNK = 1 << 16
-
-
-def _check_surrogates(objs: list, text: str) -> None:
-    """A UnicodeEncodeError if an object of objs, decoded from the JSON text,
-    holds a lone surrogate, which no UTF-8 output can hold: a \\uD800-style
-    escape decodes to one, and a str line can hold one itself."""
-    if _SURROGATE_ESCAPE.search(text):
-        # 16 objects per call: about the time per object of one call for a
-        # whole chunk, at a quarter of its memory
-        for start in range(0, len(objs), 16):
-            _ENCODE(objs[start:start + 16]).encode("utf-8")
-    elif not text.isascii():
-        text.encode("utf-8")
 
 
 def _parse_line(line: str | bytes) -> PredictionRecord | None:
@@ -745,7 +743,7 @@ def _parse_line(line: str | bytes) -> PredictionRecord | None:
         if not line.strip():
             return None
         obj = json.loads(line, object_pairs_hook=_unique_keys)
-        _check_surrogates([obj], line)
+        _ENCODE(obj).encode("utf-8")  # no lone surrogate
     except UnicodeEncodeError:
         raise DataError("string holds a lone surrogate escape") from None
     except UnicodeDecodeError as exc:
@@ -811,7 +809,7 @@ def _add_lines(cols: _Columns, lines: list[str | bytes], first: int, source: str
 def _plain(lines: list[str | bytes]) -> tuple[list, str] | None:
     """The object of each non-blank line, decoded on its own with no hook, and
     the text they were decoded from; None if a line is not one JSON value in
-    UTF-8 or a string holds a lone surrogate, which _parse_line reports."""
+    UTF-8, which _parse_line reports."""
     objs, texts = [], []
     try:
         for line in lines:
@@ -828,11 +826,9 @@ def _plain(lines: list[str | bytes]) -> tuple[list, str] | None:
                 return None
             objs.append(obj)
             texts.append(line)
-        text = "".join(texts)
-        _check_surrogates(objs, text)
     except (StopIteration, ValueError, RecursionError):  # a UnicodeError is a ValueError
         return None
-    return objs, text
+    return objs, "".join(texts)
 
 
 def _parse_lines(cols: _Columns, lines: list[str | bytes], first: int, source: str) -> None:

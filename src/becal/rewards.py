@@ -56,7 +56,7 @@ def reward_explicit(action: Action, valid: bool, t: float) -> float:
         return 1.0
     if t >= 1.0:
         raise DomainError("explicit penalty is unbounded at t = 1")
-    return -t / (1.0 - t)
+    return -t / (1.0 - t) + 0.0  # +0.0, not -0.0, at t = 0
 
 
 def reward_bounded(action: Action, valid: bool, t: float) -> float:

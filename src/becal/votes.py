@@ -160,9 +160,8 @@ def _table(levels: _Levels, cap: float,
     adds j to the size and j times the level to the sum, in C(m, j) ways of
     which C(u, j) are invalid. Rows of equal answer, size and sum are merged
     at the end, and sooner when there are more than 2 * _BATCH_STATES of
-    them or a group has more than cap; a group of more than cap merged
-    states is dropped then, as merged states only grow, so a group past cap
-    is not grown further. Sums are integers over the group's power-of-two
+    them; a group of more than cap merged states is dropped then, as merged
+    states only grow. Sums are integers over the group's power-of-two
     denominator, divided once at the end: int64 to float64 rounds once, and
     int true division rounds correctly, as math.fsum does.
     """
@@ -186,9 +185,7 @@ def _table(levels: _Levels, cap: float,
         total = total[src] + j * level_x[depth, answer]
         count = count[src] * pascal[(level_m[depth] * (_MAX_TABLED + 1))[answer] + j]
         invalid = invalid[src] * pascal[(level_u[depth] * (_MAX_TABLED + 1))[answer] + j]
-        rows = np.bincount(owner[answer], minlength=groups)
-        if (len(tag) <= 2 * _BATCH_STATES and rows.max() <= cap
-                and depth < shape[0] - 1):
+        if len(tag) <= 2 * _BATCH_STATES and depth < shape[0] - 1:
             continue
         # equal states next to each other: by answer and size, then sum
         order = np.argsort(total)

@@ -115,15 +115,38 @@ class TestReadJsonl:
                                             "escape at line 2$"):
             read_lines('{"id":"a","valid":true}', '{"id":"b\udcff","valid":true%s}' % rest)
 
-    @pytest.mark.parametrize("rest", [',"meta":{"k":"v\\udfff"}', ',"x":{"k":["\\uDC00"]}'],
-                             ids=["meta-value", "folded-nested-value"])
+    @pytest.mark.parametrize("rest", [
+        ',"meta":{"k":"v\\udfff"}', ',"x":{"k":["\\uDC00"]}',
+        ',"claims":[{"text":"t\\ud800","confidence":0.5}]',
+        ',"claims":[{"text":"t","confidence":0.5,"rationale":"\\udc00"}]',
+        ',"answer":"\\uDBFF"', ',"meta":{"k\\ud83d":"v"}', ',"x\\ude00":"v"',
+        ',"x":"v\\ud800"',
+    ], ids=["meta-value", "folded-nested-value", "claim-text", "claim-rationale", "answer",
+            "meta-key", "folded-key", "folded-value"])
     def test_lone_surrogate_escapes_rejected_in_any_string(self, rest):
-        """A folded field is kept as ASCII JSON, which would hide a lone
-        surrogate, so the decoded objects are checked."""
+        """Every string the columns keep is checked, and so is a folded
+        field's other value, kept as ASCII JSON, which would hide a lone
+        surrogate."""
         for kind in (str, lambda line: line.encode()):
             with pytest.raises(DataError, match="^test.jsonl: string holds a lone surrogate "
                                                 "escape at line 2$"):
                 read_lines('{"id":"a","valid":true}', kind('{"id":"b","valid":true%s}' % rest))
+
+    def test_surrogate_pairs_read_with_no_encoding(self, monkeypatch):
+        """A chunk whose escapes are all surrogate pairs is checked by the one
+        join of the strings the columns keep: no decoded object is encoded."""
+        encoded = []
+        monkeypatch.setattr(model, "_ENCODE", lambda obj: encoded.append(obj) or "")
+        lines = [json.dumps({"id": f"q{i}\U0001f600", "valid": True, "answer": "\U0001f600",
+                             "claims": [{"text": "\U0001f600 s", "confidence": 0.5,
+                                         "rationale": "\u2019\U0001f600"}],
+                             "meta": {"\U0001f600": "\U0001f600"}, "x\U0001f600": "\U0001f600"})
+                 for i in range(50)]
+        for kind in (str, str.encode):
+            ds = read_jsonl([kind(line) for line in lines])
+            assert ds.claim_text[49] == "\U0001f600 s"
+            assert ds.meta[0]["x\U0001f600"] == "\U0001f600"
+        assert encoded == []
 
     def test_byte_order_mark_is_malformed(self):
         for line in ('\ufeff{"id":"b","valid":true}', b'\xef\xbb\xbf{"id":"b","valid":true}'):

@@ -143,6 +143,18 @@ class TestCheckRange:
         with pytest.raises(DomainError, match=r"^x must lie in \(0.0, 1.0\]: 0.0$"):
             check_range("x", 0.0, 0.0, 1.0, "(]")
 
+    def test_seed_rule_takes_integers_only(self):
+        """A seed is an int or numpy integer in [0, 2^64); a float, even a
+        whole one, NaN or an infinity, and a string are DomainErrors."""
+        assert check_seed(np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
+        assert type(check_seed(np.int32(3))) is int
+        for seed in (math.nan, math.inf, 1.5, 1.0, "3", None):
+            with pytest.raises(DomainError, match="^seed must be an integer: "):
+                check_seed(seed)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(DomainError, match="^seed must fit in 64 unsigned bits: "):
+                check_seed(seed)
+
     def test_count_and_seed_rules_stay_reachable_from_simulate(self):
         assert simulate.check_count is check_count is errors.check_count
         assert simulate.check_seed is check_seed is errors.check_seed

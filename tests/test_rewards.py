@@ -38,6 +38,10 @@ class TestExplicitReward:
     def test_wrong_answer_steep(self):
         np.testing.assert_allclose(reward_explicit(ANS, False, 0.8), -4.0)
 
+    def test_free_penalty_is_positive_zero(self):
+        """At t = 0 a wrong answer costs 0.0, not -0.0, which JSON would write."""
+        assert math.copysign(1.0, reward_explicit(ANS, False, 0.0)) == 1.0
+
     def test_penalty_diverges_at_one(self):
         with pytest.raises(DomainError):
             reward_explicit(ANS, False, 1.0)

@@ -16,7 +16,8 @@ def test_scale_ladder_records_every_command(tmp_path):
     assert [row["command"] for row in doc["rows"]] == [
         "simulate", "simulate --n-claims 4", "validate", "reward", "metrics", "sweep",
         "objectives", "report", "reward --confidence-from product",
-        "sweep --confidence-from product", "simulate --groups", "tts"]
+        "sweep --confidence-from product", "simulate --groups", "tts", "validate logs",
+        "metrics logs", "sweep logs", "report logs"]
     for row in doc["rows"]:
         assert row["n"] == 40 and row["rc"] == 0, row
         assert row["peak_rss_mb"] > 0 and row["output_bytes"] > 0
