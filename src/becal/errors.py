@@ -55,8 +55,7 @@ def check_count(name: str, value, least: int = 1):
 
 
 def check_seed(seed) -> int:
-    """The one seed rule: an integer (a Python or numpy int, not a float or
-    a string) with 0 <= seed < 2^64, else DomainError."""
+    """The one seed rule: an integer with 0 <= seed < 2^64, else DomainError."""
     try:
         value = operator.index(seed)
     except TypeError:
