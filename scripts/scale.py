@@ -14,7 +14,7 @@ time, CPU time and peak RSS (ru_maxrss) it reports are that child's alone.
 A child's ru_maxrss counts the memory this script held when it started the
 child, so the script streams the derivation and never holds a whole file.
 Inputs and outputs live in a temporary directory that is removed at the
-end; the largest (1e6 log lines) is about 470 MB.
+end; the largest (1e6 log lines) is about 370 MB.
 
 It writes one JSON document (default BENCH_scale.json at the repo root): the
 git revision, host notes, and one row per (command, n). Peak RSS repeats

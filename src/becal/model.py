@@ -135,7 +135,7 @@ def _row_text(name: str, text: str | None) -> str | None:
     """A row's optional string as the plain str the columns take: a str
     subclass as the str of its characters (str() gives "C.A" for a str enum
     member). A DataError if it holds a lone surrogate, which no UTF-8 output
-    can hold; JSONL ingest checks each line once instead."""
+    can hold; JSONL ingest checks a chunk's strings at once instead."""
     if text is None or type(text) is str and text.isascii():
         return text
     try:
@@ -557,7 +557,6 @@ class _Columns:
                     strings.encode("utf-8")
                 except UnicodeEncodeError:
                     return False
-            del strings  # not held while the builders encode the strings below
 
         first_claim = len(self.claim_confidence)
         self.seen |= new_ids

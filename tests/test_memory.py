@@ -58,9 +58,10 @@ def test_ingest_holds_no_object_per_field():
 # decoded objects, and then 136 bytes more per record for the set of ids seen,
 # which finds a duplicate (a str per id and its share of the set's table).
 # With every claim text starting with a \u2019 and an emoji's surrogate-pair
-# escape, as json.dumps writes them: 0.63 MB and 119 bytes. A chunk twice as
-# large (1.22 MB), or the lone-surrogate check encoding a chunk's objects at
-# once (1.12 MB), would break the first bound.
+# escape, as json.dumps writes them: 0.66 MB and 119 bytes, the lone-surrogate
+# check encoding the chunk's joined strings. A chunk twice as large (1.22 MB),
+# or encoding a chunk's decoded objects at once (1.12 MB), would break the
+# first bound.
 CHUNK_TRANSIENT_BYTES = 800_000
 SEEN_ID_BYTES_PER_RECORD = 160
 
