@@ -118,13 +118,21 @@ def _grid_index(sweep_: RiskSweep, t: float) -> int:
     return int(hits[0])
 
 
+def _check_epsilon_h(epsilon_h: float | None) -> float | None:
+    """epsilon_h as a float, or None (half a count). DomainError unless it is
+    normal and finite, so that 1 / epsilon_h is too."""
+    if epsilon_h is None:
+        return None
+    return check_range("epsilon_h", float(epsilon_h), sys.float_info.min, math.inf, "[)")
+
+
 def _hal_floor(n: int, epsilon_h: float | None, m: int | None = None) -> float:
     """Hal floor in counts: n epsilon_h (None: half a count) at one threshold,
-    or its trapezoid sum over m grid steps. DomainError unless epsilon_h is
-    normal and finite, so that 1 / epsilon_h is too, and so is the floor."""
-    if epsilon_h is None:
+    or its trapezoid sum over m grid steps. DomainError unless epsilon_h
+    passes _check_epsilon_h and the floor is finite."""
+    eps = _check_epsilon_h(epsilon_h)
+    if eps is None:
         return 0.5 if m is None else float(m)
-    eps = check_range("epsilon_h", float(epsilon_h), sys.float_info.min, math.inf, "[)")
     floor = float(n) * eps if m is None else 2.0 * n * eps * m
     if not math.isfinite(floor):
         raise DomainError(f"epsilon_h is too large: the hallucination floor "
@@ -161,6 +169,13 @@ def snr_interval(sweep_: RiskSweep, lo: float, hi: float,
     return s_acc / max(s_hal, _hal_floor(sweep_.n, epsilon_h, i1 - i0))
 
 
+def _log(log_base: str):
+    """The log function of a base name: e (or ln) or 10, else DomainError."""
+    if str(log_base) not in ("e", "ln", "10"):
+        raise DomainError(f"unknown log base {log_base!r}; expected e or 10")
+    return np.log10 if str(log_base) == "10" else np.log
+
+
 def snr_gain(sweep_: RiskSweep, epsilon_h: float | None = None,
              log_base: str = "e") -> float:
     """log of SNR([0, 1]) over SNR(0), natural log by default ("10" for log10).
@@ -169,14 +184,12 @@ def snr_gain(sweep_: RiskSweep, epsilon_h: float | None = None,
     guarantees for datasets whose decisions are threshold independent.
     Undefined (DataError) when SNR(0) is 0, that is when no record is valid.
     """
-    if str(log_base) not in ("e", "ln", "10"):
-        raise DomainError(f"unknown log base {log_base!r}; expected e or 10")
+    log = _log(log_base)
     num = snr_interval(sweep_, 0.0, 1.0, epsilon_h)
     den = snr_point(sweep_, 0.0, epsilon_h)
     if den == 0.0:
         raise DataError("SNR gain undefined: Acc(0) is 0 (no valid record), "
                         "so SNR(0) is 0")
-    log = np.log10 if str(log_base) == "10" else np.log
     return float(log(num / den))
 
 
@@ -213,6 +226,19 @@ class ObjectiveReport:
         }
 
 
+def check_objective_options(tolerance: float, baseline_acc: float | None,
+                            epsilon_h: float | None, log_base: str) -> None:
+    """DomainError unless check_objectives' options lie in their domains:
+    tolerance finite and >= 0, baseline_acc in [0, 1] (None: not given yet),
+    epsilon_h as _check_epsilon_h says and log_base e or 10. They need no
+    sweep, so the CLI checks them before reading any record."""
+    check_range("tolerance", tolerance, 0.0, math.inf, "[)")
+    if baseline_acc is not None:
+        check_range("baseline_acc", baseline_acc, 0.0, 1.0)
+    _check_epsilon_h(epsilon_h)
+    _log(log_base)
+
+
 def check_objectives(sweep_: RiskSweep, baseline_acc: float,
                      tolerance: float = 0.05,
                      epsilon_h: float | None = None,
@@ -234,10 +260,9 @@ def check_objectives(sweep_: RiskSweep, baseline_acc: float,
     QuantitativeCalibration: TP(t) >= t - tolerance and FN(t) <= t + tolerance
     wherever those conditionals are defined.
 
-    DomainError unless tolerance is finite and >= 0 and baseline_acc in [0, 1].
+    DomainError unless every option passes check_objective_options.
     """
-    check_range("tolerance", tolerance, 0.0, math.inf, "[)")
-    check_range("baseline_acc", baseline_acc, 0.0, 1.0)
+    check_objective_options(tolerance, baseline_acc, epsilon_h, log_base)
     grid, abs_curve = sweep_.grid, sweep_.abs
     diffs = np.diff(abs_curve)
     monotone = bool(np.all(diffs >= -1e-12))

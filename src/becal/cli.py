@@ -15,8 +15,9 @@ build_parser() is the one option table. Option precedence: command-line
 flags beat a --config file, which beats the BECAL_INPUT / BECAL_OUT
 environment overrides for the default input/output paths, which beat
 built-in defaults. A config file holds `key = value` lines whose keys are the
-command's long flag names (- and _ alike) plus `input`; its values are parsed
-by the same subparser as the flags. `-` means stdin or stdout.
+command's long flag names (- and _ alike) plus `input`, and a # at the start
+of a line or after whitespace starts a comment; its values are parsed by the
+same subparser as the flags. `-` means stdin or stdout.
 
 JSON outputs embed the command's resolved options under "config"; CSV and
 JSONL files get a `<out>.meta.json` sidecar instead, unless `<out>` is a
@@ -25,7 +26,19 @@ that ran, under config-file keys, plus command, rng and version, so written
 back as a config file it replays the run.
 
 Exit codes: 1 usage, 2 data, 3 numeric domain or a size that does not fit in
-memory.
+memory. Every numeric option is checked before the input is read.
+
+Each command imports only the modules it runs, on first use; becal.errors
+and becal.model (and numpy) are always loaded:
+
+    validate                 nothing more
+    sweep, objectives        becal.behavior
+    reward                   becal.rewards
+    metrics, report          becal.metrics, and through it behavior and rewards
+    simulate                 becal.simulate, and through it rewards
+    tts                      becal.tts (becal.votes and becal.draws only when
+                             some group needs a vote table or a draw)
+    --confidence-from product|min   also becal.claims
 """
 
 from __future__ import annotations
@@ -36,23 +49,49 @@ import csv
 import json
 import math
 import os
+import re
 import sys
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from typing import IO, Callable
 
-from . import __version__
-from .errors import DataError, DomainError, ToolkitError, UsageError, check_range
+from . import RNG_ALGORITHM, STRATEGIES, __version__
+from .errors import DataError, DomainError, ToolkitError, UsageError
 from .model import Dataset, dump_jsonl, load_jsonl, read_jsonl, validate
-from .claims import apply_aggregation
-from .rewards import (decide, parse_prior, reward_bounded, reward_brier,
-                      reward_ce, reward_explicit, reward_integrated)
-from .metrics import _MIN_BANDWIDTH, MetricReport, calibration_diagram, metric_report
-from .behavior import check_objectives, default_grid, sweep
-from .simulate import (RNG_ALGORITHM, AgentSpec, generate, generate_ensemble,
-                       parse_difficulty, parse_report_map)
-# scaling_curve is not called here; it stays a name of this module, which
-# bench/tracer.py rebinds
-from .tts import STRATEGIES, group_records, scaling_curve, scaling_curves  # noqa: F401
+
+# each module a command may run, and the names this module takes from it. A
+# name is imported on its first read (__getattr__) and bound here, so a
+# command loads only the modules it calls. Commands fetch what they call
+# through _use at call time, so a wrapper bound here in its place, as
+# bench/tracer.py binds, is what runs. scaling_curve is not called; it is
+# listed so that it stays readable here.
+_NAMES = {
+    "claims": ("apply_aggregation",),
+    "rewards": ("check_epsilon", "check_threshold", "decide", "parse_prior",
+                "reward_bounded", "reward_brier", "reward_ce", "reward_explicit",
+                "reward_integrated"),
+    "metrics": ("MetricReport", "calibration_diagram", "check_bandwidth",
+                "check_report_options", "metric_report"),
+    "behavior": ("check_objective_options", "check_objectives", "default_grid", "sweep"),
+    "simulate": ("AgentSpec", "generate", "generate_ensemble", "parse_difficulty",
+                 "parse_report_map"),
+    "tts": ("check_curve_options", "group_records", "scaling_curve", "scaling_curves"),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _use(*names: str) -> list:
+    """What each name is bound to here now, its module imported on first use."""
+    return [globals()[name] if name in globals() else __getattr__(name) for name in names]
+
 
 REWARDS = ("explicit", "bounded", "brier", "ce", "integrated")
 CONFIDENCE_SOURCES = ("stated", "product", "min")
@@ -203,19 +242,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def _read_config_file(sub: argparse.ArgumentParser, path: str) -> dict:
     """A --config file's key = value lines, as defaults for one command's parser.
 
     Keys are the command's long flag names, with - and _ alike, plus `input`
     for the positional. Each value is converted and checked exactly as the
-    flag's own argument would be.
+    flag's own argument would be. A # starts a comment at the start of a line
+    or after whitespace, so a value such as a path may hold one.
     """
     options = vars(sub.parse_args([]))
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
+                line = _COMMENT.sub("", raw, count=1).strip()
                 if not line:
                     continue
                 key, eq, value = line.partition("=")
@@ -350,12 +393,14 @@ def _load(ns: argparse.Namespace) -> Dataset:
     else:
         ds = load_jsonl(ns.input)
     if ns.confidence_from != "stated":
+        [apply_aggregation] = _use("apply_aggregation")
         ds = apply_aggregation(ds, ns.confidence_from)
     return ds
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each checks its options, through its modules' own checkers,
+# before it reads the input
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
     _write_json(ns, validate(_load(ns)).to_dict())
@@ -376,11 +421,14 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                  if getattr(ns, name) is not None]
         if given:
             raise UsageError(f"ensemble mode does not take {', '.join(given)}")
+        [generate_ensemble] = _use("generate_ensemble")
         ds = generate_ensemble(ns.groups, ns.samples_per_group, ns.seed)
     else:
         for name, default in _FLAT_DEFAULTS.items():  # recorded in the sidecar as used
             if getattr(ns, name) is None:
                 setattr(ns, name, default)
+        AgentSpec, generate, parse_difficulty, parse_report_map = _use(
+            "AgentSpec", "generate", "parse_difficulty", "parse_report_map")
         spec = AgentSpec(difficulty_prior=parse_difficulty(ns.difficulty),
                          report_map=parse_report_map(ns.agent),
                          n_questions=ns.n, n_claims=ns.n_claims,
@@ -391,19 +439,26 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reward(ns: argparse.Namespace) -> int:
+    check_epsilon, check_threshold, decide, parse_prior, reward = _use(
+        "check_epsilon", "check_threshold", "decide", "parse_prior", f"reward_{ns.reward}")
+    if ns.reward in ("explicit", "bounded"):
+        check_threshold(ns.t)
+    elif ns.reward == "ce":
+        check_epsilon(ns.ce_epsilon)
+    elif ns.reward == "integrated":
+        prior = parse_prior(ns.prior)
     ds = _load(ns)
     p, v = ds.confidences(), ds.valids()
     if ns.reward in ("explicit", "bounded"):
         # per record, so every decision goes through the one tie rule
-        reward = reward_explicit if ns.reward == "explicit" else reward_bounded
         scores = [reward(decide(pi, ns.t), vi, ns.t)
                   for pi, vi in zip(p.tolist(), v.tolist())]
     elif ns.reward == "brier":
-        scores = reward_brier(v, p).tolist()
+        scores = reward(v, p).tolist()
     elif ns.reward == "ce":
-        scores = reward_ce(v, p, ns.ce_epsilon).tolist()
+        scores = reward(v, p, ns.ce_epsilon).tolist()
     else:
-        scores = reward_integrated(v, p, parse_prior(ns.prior)).tolist()
+        scores = reward(v, p, prior).tolist()
     if ns.format == "jsonl":
         # json.dumps's bytes for {"id": rid, "reward": r}: every reward is
         # finite, and repr is how json writes a finite float
@@ -417,8 +472,12 @@ def _cmd_reward(ns: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(ns: argparse.Namespace) -> int:
-    if ns.bandwidth is not None:  # checked before anything is read or written
-        check_range("bandwidth", ns.bandwidth, _MIN_BANDWIDTH, math.inf, "[)")
+    check_bandwidth, check_report_options = _use("check_bandwidth", "check_report_options")
+    if ns.bandwidth is not None:
+        check_bandwidth(ns.bandwidth)
+    check_report_options(ns.nll_floor, ns.smece_grid)
+    MetricReport, calibration_diagram, metric_report = _use(
+        "MetricReport", "calibration_diagram", "metric_report")
     ds = _load(ns)
     report, bandwidth = metric_report(ds, nll_floor=ns.nll_floor,
                                       smece_grid=ns.smece_grid)
@@ -445,7 +504,9 @@ _SWEEP_HEADER = ("t", "acc", "hal", "abs", "tp", "fn")
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    sw = sweep(_load(ns), default_grid(ns.grid))
+    default_grid, sweep = _use("default_grid", "sweep")
+    grid = default_grid(ns.grid)
+    sw = sweep(_load(ns), grid)
     if ns.format == "json":
         rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
         _write_json(ns, {"rows": rows})
@@ -454,20 +515,33 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _objective_report(ns: argparse.Namespace, ds: Dataset):
-    sw = sweep(ds, default_grid(ns.grid))
+def _objective_grid(ns: argparse.Namespace):
+    """The sweep grid, once every option of the objectives is checked."""
+    check_objective_options, default_grid = _use("check_objective_options", "default_grid")
+    grid = default_grid(ns.grid)
+    check_objective_options(ns.tolerance, ns.baseline_acc, ns.epsilon_h, ns.log_base)
+    return grid
+
+
+def _objective_report(ns: argparse.Namespace, ds: Dataset, grid):
+    check_objectives, sweep = _use("check_objectives", "sweep")
+    sw = sweep(ds, grid)
     baseline = float(sw.acc[0]) if ns.baseline_acc is None else ns.baseline_acc
     return sw, check_objectives(sw, baseline, tolerance=ns.tolerance,
                                 epsilon_h=ns.epsilon_h, log_base=ns.log_base)
 
 
 def _cmd_objectives(ns: argparse.Namespace) -> int:
-    _, rep = _objective_report(ns, _load(ns))
+    grid = _objective_grid(ns)
+    _, rep = _objective_report(ns, _load(ns), grid)
     _write_json(ns, {**rep.to_dict(), "undefined": rep.undefined})
     return 0
 
 
 def _cmd_tts(ns: argparse.Namespace) -> int:
+    check_curve_options, group_records, scaling_curves = _use(
+        "check_curve_options", "group_records", "scaling_curves")
+    check_curve_options(ns.k, ns.resamples, ns.seed)
     groups = group_records(_load(ns))
     curves = scaling_curves(groups, ns.strategy, ns.k, ns.resamples, ns.seed)
     if ns.format == "json":
@@ -487,10 +561,13 @@ def _cmd_tts(ns: argparse.Namespace) -> int:
 
 
 def _cmd_report(ns: argparse.Namespace) -> int:
+    check_report_options, metric_report = _use("check_report_options", "metric_report")
+    check_report_options(ns.nll_floor, ns.smece_grid)
+    grid = _objective_grid(ns)
     ds = _load(ns)
     report, _ = metric_report(ds, nll_floor=ns.nll_floor,
                               smece_grid=ns.smece_grid)
-    sw, rep = _objective_report(ns, ds)
+    sw, rep = _objective_report(ns, ds, grid)
     rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
     _write_json(ns, {"metrics": report.to_dict(),
                      "undefined": {**report.undefined, **rep.undefined},

@@ -47,13 +47,25 @@ import numpy as np
 from .behavior import default_grid
 from .errors import DataError, check_count, check_range
 from .model import Dataset
-from .rewards import _MIN_EPSILON
+from .rewards import check_epsilon
 
 _TAIL = 80.0  # series terms whose weight falls below e^(-_TAIL / 2) are dropped
 _DENSITY_FLOOR = 1e-6  # smoothed accuracy is NaN below this confidence density
 _CHUNK = 16384  # records per power array
 _RESYNC = 256  # recurrence steps between fresh powers exp(i m pi p)
 _MIN_BANDWIDTH = math.sqrt(_TAIL) / (math.pi * 2 ** 52)  # series length M below 2^53
+
+
+def check_bandwidth(bandwidth: float) -> float:
+    """The bandwidth rule: at least _MIN_BANDWIDTH, and finite."""
+    return check_range("bandwidth", bandwidth, _MIN_BANDWIDTH, math.inf, "[)")
+
+
+def check_report_options(nll_floor: float, smece_grid: int) -> None:
+    """DomainError unless metric_report's options lie in their domains; they
+    need no record, so the CLI checks them before reading any."""
+    check_count("smece grid points", smece_grid, least=2)
+    check_epsilon(nll_floor, "nll floor")
 
 
 @dataclass(frozen=True)
@@ -112,7 +124,7 @@ def brier_score(dataset: Dataset) -> float:
 def nll(dataset: Dataset, floor: float = 1e-6) -> float:
     """Mean negative log-likelihood of correctness, confidences clipped to
     [floor, 1-floor]; floor >= 2^-53 makes 1 - floor < 1, so every log is finite."""
-    check_range("nll floor", floor, _MIN_EPSILON, 0.5, "[)")
+    check_epsilon(floor, "nll floor")
     p, v = _arrays(dataset)
     pc = np.clip(p, floor, 1.0 - floor)
     return float(np.mean(np.where(v > 0.5, -np.log(pc), -np.log(1.0 - pc))))
@@ -220,7 +232,7 @@ def _smece_at(grid: np.ndarray, moments: np.ndarray, sigma: float, n: int) -> fl
 
 def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -> float:
     """smECE at a fixed bandwidth, trapezoid-integrated on the evaluation grid."""
-    check_range("bandwidth", sigma, _MIN_BANDWIDTH, math.inf, "[)")
+    check_bandwidth(sigma)
     grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
     moments = _cosine_moments(p, (v - p)[None, :], sigma)
@@ -279,7 +291,7 @@ def calibration_diagram(dataset: Dataset, bandwidth: float,
     low_density() rather than trusting the smoothed curve there. The moment
     build takes O(n / bandwidth) time.
     """
-    check_range("bandwidth", bandwidth, _MIN_BANDWIDTH, math.inf, "[)")
+    check_bandwidth(bandwidth)
     grid = default_grid(grid_points)
     p, v = _canonical(*_arrays(dataset))
     moments = _cosine_moments(p, np.vstack((v, np.ones_like(p))), bandwidth)
@@ -296,11 +308,12 @@ def metric_report(dataset: Dataset, nll_floor: float = 1e-6, smece_grid: int = 5
                   ) -> tuple[MetricReport, float | None]:
     """Compute the full battery in one pass; returns the report and the smECE bandwidth.
 
-    An empty dataset, a missing confidence or a smece_grid outside the count
-    rule is an error. smECE and AUC may still be undefined; they are
-    reported as None with the reason, and the bandwidth is None when smECE is.
+    An empty dataset, a missing confidence or an option outside its domain
+    (check_report_options) is an error. smECE and AUC may still be
+    undefined; they are reported as None with the reason, and the bandwidth
+    is None when smECE is.
     """
-    check_count("smece grid points", smece_grid, least=2)
+    check_report_options(nll_floor, smece_grid)
     brier = brier_score(dataset)  # raises on an empty dataset or a missing confidence
     undefined: dict[str, str] = {}
     try:

@@ -27,6 +27,16 @@ from .errors import DataError, DomainError, UsageError, check_count, check_range
 _MIN_EPSILON = 2.0 ** -53  # the least clip epsilon with 1 - epsilon < 1: no log meets 0
 
 
+def check_threshold(t: float) -> float:
+    """The risk-threshold rule: t in [0, 1]."""
+    return check_range("t", t, 0.0, 1.0)
+
+
+def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
+    """The clip rule: epsilon in [2^-53, 0.5), so 1 - epsilon < 1 and no log meets 0."""
+    return check_range(name, epsilon, _MIN_EPSILON, 0.5, "[)")
+
+
 class Action(enum.Enum):
     ANS = "ANS"
     ABS = "ABS"
@@ -49,7 +59,7 @@ def reward_explicit(action: Action, valid: bool, t: float) -> float:
     actually be paid (wrong answer); correct answers and abstentions at t = 1
     are fine.
     """
-    check_range("t", t, 0.0, 1.0)
+    check_threshold(t)
     if action is Action.ABS:
         return 0.0
     if valid:
@@ -61,7 +71,7 @@ def reward_explicit(action: Action, valid: bool, t: float) -> float:
 
 def reward_bounded(action: Action, valid: bool, t: float) -> float:
     """Bounded variant: +1 for correct, 2t-1 for abstention, -1 for wrong."""
-    check_range("t", t, 0.0, 1.0)
+    check_threshold(t)
     if action is Action.ABS:
         return 2.0 * t - 1.0
     return 1.0 if valid else -1.0
@@ -110,7 +120,7 @@ class TruncatedBetaPrior(RiskPrior):
     epsilon: float = 0.01
 
     def __post_init__(self) -> None:
-        check_range("epsilon", self.epsilon, _MIN_EPSILON, 0.5, "[)")
+        check_epsilon(self.epsilon)
 
     @property
     def _log_norm(self) -> float:
@@ -200,7 +210,7 @@ def reward_brier(valid, p):
 
 def reward_ce(valid, p, epsilon: float = 0.01):
     """Cross-entropy reward, normalized to [-1, 1], with p and 1 - p clipped to [eps, 1-eps]."""
-    check_range("epsilon", epsilon, _MIN_EPSILON, 0.5, "[)")
+    check_epsilon(epsilon)
     pc, qc = _clip(p, epsilon)
     norm = math.log((1.0 - epsilon) / epsilon)
     # adding 0.0 gives a wrong answer at p = 0 the reward 0.0, not -0.0

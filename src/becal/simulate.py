@@ -7,7 +7,7 @@ the maximizer of every proper reward; power maps q^gamma give over- or
 underconfident families; constant maps ignore q.
 
 Randomness comes from numpy's Philox counter-based generator
-("philox4x64-10"), so identical specs give bit-identical datasets.
+(becal.RNG_ALGORITHM, "philox4x64-10"), so identical specs give bit-identical datasets.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 from .errors import DataError, DomainError, UsageError, check_count, check_range, check_seed
 from .model import ClaimRecord, Dataset, MetaColumn, TextColumn
 from .rewards import RiskPrior, expected_reward
-
-RNG_ALGORITHM = "philox4x64-10"
 
 
 def _rng(entropy) -> np.random.Generator:

@@ -37,10 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import STRATEGIES
 from .errors import DataError, DomainError, check_count, check_seed
 from .model import Dataset
-
-STRATEGIES = ("mean", "best", "majority", "maxconf", "majconf")
 
 # A group is tabled when it has at most this many states per requested draw.
 # A state costs about 0.5 us to build and 0.26 us to score for one vote rule
@@ -268,10 +267,23 @@ def _total(sums: Counter) -> Fraction:
     return sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
 
 
+def check_curve_options(k_values, n_resamples: int, seed: int) -> tuple[list[int], int]:
+    """k_values as a list and seed as an int; DomainError unless there is a
+    k and each k, n_resamples and seed follow the count and seed rules. They
+    need no group, so the CLI checks them before reading any record."""
+    seed = check_seed(seed)
+    check_count("n_resamples", n_resamples)
+    ks = list(k_values)
+    if not ks:
+        raise DomainError("k_values must be non-empty")
+    check_count("k", min(ks))
+    return [int(k) for k in ks], seed
+
+
 def _checked(groups, strategies: list[str], ks: list[int]) -> Groups:
     """groups as Groups; an error if there are none or they do not suit
     every strategy, each checked in turn against the first sample lacking
-    what it needs, and every k."""
+    what it needs, or a k exceeds a group's size."""
     groups = _columns(groups)
     if not len(groups):
         raise DataError("no groups to evaluate")
@@ -289,7 +301,6 @@ def _checked(groups, strategies: list[str], ks: list[int]) -> Groups:
             g = int(np.searchsorted(groups.offsets, sample, side="right")) - 1
             raise DataError(f"strategy {strategy!r} needs {what}; "
                             f"group {groups.names[g]!r} has a sample without one")
-    check_count("k", min(ks))
     sizes = np.diff(groups.offsets)
     if (sizes < max(ks)).any():
         g = int(np.argmax(sizes < max(ks)))
@@ -323,11 +334,7 @@ def scaling_curves(groups, strategies, k_values, n_resamples: int,
     Each resample's accuracy is (sum of exact group values + sum of drawn
     group scores) / G; the point is their mean and its standard error.
     """
-    seed = check_seed(seed)
-    check_count("n_resamples", n_resamples)
-    ks = [int(k) for k in k_values]
-    if not ks:
-        raise DomainError("k_values must be non-empty")
+    ks, seed = check_curve_options(k_values, n_resamples, seed)
     strategies = list(dict.fromkeys(strategies))
     groups = _checked(groups, strategies, ks)
     sums, drawn, states = _exact(groups, strategies, ks,
@@ -381,7 +388,7 @@ def exact_expected_accuracy(groups, k: int, strategy: str) -> Fraction:
     fraction, from the closed forms and tables scaling_curves uses. At
     1 < k < n a DomainError names a group whose vote table would pass
     _MAX_EXACT_STATES states or _MAX_TABLED samples."""
-    groups = _checked(groups, [strategy], [k])
+    groups = _checked(groups, [strategy], [check_count("k", k)])
     sums, drawn, _ = _exact(groups, [strategy], [k], _MAX_EXACT_STATES)
     if len(drawn):
         from .votes import _MAX_TABLED

@@ -738,6 +738,29 @@ class TestReplay:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
+    def test_values_holding_a_hash_replay(self, tmp_path, monkeypatch):
+        """A # inside a value, here the input and output paths, is kept; one
+        at the start of a line or after whitespace starts a comment."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        data = write_jsonl(tmp_path / "a#b.jsonl",
+                           plain_rows([(0.9, True), (0.4, False), (0.7, True)]))
+        monkeypatch.chdir(first)
+        assert main(["sweep", data, "--grid", "5", "--out", "s#1.csv"]) == 0
+        header = self.header(first / "s#1.csv")
+        assert (header["input"], header["out"]) == (data, "s#1.csv")
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text("# written back from the header\n" + "".join(
+            f"{key} = {value}  # {key}\n" for key, value in header.items()
+            if key not in ("command", "rng", "version")))
+        monkeypatch.chdir(second)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in second.iterdir()) == ["s#1.csv", "s#1.csv.meta.json"]
+        for name in ("s#1.csv", "s#1.csv.meta.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def _numeric_option_cases():
     """(command, option, value) for every int/float option build_parser() defines."""
     values = {int: ("-1", "0", str(2 ** 63), str(2 ** 64)),
@@ -783,6 +806,36 @@ OUT_OF_RANGE = [
     (["metrics", "{two}", "--bandwidth", "1e-300", "--diagram-out", "{tmp}/d.csv"],
      3, "bandwidth"),
     (["metrics", "{two}", "--bandwidth", "1e-300"], 3, "bandwidth"),
+]
+
+
+# command, its bad option and value, and the start of the error naming it:
+# every numeric option of a command that reads input, and --prior and
+# --log-base, each checked before the input is read
+BEFORE_READ = [
+    (["sweep", "--grid", "1"], "grid points must lie in "),
+    (["objectives", "--grid", "1"], "grid points must lie in "),
+    (["report", "--grid", "1"], "grid points must lie in "),
+    (["reward", "--reward", "explicit", "--t", "1.5"], "t must lie in "),
+    (["reward", "--reward", "bounded", "--t", "nan"], "t must lie in "),
+    (["reward", "--reward", "ce", "--ce-epsilon", "0.5"], "epsilon must lie in "),
+    (["reward", "--reward", "integrated", "--prior", "beta00:0.5"], "epsilon must lie in "),
+    (["metrics", "--nll-floor", "0"], "nll floor must lie in "),
+    (["report", "--nll-floor", "0.5"], "nll floor must lie in "),
+    (["metrics", "--smece-grid", "1"], "smece grid points must lie in "),
+    (["report", "--smece-grid", "1"], "smece grid points must lie in "),
+    (["metrics", "--bandwidth", "0"], "bandwidth must lie in "),
+    (["objectives", "--tolerance", "-1"], "tolerance must lie in "),
+    (["report", "--tolerance", "inf"], "tolerance must lie in "),
+    (["objectives", "--baseline-acc", "2"], "baseline_acc must lie in "),
+    (["report", "--baseline-acc", "-1"], "baseline_acc must lie in "),
+    (["objectives", "--epsilon-h", "0"], "epsilon_h must lie in "),
+    (["report", "--epsilon-h", "nan"], "epsilon_h must lie in "),
+    (["objectives", "--log-base", "2"], "unknown log base '2'"),
+    (["report", "--log-base", "x"], "unknown log base 'x'"),
+    (["tts", "--resamples", "0"], "n_resamples must lie in "),
+    (["tts", "--seed", "-1"], "seed must fit in 64 unsigned bits"),
+    (["tts", "--k", "0,2"], "k must lie in "),
 ]
 
 
@@ -917,6 +970,29 @@ class TestNumericOptions:
         payload = json.loads(capsys.readouterr().out)
         value = payload[key] if key in payload else payload["diagnostics"][key]
         assert isinstance(value, float), payload
+
+    @pytest.mark.parametrize("argv,message", BEFORE_READ,
+                             ids=[" ".join(case[0]) for case in BEFORE_READ])
+    def test_checked_before_the_input_is_read(self, argv, message, tmp_path, capsys):
+        """A bad option on a file whose line 2 is bad exits 3 naming the
+        option, not 2 naming the line, and writes nothing."""
+        path = write_jsonl(tmp_path / "bad.jsonl", [
+            {"id": "a", "group": "g", "answer": "A", "confidence": 0.9, "valid": True},
+            {"id": "b", "group": "g", "answer": "B", "confidence": 0.4}])
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main([argv[0], path, *argv[1:], "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"becal: error: {message}") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_before_read_covers_every_option(self):
+        covered = {(argv[0], argv[-2]) for argv, _ in BEFORE_READ}
+        numeric = {(command, action.option_strings[-1])
+                   for command, sub in build_parser().commands.items()
+                   if command != "simulate"  # it reads no input
+                   for action in sub._actions if action.type in (int, float)}
+        assert numeric | {("tts", "--k"), ("reward", "--prior"),
+                          ("objectives", "--log-base"), ("report", "--log-base")} <= covered
 
     def test_negative_seed(self, tmp_path, capsys):
         ens = write_jsonl(tmp_path / "ens.jsonl", grouped_rows(

@@ -946,3 +946,47 @@ class TestLazyModules:
         # 63 samples are drawn at 1 < k < n
         assert self.loaded(tmp_path, "tts", str(ens), "--k", "1,2,6") == \
             ["hashlib", "becal.votes", "becal.draws"]
+
+    # argv (INPUT: a file that suits the command) -> the becal modules loaded
+    # beyond becal, becal.cli, becal.errors and becal.model, which every
+    # command and --version load
+    COMMANDS = [
+        (["--version"], set()),
+        (["validate", "INPUT"], set()),
+        (["simulate", "--n", "5"], {"simulate", "rewards"}),
+        (["simulate", "--groups", "2", "--samples-per-group", "2"], {"simulate", "rewards"}),
+        (["reward", "INPUT"], {"rewards"}),
+        (["reward", "INPUT", "--reward", "integrated"], {"rewards"}),
+        (["metrics", "INPUT"], {"metrics", "behavior", "rewards"}),
+        (["sweep", "INPUT"], {"behavior"}),
+        (["objectives", "INPUT"], {"behavior"}),
+        (["report", "INPUT"], {"metrics", "behavior", "rewards"}),
+        (["tts", "INPUT", "--k", "1"], {"tts"}),
+        (["sweep", "INPUT", "--confidence-from", "product"], {"behavior", "claims"}),
+        (["report", "INPUT", "--confidence-from", "min"],
+         {"metrics", "behavior", "rewards", "claims"}),
+    ]
+
+    @pytest.mark.parametrize("argv,extra", COMMANDS,
+                             ids=[" ".join(argv) for argv, _ in COMMANDS])
+    def test_each_command_loads_only_its_modules(self, argv, extra, tmp_path):
+        """The exact becal modules a fresh process holds after main() returns."""
+        rows = [{"id": f"r{i}", "group": f"g{i % 2}", "answer": "AB"[i % 3 == 0],
+                 "confidence": i / 8, "valid": i % 3 == 0,
+                 "claims": [{"text": "c", "confidence": 0.9}]} for i in range(8)]
+        (tmp_path / "in.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = [str(tmp_path / "in.jsonl") if a == "INPUT" else a for a in argv]
+        if argv != ["--version"]:
+            argv += ["--out", str(tmp_path / "out")]
+        child = ("import sys\nfrom becal.cli import main\n"
+                 "try:\n    rc = main(sys.argv[1:])\n"
+                 "except SystemExit as exc:  # --version\n    rc = exc.code\n"
+                 "assert rc == 0, rc\n"
+                 "print(*(m for m in sys.modules if m.split('.')[0] == 'becal'))\n")
+        src = str(Path(tts.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        always = {"becal", "becal.cli", "becal.errors", "becal.model"}
+        assert set(proc.stdout.splitlines()[-1].split()) == \
+            always | {f"becal.{name}" for name in extra}
