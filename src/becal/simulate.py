@@ -238,7 +238,7 @@ def generate_ensemble(n_groups: int, n_samples: int, seed: int,
     for g in range(n_groups):
         base = lo + (hi - lo) * rng.random()
         for i in range(g * n_samples, (g + 1) * n_samples):
-            qs = float(np.clip(base + jitter * (2.0 * rng.random() - 1.0), 0.05, 0.95))
+            qs = min(max(base + jitter * (2.0 * rng.random() - 1.0), 0.05), 0.95)
             conf[i], valid[i] = qs, rng.random() < qs
             name = "A" if valid[i] else f"W{int(rng.integers(0, n_wrong_answers))}"
             answer[i] = answers.setdefault(name, len(answers))

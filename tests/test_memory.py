@@ -7,6 +7,7 @@ own footprint, so each bound is about what becal itself holds.
 import gc
 import io
 import json
+import os
 import random
 import tracemalloc
 
@@ -81,6 +82,28 @@ def test_ingest_transient_is_one_chunk_and_the_id_set():
         small, large = transient(2_000, escape), transient(20_000, escape)
         assert small <= CHUNK_TRANSIENT_BYTES, escape
         assert large - small <= 18_000 * SEEN_ID_BYTES_PER_RECORD, escape
+
+
+# What dump_jsonl holds only while it runs (tracemalloc peak - held), writing
+# eight-claim chains to a text file: one chunk of _DUMP_CHUNK records' lines
+# and the file's encoding of them, 0.26 MB at 2,000 records and at 20,000
+# alike. A chunk twice as large (0.51 MB) would break the first bound, and a
+# transient growing by one byte per record the second.
+DUMP_TRANSIENT_BYTES = 400_000
+DUMP_MARGIN_BYTES = 10_000
+
+
+def test_dump_transient_is_one_chunk():
+    def transient(n: int) -> int:
+        ds = generate(AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=n,
+                                n_claims=8, seed=1))
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            _, held, peak = _traced(lambda: dump_jsonl(ds, fh))
+        return peak - held
+
+    small, large = transient(2_000), transient(20_000)
+    assert small <= DUMP_TRANSIENT_BYTES
+    assert abs(large - small) <= DUMP_MARGIN_BYTES
 
 
 def test_claim_text_is_held_as_its_bytes():

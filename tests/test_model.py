@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from becal import model
 from becal.errors import DataError
-from becal.model import (_TEXT_CHUNK, ClaimRecord, Dataset, PredictionRecord, TextColumn,
-                         _Columns, _parse_line, _plain, dump_jsonl, load_jsonl, read_jsonl,
-                         validate)
+from becal.model import (_TEXT_CHUNK, ClaimRecord, Dataset, MetaColumn, PredictionRecord,
+                         TextColumn, _Columns, _parse_line, _plain, dump_jsonl, load_jsonl,
+                         read_jsonl, validate)
+from becal.simulate import (AgentSpec, IdentityReport, UniformDifficulty, generate,
+                            generate_ensemble)
 
 from conftest import assert_same_columns, make_dataset
 
@@ -747,6 +749,140 @@ def test_dump_read_round_trip(ds):
     assert_same_columns(again, ds)
     assert again.records == ds.records
     assert Dataset._from_columns(ds.columns(), "").records == ds.records
+
+
+def record_objects(ds):
+    """Each record's JSON object, built as a dict field by field: the oracle
+    for the lines dump_jsonl renders from the columns. A field the record
+    lacks is left out; meta keys are sorted."""
+    offsets, labels = ds.claim_offsets.tolist(), ds.claim_label.tolist()
+    texts, reasons = list(ds.claim_text), list(ds.claim_rationale)
+    claim_conf = ds.claim_confidence.tolist()
+    out = []
+    for i, (rid, valid, conf, group, answer, meta) in enumerate(zip(
+            ds.ids, ds.valid.tolist(), ds.confidence.tolist(), ds.group.tolist(),
+            ds.answer.tolist(), ds.meta)):
+        obj = {"id": rid}
+        if group >= 0:
+            obj["group"] = ds.group_names[group]
+        obj["valid"] = valid
+        if not np.isnan(conf):
+            obj["confidence"] = conf
+        if answer >= 0:
+            obj["answer"] = ds.answer_names[answer]
+        if offsets[i] < offsets[i + 1]:
+            obj["claims"] = claims = []
+            for j in range(offsets[i], offsets[i + 1]):
+                claim = {"text": texts[j], "confidence": claim_conf[j]}
+                if labels[j] >= 0:
+                    claim["valid"] = labels[j] == 1
+                if reasons[j] is not None:
+                    claim["rationale"] = reasons[j]
+                claims.append(claim)
+        if meta:
+            obj["meta"] = dict(sorted(meta.items()))
+        out.append(obj)
+    return out
+
+
+def oracle_lines(ds):
+    return [json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+            for obj in record_objects(ds)]
+
+
+# strings that need escapes (quotes, backslashes, control characters) or none
+# (U+2028, non-ASCII, DEL), and numbers that repeat, with both zeros and the
+# smallest subnormal
+ODD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\x7f/\u2028\u00e9\u65e5\U0001f600 '),
+                   max_size=4) | st.text(max_size=4)
+NUMBER = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 0.05, 0.5, 1 / 3]) | st.floats(0.0, 1.0)
+
+
+def draws(draw, strategy, n):
+    return draw(st.lists(strategy, min_size=n, max_size=n))
+
+
+@st.composite
+def column_datasets(draw):
+    """A dataset built from columns as a library caller may: every optional
+    field given or not, NaN confidences, labels -1, 0 and 1, -0.0, and meta
+    as string pairs with several keys or as generate's float column."""
+    n = draw(st.integers(1, 8))
+    names, answers = (draw(st.lists(ODD_TEXT, max_size=3, unique=True)) for _ in range(2))
+    counts = draws(draw, st.integers(0, 3), n)
+    m = sum(counts)
+    reasons = draws(draw, st.none() | ODD_TEXT, m)
+    given = [j for j, why in enumerate(reasons) if why is not None]
+    if draw(st.booleans()):
+        meta = MetaColumn(np.arange(n + 1), ("q",) * n, np.array(draws(draw, NUMBER, n)))
+    else:
+        pairs = draws(draw, st.dictionaries(ODD_TEXT, ODD_TEXT, max_size=3), n)
+        meta = MetaColumn(np.cumsum([0, *map(len, pairs)]),
+                          tuple(key for p in pairs for key in p),
+                          TextColumn.of(value for p in pairs for value in p.values()))
+    return Dataset._from_columns({
+        "ids": TextColumn.of(draw(st.lists(ODD_TEXT.filter(bool), min_size=n, max_size=n,
+                                           unique=True))),
+        "valid": np.array(draws(draw, st.booleans(), n)),
+        "confidence": np.array(draws(draw, NUMBER | st.just(np.nan), n)),
+        "group": np.array(draws(draw, st.integers(-1, len(names) - 1), n)),
+        "group_names": tuple(names),
+        "answer": np.array(draws(draw, st.integers(-1, len(answers) - 1), n)),
+        "answer_names": tuple(answers),
+        "claim_offsets": np.cumsum([0, *counts]),
+        "claim_confidence": np.array(draws(draw, NUMBER, m), dtype=np.float64),
+        "claim_label": np.array(draws(draw, st.sampled_from([-1, 0, 1]), m), dtype=np.int8),
+        "claim_text": TextColumn.of(draws(draw, ODD_TEXT, m)),
+        "claim_rationale": TextColumn.of(reasons[j] for j in given).spread(
+            np.array(given, dtype=np.int64), m),
+        "meta": meta}, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_datasets(), st.data())
+def test_lines_are_each_objects_json(ds, data):
+    """Every line, from a chunk starting anywhere, is json.dumps of the
+    record's object, and the rows are what the objects give."""
+    expected = oracle_lines(ds)
+    buf = io.StringIO()
+    dump_jsonl(ds, buf)
+    assert buf.getvalue() == "".join(line + "\n" for line in expected)
+    cut = data.draw(st.integers(0, len(ds)))
+    assert model._lines(ds, 0, cut) + model._lines(ds, cut, len(ds)) == expected
+    assert ds.records == tuple(PredictionRecord(**{
+        **obj, "claims": tuple(ClaimRecord(**claim) for claim in obj.get("claims", ()))})
+        for obj in record_objects(ds))
+
+
+def test_zeros_keep_their_signs_in_one_chunk():
+    ds = Dataset._from_columns({
+        "ids": TextColumn.of(["a", "b", "c"]), "valid": np.array([True, False, True]),
+        "confidence": np.array([-0.0, 0.0, -0.0]), "claim_offsets": np.array([0, 2, 2, 3]),
+        "claim_confidence": np.array([0.0, -0.0, 5e-324]),
+        "claim_label": np.array([-1, 0, 1], dtype=np.int8),
+        "claim_text": TextColumn.of(["", "t", "u"]),
+        "claim_rationale": TextColumn.nones(3)}, "")
+    assert oracle_lines(ds) == [
+        '{"id":"a","valid":true,"confidence":-0.0,"claims":[{"text":"","confidence":0.0},'
+        '{"text":"t","confidence":-0.0,"valid":false}]}',
+        '{"id":"b","valid":false,"confidence":0.0}',
+        '{"id":"c","valid":true,"confidence":-0.0,"claims":[{"text":"u","confidence":5e-324,'
+        '"valid":true}]}']
+    assert model._lines(ds, 0, 3) == oracle_lines(ds)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=600, seed=3)),
+    lambda: generate(AgentSpec(UniformDifficulty(), IdentityReport(), n_questions=600,
+                               n_claims=8, seed=3)),
+    lambda: generate_ensemble(40, 16, seed=3),
+], ids=["flat", "chains", "ensemble"])
+def test_generated_lines_across_chunks(make):
+    """The simulators' datasets, over more than two chunks of records."""
+    ds = make()
+    buf = io.StringIO()
+    dump_jsonl(ds, buf)
+    assert buf.getvalue() == "".join(line + "\n" for line in oracle_lines(ds))
 
 
 class TestTextColumn:
