@@ -47,6 +47,8 @@ class RiskSweep:
     ans_invalid: np.ndarray
     abs_valid: np.ndarray
 
+    HEADER = ("t", "acc", "hal", "abs", "tp", "fn")  # the columns of to_rows
+
     @property
     def acc(self) -> np.ndarray:
         return self.ans_valid / self.n

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError
-from .model import ClaimRecord, Dataset, _check_unit
+from .model import ClaimRecord, Dataset
 
 _ATTR_RE = re.compile(rb'([A-Za-z_][A-Za-z0-9_-]*)\s*=\s*(?:"([^"]*)"|\'([^\']*)\')')
 _OPEN = b"<claim"
@@ -111,7 +111,7 @@ def parse_claims(text: str) -> ClaimMarkupDoc:
 
 
 def _checked(confidences: Iterable[float]) -> list[float]:
-    values = [_check_unit("claim confidence", c) for c in confidences]
+    values = [ClaimRecord("", c).confidence for c in confidences]  # a claim's checks
     if not values:
         raise DataError("cannot aggregate an empty claim list")
     return values

@@ -51,7 +51,6 @@ import math
 import os
 import re
 import sys
-from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from typing import IO, Callable
 
@@ -59,32 +58,18 @@ from . import RNG_ALGORITHM, STRATEGIES, __version__
 from .errors import DataError, DomainError, ToolkitError, UsageError
 from .model import Dataset, dump_jsonl, load_jsonl, read_jsonl, validate
 
-# each module a command may run, and the names this module takes from it. A
-# name is imported on its first read (__getattr__) and bound here, so a
-# command loads only the modules it calls. Commands fetch what they call
-# through _use at call time, so a wrapper bound here in its place, as
-# bench/tracer.py binds, is what runs. scaling_curve is not called; it is
-# listed so that it stays readable here.
-_NAMES = {
-    "claims": ("apply_aggregation",),
-    "rewards": ("check_epsilon", "check_threshold", "decide", "parse_prior",
-                "reward_bounded", "reward_brier", "reward_ce", "reward_explicit",
-                "reward_integrated"),
-    "metrics": ("MetricReport", "calibration_diagram", "check_bandwidth",
-                "check_report_options", "metric_report"),
-    "behavior": ("check_objective_options", "check_objectives", "default_grid", "sweep"),
-    "simulate": ("AgentSpec", "generate", "generate_ensemble", "parse_difficulty",
-                 "parse_report_map"),
-    "tts": ("check_curve_options", "group_records", "scaling_curve", "scaling_curves"),
-}
-_HOME = {name: module for module, names in _NAMES.items() for name in names}
+# A name of becal.__all__ (modules included) is read through the package on its
+# first read here and bound here, so a command loads only the modules it calls.
+# Commands fetch what they call through _use at call time, so a wrapper bound
+# here in its place, as bench/tracer.py binds, is what runs; they reach the
+# option checkers, which the package does not export, through their modules.
 
 
 def __getattr__(name: str):
-    if name not in _HOME:
+    package = sys.modules[__package__]
+    if name not in package.__all__:  # __path__, say: this module is no package
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_HOME[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -439,12 +424,12 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reward(ns: argparse.Namespace) -> int:
-    check_epsilon, check_threshold, decide, parse_prior, reward = _use(
-        "check_epsilon", "check_threshold", "decide", "parse_prior", f"reward_{ns.reward}")
+    rewards, decide, parse_prior, reward = _use(
+        "rewards", "decide", "parse_prior", f"reward_{ns.reward}")
     if ns.reward in ("explicit", "bounded"):
-        check_threshold(ns.t)
+        rewards.check_threshold(ns.t)
     elif ns.reward == "ce":
-        check_epsilon(ns.ce_epsilon)
+        rewards.check_epsilon(ns.ce_epsilon)
     elif ns.reward == "integrated":
         prior = parse_prior(ns.prior)
     ds = _load(ns)
@@ -472,12 +457,11 @@ def _cmd_reward(ns: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(ns: argparse.Namespace) -> int:
-    check_bandwidth, check_report_options = _use("check_bandwidth", "check_report_options")
+    metrics, MetricReport, calibration_diagram, metric_report = _use(
+        "metrics", "MetricReport", "calibration_diagram", "metric_report")
     if ns.bandwidth is not None:
-        check_bandwidth(ns.bandwidth)
-    check_report_options(ns.nll_floor, ns.smece_grid)
-    MetricReport, calibration_diagram, metric_report = _use(
-        "MetricReport", "calibration_diagram", "metric_report")
+        metrics.check_bandwidth(ns.bandwidth)
+    metrics.check_report_options(ns.nll_floor, ns.smece_grid)
     ds = _load(ns)
     report, bandwidth = metric_report(ds, nll_floor=ns.nll_floor,
                                       smece_grid=ns.smece_grid)
@@ -500,26 +484,23 @@ def _cmd_metrics(ns: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_HEADER = ("t", "acc", "hal", "abs", "tp", "fn")
-
-
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     default_grid, sweep = _use("default_grid", "sweep")
     grid = default_grid(ns.grid)
     sw = sweep(_load(ns), grid)
     if ns.format == "json":
-        rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
+        rows = [dict(zip(sw.HEADER, row)) for row in sw.to_rows()]
         _write_json(ns, {"rows": rows})
     else:
-        _write_csv(ns, _SWEEP_HEADER, sw.to_rows())
+        _write_csv(ns, sw.HEADER, sw.to_rows())
     return 0
 
 
 def _objective_grid(ns: argparse.Namespace):
     """The sweep grid, once every option of the objectives is checked."""
-    check_objective_options, default_grid = _use("check_objective_options", "default_grid")
+    behavior, default_grid = _use("behavior", "default_grid")
     grid = default_grid(ns.grid)
-    check_objective_options(ns.tolerance, ns.baseline_acc, ns.epsilon_h, ns.log_base)
+    behavior.check_objective_options(ns.tolerance, ns.baseline_acc, ns.epsilon_h, ns.log_base)
     return grid
 
 
@@ -539,9 +520,8 @@ def _cmd_objectives(ns: argparse.Namespace) -> int:
 
 
 def _cmd_tts(ns: argparse.Namespace) -> int:
-    check_curve_options, group_records, scaling_curves = _use(
-        "check_curve_options", "group_records", "scaling_curves")
-    check_curve_options(ns.k, ns.resamples, ns.seed)
+    tts, group_records, scaling_curves = _use("tts", "group_records", "scaling_curves")
+    tts.check_curve_options(ns.k, ns.resamples, ns.seed)
     groups = group_records(_load(ns))
     curves = scaling_curves(groups, ns.strategy, ns.k, ns.resamples, ns.seed)
     if ns.format == "json":
@@ -561,14 +541,14 @@ def _cmd_tts(ns: argparse.Namespace) -> int:
 
 
 def _cmd_report(ns: argparse.Namespace) -> int:
-    check_report_options, metric_report = _use("check_report_options", "metric_report")
-    check_report_options(ns.nll_floor, ns.smece_grid)
+    metrics, metric_report = _use("metrics", "metric_report")
+    metrics.check_report_options(ns.nll_floor, ns.smece_grid)
     grid = _objective_grid(ns)
     ds = _load(ns)
     report, _ = metric_report(ds, nll_floor=ns.nll_floor,
                               smece_grid=ns.smece_grid)
     sw, rep = _objective_report(ns, ds, grid)
-    rows = [dict(zip(_SWEEP_HEADER, row)) for row in sw.to_rows()]
+    rows = [dict(zip(sw.HEADER, row)) for row in sw.to_rows()]
     _write_json(ns, {"metrics": report.to_dict(),
                      "undefined": {**report.undefined, **rep.undefined},
                      "sweep": rows, "objectives": rep.to_dict()})

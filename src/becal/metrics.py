@@ -54,6 +54,7 @@ _DENSITY_FLOOR = 1e-6  # smoothed accuracy is NaN below this confidence density
 _CHUNK = 16384  # records per power array
 _RESYNC = 256  # recurrence steps between fresh powers exp(i m pi p)
 _MIN_BANDWIDTH = math.sqrt(_TAIL) / (math.pi * 2 ** 52)  # series length M below 2^53
+_BRACKET = 1e-4  # the smECE bisection stops once its bracket is this narrow
 
 
 def check_bandwidth(bandwidth: float) -> float:
@@ -239,14 +240,13 @@ def smece_at_bandwidth(dataset: Dataset, sigma: float, grid_points: int = 512) -
     return _smece_at(grid, moments, sigma, p.size)
 
 
-def smece(dataset: Dataset, grid_points: int = 512,
-          tol: float = 1e-4) -> tuple[float, float]:
+def smece(dataset: Dataset, grid_points: int = 512) -> tuple[float, float]:
     """Smooth ECE at the fixed-point bandwidth, and that bandwidth.
 
     Bisection runs on sigma in [grid_step, 1]. The residual h(sigma) =
     smECE_sigma - sigma is probed on a geometric ladder first; if it is not
     non-increasing (it always was in practice), a dense scan locates the first
-    sign change and bisection proceeds inside that bracket. The moments of
+    sign change and bisection narrows that bracket to _BRACKET. The moments of
     v - p are built once, at sigma = grid_step, for every evaluation.
     """
     p, v = _arrays(dataset)
@@ -272,7 +272,7 @@ def smece(dataset: Dataset, grid_points: int = 512,
     else:
         i = int(np.argmax(h <= 0.0))
         a, b = float(ladder[i - 1]), float(ladder[i])
-        while b - a > tol:
+        while b - a > _BRACKET:
             mid = 0.5 * (a + b)
             if f(mid) - mid > 0.0:
                 a = mid

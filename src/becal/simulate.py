@@ -340,5 +340,5 @@ def expected_reward_curve(prior: RiskPrior, q: float,
                           points: int = 1001) -> RewardCurve:
     """E_q of the integrated reward on a p grid, for plots and propriety checks."""
     check_range("q", q, 0.0, 1.0)
-    p = np.linspace(0.0, 1.0, points)
+    p = np.linspace(0.0, 1.0, check_count("points", points, least=2))
     return RewardCurve(p=p, expected=expected_reward(prior, q, p))

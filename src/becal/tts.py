@@ -39,7 +39,7 @@ import numpy as np
 
 from . import STRATEGIES
 from .errors import DataError, DomainError, check_count, check_seed
-from .model import Dataset
+from .model import Dataset, _check_flag, _check_number, _check_text, _check_unit
 
 # A group is tabled when it has at most this many states per requested draw.
 # A state costs about 0.5 us to build and 0.26 us to score for one vote rule
@@ -70,8 +70,20 @@ class SampleGroup:
     samples: tuple[tuple[str | None, float | None, bool], ...]
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        """Checks each sample as a record's answer, confidence and valid."""
+        samples = []
+        for answer, confidence, valid in self.samples:
+            try:
+                _check_text("answer", answer)
+                if confidence is not None:
+                    _check_number("confidence", confidence)
+                    confidence = _check_unit("confidence", confidence)
+                samples.append((answer, confidence, _check_flag("valid", valid)))
+            except DataError as exc:
+                raise DataError(f"group {self.group!r}: {exc}") from None
+        if not samples:
             raise DataError(f"group {self.group!r} has no samples")
+        object.__setattr__(self, "samples", tuple(samples))
 
     @property
     def size(self) -> int:

@@ -168,6 +168,14 @@ class TestAggregators:
         with pytest.raises(DataError):
             aggregate_product([0.5, 1.2])
 
+    @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]], ids=repr)
+    def test_non_numeric_rejected(self, bad):
+        """A claim confidence is checked as ClaimRecord checks one: a bool is
+        no number, and a string or None is a DataError, not a TypeError."""
+        for aggregate in (aggregate_product, aggregate_min):
+            with pytest.raises(DataError, match="^claim confidence must be numeric$"):
+                aggregate([bad, 0.5])
+
     def test_product_at_most_min(self):
         """Equality holds exactly when at most one element is below 1."""
         rng = np.random.default_rng(7)

@@ -1,6 +1,8 @@
 """CLI surface: exit codes, formats, precedence, streaming, determinism."""
 
+import ast
 import csv
+import inspect
 import io
 import json
 import os
@@ -10,6 +12,7 @@ import warnings
 
 import pytest
 
+import becal
 from becal import cli, metrics
 from becal.cli import REWARDS, build_parser, main
 from becal.model import ClaimRecord, PredictionRecord
@@ -661,6 +664,21 @@ def test_commands_never_build_row_objects(tmp_path, monkeypatch):
                  ["validate", "chain.jsonl"],
                  ["tts", "ens.jsonl", "--k", "1,2"]):
         assert main([*argv, "--out", "out"]) == 0, argv
+
+
+def test_every_name_a_command_uses_is_the_packages():
+    """becal.cli keeps no name table: each name a command fetches with _use
+    is a public name of the package, and no other name reads through."""
+    tree = ast.parse(inspect.getsource(cli))
+    used = {arg.value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_use"
+            for arg in node.args if isinstance(arg, ast.Constant)}
+    assert {"metric_report", "sweep", "tts"} <= used
+    assert used | {f"reward_{name}" for name in REWARDS} <= set(becal.__all__)
+    with pytest.raises(AttributeError):
+        cli.__path__  # noqa: B018 - the module would pass for a package
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        cli.no_such_name  # noqa: B018
 
 
 def test_no_option_has_a_single_choice():

@@ -184,6 +184,31 @@ class TestGrouping:
         with pytest.raises(DataError):
             SampleGroup(group="g", samples=())
 
+    # a bad sample -> the error it gives, as a record field of that value would
+    BAD_SAMPLES = [
+        (("A", 1.5, True), "confidence out of range"),
+        (("A", math.nan, True), "confidence out of range"),
+        (("A", "0.5", True), "confidence must be numeric"),
+        (("A", True, True), "confidence must be numeric"),
+        (("A", 0.5, "yes"), "valid must be boolean"),
+        (("A", 0.5, None), "valid must be boolean"),
+        ((7, 0.5, True), "answer must be a string"),
+    ]
+
+    @pytest.mark.parametrize("sample,message", BAD_SAMPLES,
+                             ids=[repr(sample) for sample, _ in BAD_SAMPLES])
+    def test_bad_sample_rejected(self, sample, message):
+        with pytest.raises(DataError, match=f"^group 'g': {message}$"):
+            SampleGroup(group="g", samples=(("B", 0.5, False), sample))
+
+    def test_samples_are_stored_checked(self):
+        grp = SampleGroup(group="g", samples=[("A", np.float64(0.25), np.bool_(True)),
+                                              (None, None, False), ("B", 1, False)])
+        assert grp.samples == (("A", 0.25, True), (None, None, False), ("B", 1.0, False))
+        assert type(grp.samples) is tuple
+        assert [type(c) for _, c, v in grp.samples] == [float, type(None), float]
+        assert all(type(v) is bool for _, _, v in grp.samples)
+
 
 class TestMeanBest:
     def test_all_valid(self):
