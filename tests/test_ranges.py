@@ -100,10 +100,10 @@ RANGES = [
      [-1, 2 ** 53]),
     ("q", lambda x: expected_reward_curve(UniformPrior(), x, points=5), [0.0, 1.0],
      [below(0.0), above(1.0)]),
-    ("points", lambda x: expected_reward_curve(UniformPrior(), 0.5, points=x), [2, 3],
-     [1, 0, -1, 2 ** 53]),
     ("k", lambda x: tts.check_curve_options([x], 1, 0), [1, 3], [0, 2 ** 53]),
     ("k", lambda x: tts.exact_expected_accuracy([GROUP], x, "mean"), [1, 3], [0, 2 ** 53]),
+    ("points", lambda x: expected_reward_curve(UniformPrior(), 0.5, points=x), [2, 3],
+     [1, 0, -1, 2 ** 53]),
 ]
 
 
