@@ -6,8 +6,8 @@ first 8 bytes of the SHA-256 of the group's name: k of the group's n samples,
 permutation(n)[:k] of a Generator on it. The keys are that SeedSequence hash
 on 32-bit words in numpy, for many tuples at once; each is set, counter 0,
 into one reused Philox. So the draws are those of a Philox built per tuple,
-bit for bit, at a fraction of the cost. becal.tts loads this module only when
-some group is drawn.
+bit for bit, at a fraction of the cost, and one becal.tts._votes tally votes
+many draws. becal.tts loads this module only when some group is drawn.
 """
 
 from __future__ import annotations
@@ -76,15 +76,14 @@ def keys(seed: int, k: int, resample: np.ndarray, digest: np.ndarray) -> np.ndar
 
 
 def draw_hits(groups: Groups, drawn: np.ndarray, ks: list[int], n_resamples: int,
-              seed: int, score) -> list[list[dict[str, int]]]:
-    """Per k and resample, {rule: hits} summed over the drawn groups with
-    1 < k < n of score(draw), each group's draw made from its own (seed, k,
-    resample) stream."""
-    from .tts import _samples
+              seed: int, rules: list[str]) -> list[dict[str, list[int]]]:
+    """Per k, {rule: hits per resample} summed over the drawn groups with
+    1 < k < n, each group's draw made from its own (seed, k, resample)
+    stream; the draws of a step of resamples are voted at once."""
+    from .tts import _TALLY_SAMPLES, _votes
     sizes = np.diff(groups.offsets)
     digest = np.array([list(hashlib.sha256(groups.names[g].encode("utf-8")).digest()[:8])
                        for g in drawn.tolist()], dtype=np.uint64)
-    samples = _samples(groups, drawn)
     philox = np.random.Philox(0)
     generator = np.random.Generator(philox)
     state = philox.state  # counter 0, nothing buffered
@@ -92,21 +91,22 @@ def draw_hits(groups: Groups, drawn: np.ndarray, ks: list[int], n_resamples: int
     hits = []
     for k in ks:
         at = np.flatnonzero((1 < k) & (k < sizes[drawn]))
-        hits.append([{} for _ in range(n_resamples)] if len(at) else [])
-        # about 4,096 keys at once, in power-of-two steps of resamples: no
-        # step crosses 2^32, from where a resample is two words
-        step = 1 << max(0, (4096 // max(len(at), 1)).bit_length() - 1)
+        hits.append({rule: [] for rule in rules})
+        # about 4,096 keys and _TALLY_SAMPLES samples at once, in power-of-two
+        # steps of resamples: none crosses 2^32, from where a resample is two words
+        step = 1 << max(0, (min(4096, _TALLY_SAMPLES // k) // max(len(at), 1)).bit_length() - 1)
         for lo in range(0, n_resamples if len(at) else 0, step):
             resample = np.arange(lo, min(lo + step, n_resamples), dtype=np.uint64)
-            for r, pair, g in zip(np.repeat(resample, len(at)).tolist(),
-                                  keys(seed, k, np.repeat(resample, len(at)),
-                                       np.tile(digest[at], (len(resample), 1))).tolist(),
-                                  np.tile(at, len(resample)).tolist()):
+            chosen = np.tile(drawn[at], len(resample))
+            picks = np.empty((len(chosen), k), dtype=np.int64)
+            for row, (pair, n) in enumerate(zip(
+                    keys(seed, k, np.repeat(resample, len(at)),
+                         np.tile(digest[at], (len(resample), 1))).tolist(),
+                    sizes[chosen].tolist())):
                 key[:] = pair
                 philox.state = state
-                sample = samples[g]
-                total = hits[-1][r]
-                for rule, hit in score([sample[i] for i in
-                                        generator.permutation(len(sample))[:k].tolist()]).items():
-                    total[rule] = total.get(rule, 0) + hit
+                picks[row] = generator.permutation(n)[:k]
+            for rule, hit in _votes(groups, (picks + groups.offsets[chosen, None]).ravel(),
+                                    np.arange(len(chosen)).repeat(k), rules).items():
+                hits[-1][rule] += hit.reshape(len(resample), -1).sum(axis=1).tolist()
     return hits

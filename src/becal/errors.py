@@ -54,12 +54,16 @@ def check_count(name: str, value, least: int = 1):
     return value
 
 
+def check_integer(name: str, value) -> int:
+    """value as an int (numpy integers pass); a bool or a float is a DomainError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise DomainError(f"{name} must be an integer: {value!r}")
+    return operator.index(value)
+
+
 def check_seed(seed) -> int:
     """The one seed rule: an integer with 0 <= seed < 2^64, else DomainError."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be an integer: {seed!r}") from None
+    value = check_integer("seed", seed)
     if not 0 <= value < 2 ** 64:
         raise DomainError(f"seed must fit in 64 unsigned bits: {seed!r}")
     return value

@@ -13,7 +13,7 @@ on the set of samples drawn, not on its order. Groups are columns (Groups).
 Draws are k of a group's n samples without replacement; each point is exact
 wherever that is cheap:
   k = 1                every strategy scores the one sample drawn: v/n
-  k = n                majority and majconf score the whole group, 0 or 1
+  k = n                majority and majconf vote the whole group, 0 or 1
   mean, best, maxconf  closed forms: v/n, the unbiased pass@k and the
                        level-wise maxconf sum, read from the columns by
                        reduceat and summed over groups that share a term
@@ -24,8 +24,8 @@ STATES_PER_DRAW * n_resamples * len(k_values) states and it has at most
 _MAX_TABLED samples; else it is drawn there, each (seed, k, resample, group)
 tuple from its own Philox stream (becal.draws), so curves are paired. A point
 with no drawn group is exact, stderr 0. One pass values every strategy: each
-table and each draw serves both vote rules. The brute-force oracles are in
-the tests.
+table, and each numpy tally (_votes) of many whole groups at k = n or draws,
+serves both vote rules. The brute-force oracles are in the tests.
 """
 
 from __future__ import annotations
@@ -38,21 +38,24 @@ from fractions import Fraction
 import numpy as np
 
 from . import STRATEGIES
-from .errors import DataError, DomainError, check_count, check_seed
+from .errors import DataError, DomainError, check_count, check_integer, check_seed
 from .model import Dataset, _check_flag, _check_number, _check_text, _check_unit
 
 # A group is tabled when it has at most this many states per requested draw.
 # A state costs about 0.5 us to build and 0.26 us to score for one vote rule
-# at k up to 8, and a draw about 6.5 us to make and 4 us to score for one
-# rule (medians of 7 runs on the benchmark's 200 groups of 16 samples on the
-# 0.05 grid, 2-core x86): a ratio near 14, 11 for both rules. The value stays
-# 32, since moving it moves which groups are drawn and so the outputs.
+# at k up to 8, and a draw about 5.5 us to make and score for both rules in
+# bulk (medians of 7 runs on the benchmark's 200 groups of 16 samples on the
+# 0.05 grid, 2-core x86): a ratio near 5 for both rules. The value stays 32,
+# since moving it moves which groups are drawn and so the outputs.
 STATES_PER_DRAW = 32
 
 # exact_expected_accuracy tables a vote group of at most this many states. At
 # the cap, 4 answers of 14 samples at distinct confidences, k = 55 (k = 56 is
 # the whole group) takes about 0.5 s and 140 MB (2-core x86)
 _MAX_EXACT_STATES = 1 << 16
+
+# A _votes tally of whole groups or of draws takes about this many samples
+_TALLY_SAMPLES = 1 << 16
 
 _CLOSED = ("mean", "best", "maxconf")  # valued by closed form, never drawn
 
@@ -72,15 +75,18 @@ class SampleGroup:
     def __post_init__(self) -> None:
         """Checks each sample as a record's answer, confidence and valid."""
         samples = []
-        for answer, confidence, valid in self.samples:
-            try:
+        try:
+            for answer, confidence, valid in self.samples:
                 _check_text("answer", answer)
                 if confidence is not None:
                     _check_number("confidence", confidence)
                     confidence = _check_unit("confidence", confidence)
                 samples.append((answer, confidence, _check_flag("valid", valid)))
-            except DataError as exc:
-                raise DataError(f"group {self.group!r}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"group {self.group!r}: {exc}") from None
+        except (TypeError, ValueError):  # not a sequence of triples
+            raise DataError(f"group {self.group!r}: samples must be "
+                            "(answer, confidence, valid) triples") from None
         if not samples:
             raise DataError(f"group {self.group!r} has no samples")
         object.__setattr__(self, "samples", tuple(samples))
@@ -164,28 +170,36 @@ def _columns(groups) -> Groups:
                   np.array([v for _, _, v in samples], dtype=bool))
 
 
-def _samples(groups: Groups, chosen: np.ndarray) -> list[list[tuple[int, float, bool]]]:
-    """The samples of groups[chosen] as (answer rank, confidence or 0, valid):
-    ranks order as the names do."""
-    offsets = groups.offsets.tolist()
-    return [list(zip(groups.answer[offsets[g]:offsets[g + 1]].tolist(),
-                     np.nan_to_num(groups.confidence[offsets[g]:offsets[g + 1]]).tolist(),
-                     groups.valid[offsets[g]:offsets[g + 1]].tolist())) for g in chosen.tolist()]
+def _members(groups: Groups, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample of groups[chosen], group after group: its index into the
+    columns, and its group's place in chosen."""
+    sizes = np.diff(groups.offsets)[chosen]
+    owner = np.repeat(np.arange(len(chosen)), sizes)
+    return np.repeat(groups.offsets[chosen] - np.cumsum(sizes) + sizes, sizes) + \
+        np.arange(len(owner)), owner
 
 
-def _score(drawn, strategies: list[str]) -> dict[str, int]:
-    """Per vote rule in strategies, 1 if its vote over the drawn samples goes
-    to a valid one, from one answer tally."""
-    tally: dict = {}  # answer: [confidences, any valid]
-    for answer, conf, valid in drawn:
-        if answer in tally:
-            tally[answer][0].append(conf or 0.0)
-            tally[answer][1] |= valid
-        else:
-            tally[answer] = [[conf or 0.0], valid]
-    ranked = [(-len(c), -math.fsum(c), a, v) for a, (c, v) in tally.items()]
-    return {rule: int(min(ranked, key=lambda r: r[:3] if rule == "majority" else
-                          (r[1], r[0], r[2]))[3]) for rule in strategies}
+def _votes(groups: Groups, at: np.ndarray, owner: np.ndarray, rules) -> dict[str, np.ndarray]:
+    """Per vote rule, each set's vote in set order, 1 if it goes to a valid
+    sample; set s holds the samples at[owner == s]. An answer's tally is its
+    count, the math.fsum of its confidences (none: 0) and whether any is
+    valid: majority ranks by count then sum, majconf by sum then count."""
+    width = len(groups.answers) + 1
+    key = owner * width + groups.answer[at]  # set, then answer
+    order = np.argsort(key)
+    key, at = key[order], at[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=len(key))
+    conf = np.nan_to_num(groups.confidence[at])
+    total = np.add.reduceat(conf, first)  # one addition is correctly rounded, as fsum
+    values, bounds = conf.tolist(), np.append(first, len(key)).tolist()
+    for i in np.flatnonzero(count > 2).tolist():
+        total[i] = math.fsum(values[bounds[i]:bounds[i + 1]])
+    valid, key = np.logical_or.reduceat(groups.valid[at], first), key[first]
+    # np.lexsort sorts by its last key first: by set, the rule's ranks, then name
+    ranks = {"majority": (-total, -count), "majconf": (-count, -total)}
+    opens = np.flatnonzero(np.diff(key // width, prepend=-1))
+    return {rule: valid[np.lexsort((key, *ranks[rule], key // width))[opens]] for rule in rules}
 
 
 def _sums(value: np.ndarray, *keys: np.ndarray):
@@ -208,7 +222,7 @@ def _exact(groups: Groups, strategies: list[str], ks: list[int],
 
     At 1 < k < n majority and majconf are valued from the table of each
     group with at most cap states and _MAX_TABLED samples, each batch of
-    tables built once and scored for both rules.
+    tables built once and scored for both rules; at k = n by _votes.
     """
     sizes = np.diff(groups.offsets)
     valid = np.add.reduceat(groups.valid, groups.offsets[:-1], dtype=np.int64)
@@ -242,10 +256,8 @@ def _exact(groups: Groups, strategies: list[str], ks: list[int],
     above = [k for k in ks if k > 1]
     if not votes or not above:
         return sums, sizes[:0], np.zeros(len(groups), dtype=np.int64)
-    # k = n: the whole group's vote, from its table or else one tally
-    whole = {strategy: Counter() for strategy in votes}  # per size, the valid votes
-    voted = np.flatnonzero(sizes > min(above))
     states = np.zeros(len(groups), dtype=np.int64)
+    voted = np.flatnonzero(sizes > min(above))
     if len(voted):
         # loaded only by a command that needs tables
         from .votes import _batches, _vote_hits
@@ -258,19 +270,17 @@ def _exact(groups: Groups, strategies: list[str], ks: list[int],
                 hits = _vote_hits(table, strategy, [k for _, k in deep])
                 for size in set(batch.tolist()):
                     # Python ints: many 62-sample groups' counts pass int64
-                    *columns, votes_n = hits[batch == size].T.tolist()
-                    whole[strategy][size] += sum(votes_n)
-                    for (j, k), column in zip(deep, columns):
+                    for (j, k), column in zip(deep, hits[batch == size].T.tolist()):
                         if k < size:
                             sums[strategy][j][math.comb(size, k)] += sum(column)
-    rest = np.flatnonzero(np.isin(sizes, above) & (states == 0))
-    for size, drawn in zip(sizes[rest].tolist(), _samples(groups, rest)):
-        for strategy, hit in _score(drawn, votes).items():
-            whole[strategy][size] += hit
-    for strategy in votes:
-        for j, k in enumerate(ks):
-            if k > 1:
-                sums[strategy][j][1] += whole[strategy][k]
+    # k = n: each whole group's vote (none has one sample), in parts of
+    # about _TALLY_SAMPLES samples
+    whole = np.flatnonzero(np.isin(sizes, above))
+    ends = np.cumsum(sizes[whole]) // _TALLY_SAMPLES
+    for part in np.split(whole, np.flatnonzero(np.diff(ends)) + 1):
+        for strategy, hit in _votes(groups, *_members(groups, part), votes).items():
+            for j, k in enumerate(ks):
+                sums[strategy][j][1] += int(hit[sizes[part] == k].sum())
     return sums, voted[states[voted] == 0], states
 
 
@@ -280,16 +290,15 @@ def _total(sums: Counter) -> Fraction:
 
 
 def check_curve_options(k_values, n_resamples: int, seed: int) -> tuple[list[int], int]:
-    """k_values as a list and seed as an int; DomainError unless there is a
-    k and each k, n_resamples and seed follow the count and seed rules. They
-    need no group, so the CLI checks them before reading any record."""
+    """k_values as a list of ints and seed as an int; DomainError unless there
+    is a k, each k and n_resamples is an integer count and seed follows the
+    seed rule. They need no group, so the CLI checks them before any record."""
     seed = check_seed(seed)
-    check_count("n_resamples", n_resamples)
+    check_integer("n_resamples", check_count("n_resamples", n_resamples))
     ks = list(k_values)
     if not ks:
         raise DomainError("k_values must be non-empty")
-    check_count("k", min(ks))
-    return [int(k) for k in ks], seed
+    return [check_integer("k", check_count("k", k)) for k in ks], seed
 
 
 def _checked(groups, strategies: list[str], ks: list[int]) -> Groups:
@@ -351,13 +360,12 @@ def scaling_curves(groups, strategies, k_values, n_resamples: int,
     groups = _checked(groups, strategies, ks)
     sums, drawn, states = _exact(groups, strategies, ks,
                                  STATES_PER_DRAW * n_resamples * len(ks))
-    votes = [strategy for strategy in strategies if strategy not in _CLOSED]
     if len(drawn):
-        # per k and resample, each rule's valid votes over the drawn groups;
+        # per k, each rule's valid votes over the drawn groups per resample;
         # loaded only when some group is drawn
         from .draws import draw_hits
         hits = draw_hits(groups, drawn, ks, n_resamples, seed,
-                         lambda sample: _score(sample, votes))
+                         [strategy for strategy in strategies if strategy not in _CLOSED])
     sizes = np.diff(groups.offsets)
     valued = []  # per k, how a vote rule's groups are valued
     for k in ks:
@@ -374,17 +382,12 @@ def scaling_curves(groups, strategies, k_values, n_resamples: int,
         for j, k in enumerate(ks):
             exact_sum = _total(sums[strategy][j])
             counts = closed if strategy in _CLOSED else valued[j]
-            if not counts["drawn"]:
-                curve.append(ScalingPoint(k=k, mean=float(exact_sum / len(groups)),
-                                          stderr=0.0, **counts))
-                continue
-            # majority and majconf score a whole draw 0 or 1, so the sum is exact
-            accs = np.array([float((exact_sum + h[strategy]) / len(groups))
-                             for h in hits[j]])
-            stderr = 0.0 if n_resamples == 1 else float(
-                accs.std(ddof=1) / math.sqrt(n_resamples))
-            curve.append(ScalingPoint(k=k, mean=float(accs.mean()), stderr=stderr,
-                                      **counts))
+            # majority and majconf score a whole draw 0 or 1, so each sum is
+            # exact; an exact point is the one sum
+            accs = np.array([float((exact_sum + h) / len(groups))
+                             for h in (hits[j][strategy] if counts["drawn"] else [0])])
+            stderr = float(accs.std(ddof=1) / math.sqrt(len(accs))) if len(accs) > 1 else 0.0
+            curve.append(ScalingPoint(k=k, mean=float(accs.mean()), stderr=stderr, **counts))
         curves[strategy] = curve
     return curves
 
@@ -400,7 +403,7 @@ def exact_expected_accuracy(groups, k: int, strategy: str) -> Fraction:
     fraction, from the closed forms and tables scaling_curves uses. At
     1 < k < n a DomainError names a group whose vote table would pass
     _MAX_EXACT_STATES states or _MAX_TABLED samples."""
-    groups = _checked(groups, [strategy], [check_count("k", k)])
+    groups = _checked(groups, [strategy], [check_integer("k", check_count("k", k))])
     sums, drawn, _ = _exact(groups, [strategy], [k], _MAX_EXACT_STATES)
     if len(drawn):
         from .votes import _MAX_TABLED

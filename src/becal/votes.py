@@ -12,18 +12,17 @@ every k.
 Tables are numpy arrays read from the tts columns and built and scored a
 batch of groups at a time, so the memory held stays bounded however many
 groups there are. Each other answer's losing states are found by running
-counts over the group's states in key order, and the whole group's vote
-(k = n) is read from the same table.
+counts over the group's states in key order. The whole group's vote (k = n)
+needs no table: becal.tts tallies it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .tts import Groups
+from .tts import Groups, _members
 
 # Subset counts of at most 62 samples stay below 2^62, so tables fit int64,
 # and a state's size fits the 6 low bits of its key
@@ -67,10 +66,7 @@ class _Levels(NamedTuple):
 
 def _levels(groups: Groups, chosen: np.ndarray) -> _Levels:
     """The answers and confidence levels of groups[chosen], for _table."""
-    sizes = np.diff(groups.offsets)[chosen]
-    group = np.repeat(np.arange(len(chosen)), sizes)
-    at = np.repeat(groups.offsets[chosen] - np.cumsum(sizes) + sizes, sizes) + \
-        np.arange(len(group))  # the samples, group after group
+    at, group = _members(groups, chosen)
     # samples by group, answer and confidence (no confidence: 0)
     key = group * (len(groups.answers) + 1) + groups.answer[at]
     conf = np.nan_to_num(groups.confidence[at])
@@ -216,7 +212,7 @@ def _table(levels: _Levels, cap: float,
 
 def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
     """Per group of the batch and k: the k-subsets whose vote goes to a
-    valid sample; in a last column, 1 if the whole group's vote does."""
+    valid sample."""
     n = len(table.size)
     span = 64 * (int(table.rank.max()) + 1)
     # one int64 orders a group's states by the rule's vote key
@@ -287,14 +283,9 @@ def _vote_hits(table: _Table, strategy: str, ks: list[int]) -> np.ndarray:
     hits = (poly.ravel()[(np.cumsum(fresh)[:, None] - 1) * width + np.maximum(place, 0)]
             * (place >= 0) * table.valid[by][rows, None])
     # rows run group after group: sum each group's at once
-    out = np.zeros((len(first), len(ks) + 1), dtype=np.int64)
+    out = np.zeros((len(first), len(ks)), dtype=np.int64)
     if len(rows):
         g = group[rows]
         edges = np.flatnonzero(np.diff(g, prepend=-1))
-        out[g[edges], :-1] = np.add.reduceat(hits, edges)
-    # k = n: each answer's last state is its whole set, and the vote goes to
-    # the greatest key of those, the first name at equal keys
-    whole = np.append(start[1:], n) - 1
-    won = whole[key[whole] == np.maximum.reduceat(key[whole], first)[group[whole]]]
-    out[:, -1] = table.valid[by][won[np.flatnonzero(np.diff(group[won], prepend=-1))]] > 0
+        out[g[edges]] = np.add.reduceat(hits, edges)
     return out

@@ -104,6 +104,8 @@ RANGES = [
     ("k", lambda x: tts.exact_expected_accuracy([GROUP], x, "mean"), [1, 3], [0, 2 ** 53]),
     ("points", lambda x: expected_reward_curve(UniformPrior(), 0.5, points=x), [2, 3],
      [1, 0, -1, 2 ** 53]),
+    ("n_resamples", lambda x: tts.check_curve_options([1], x, 0), [1, 3], [0, 2 ** 53]),
+    ("k", lambda x: tts.scaling_curves([GROUP], ["mean"], [1, x], 1), [1, 3], [0, 2 ** 53]),
 ]
 
 
@@ -157,6 +159,23 @@ class TestCheckRange:
         for seed in (-1, 2 ** 64):
             with pytest.raises(DomainError, match="^seed must fit in 64 unsigned bits: "):
                 check_seed(seed)
+
+    def test_tts_counts_take_integers_only(self):
+        """Each k and n_resamples is an int or numpy integer once in range; a
+        float, even a whole one, and a bool are DomainErrors, as for a seed."""
+        assert tts.check_curve_options(np.array([1, 3]), np.int64(2), 0) == ([1, 3], 0)
+        assert [type(k) for k in tts.check_curve_options([np.int32(2)], 1, 0)[0]] == [int]
+        for k in (2.7, 2.0, True, np.float64(2.0)):
+            with pytest.raises(DomainError, match="^k must be an integer: "):
+                tts.scaling_curves([GROUP], ["mean"], [1, k], 3)
+            with pytest.raises(DomainError, match="^k must be an integer: "):
+                tts.exact_expected_accuracy([GROUP], k, "mean")
+        for n in (2.5, 1.0, True):
+            with pytest.raises(DomainError, match="^n_resamples must be an integer: "):
+                tts.scaling_curves([GROUP], ["mean"], [1], n)
+        # one integer rule: a bool seed is refused as well
+        with pytest.raises(DomainError, match="^seed must be an integer: True$"):
+            check_seed(True)
 
     def test_count_and_seed_rules_stay_reachable_from_simulate(self):
         assert simulate.check_count is check_count is errors.check_count

@@ -20,11 +20,26 @@ from becal import draws, tts, votes
 from becal.errors import DataError, DomainError
 from becal.model import Dataset
 from becal.simulate import _rng, generate_ensemble
-from becal.tts import (STRATEGIES, SampleGroup, _columns, _score, exact_expected_accuracy,
+from becal.tts import (STRATEGIES, SampleGroup, _columns, _votes, exact_expected_accuracy,
                        group_records, scaling_curve, scaling_curves)
 from becal.votes import _levels, _vote_hits
 
 from conftest import grid_groups, make_dataset, make_grouped
+
+
+def _score(drawn, strategies):
+    """Per vote rule in strategies, 1 if its vote over the drawn samples goes
+    to a valid one, from one answer tally: the oracle of tts._votes."""
+    tally = {}  # answer: [confidences, any valid]
+    for answer, conf, valid in drawn:
+        if answer in tally:
+            tally[answer][0].append(conf or 0.0)
+            tally[answer][1] |= valid
+        else:
+            tally[answer] = [[conf or 0.0], valid]
+    ranked = [(-len(c), -math.fsum(c), a, v) for a, (c, v) in tally.items()]
+    return {rule: int(min(ranked, key=lambda r: r[:3] if rule == "majority" else
+                          (r[1], r[0], r[2]))[3]) for rule in strategies}
 
 
 def _group_rng(seed, k, resample, group):
@@ -193,6 +208,8 @@ class TestGrouping:
         (("A", 0.5, "yes"), "valid must be boolean"),
         (("A", 0.5, None), "valid must be boolean"),
         ((7, 0.5, True), "answer must be a string"),
+        (("A", 0.5), r"samples must be \(answer, confidence, valid\) triples"),
+        (None, r"samples must be \(answer, confidence, valid\) triples"),
     ]
 
     @pytest.mark.parametrize("sample,message", BAD_SAMPLES,
@@ -200,6 +217,10 @@ class TestGrouping:
     def test_bad_sample_rejected(self, sample, message):
         with pytest.raises(DataError, match=f"^group 'g': {message}$"):
             SampleGroup(group="g", samples=(("B", 0.5, False), sample))
+
+    def test_samples_not_a_sequence_rejected(self):
+        with pytest.raises(DataError, match=r"^group 'g': samples must be \(answer, "):
+            SampleGroup(group="g", samples=None)
 
     def test_samples_are_stored_checked(self):
         grp = SampleGroup(group="g", samples=[("A", np.float64(0.25), np.bool_(True)),
@@ -352,6 +373,54 @@ class TestOrderFreeVotes:
                 drawn = [_draw(grp, 16, _group_rng(3, 16, r, grp.group)) for r in range(8)]
                 assert {_score(sample, [strategy])[strategy] for sample in drawn} == {
                     _closed_form(grp, [strategy], [16])[strategy][0][0]}
+
+
+def tallied(samples, owner, rules=("majority", "majconf")):
+    """tts._votes over the samples of one hand-built group, the set of each
+    sample given by owner, and the _score oracle for each set in set order,
+    on answer ranks (no answer last, as the columns rank it)."""
+    groups = _columns([SampleGroup("g", tuple(samples))])
+    at = np.random.default_rng(len(samples)).permutation(len(samples))
+    owner = np.asarray(owner)[at]
+    got = {rule: hit.tolist() for rule, hit in _votes(groups, at, owner, list(rules)).items()}
+    rank = {a: code for code, a in enumerate([*groups.answers, None])}
+    sets = [[(rank[samples[i][0]], *samples[i][1:]) for i in at[owner == s].tolist()]
+            for s in np.unique(owner).tolist()]
+    return got, {rule: [_score(drawn, [rule])[rule] for drawn in sets] for rule in rules}
+
+
+class TestVoteTally:
+    """tts._votes votes many sets at once, each as the _score oracle votes it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_votes_are_the_oracle(self, data):
+        # grid confidences tie sums (0.1 + 0.2 against 0.3 differ in binary)
+        # and repeated answers tie counts; set ids start anywhere
+        samples = data.draw(st.lists(st.tuples(
+            st.sampled_from(["A", "B", "C", None]),
+            st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 1.0]),
+                      st.floats(0.0, 1.0)),
+            st.booleans()), min_size=1, max_size=40))
+        low = data.draw(st.integers(0, 2 ** 40))
+        owner = data.draw(st.lists(st.integers(low, low + 5), min_size=len(samples),
+                                   max_size=len(samples)))
+        got, oracle = tallied(samples, owner)
+        assert got == oracle
+
+    def test_binary_sums_decide_ties(self):
+        # counts tie; 0.1 + 0.2 is above 0.3, so B wins both rules
+        got, oracle = tallied([("B", 0.1, True), ("B", 0.2, True), ("A", 0.3, False),
+                               ("A", 0.0, False)], [7, 7, 7, 7])
+        assert got == oracle == {"majority": [1], "majconf": [1]}
+        # the correctly rounded sums of 0.1, 0.2, 0.3 and of 0.1, None (0),
+        # 0.5 are both 0.6, so the first name, A, wins; summed left to right,
+        # B's would be above 0.6
+        got, oracle = tallied([("B", 0.1, True), ("B", 0.2, True), ("B", 0.3, True),
+                               ("A", 0.1, False), ("A", None, False), ("A", 0.5, False)],
+                              [3] * 6)
+        assert got == oracle == {"majority": [0], "majconf": [0]}
+        assert 0.1 + 0.2 + 0.3 > 0.6 == math.fsum([0.1, 0.2, 0.3])
 
 
 def ragged_groups(rng, n_groups, sizes=(1, 7)):
@@ -722,14 +791,22 @@ class TestBulkKeys:
             built.permutation(n)[:min(k, n)].tolist()
         assert philox.random_raw(9).tolist() == built.bit_generator.random_raw(9).tolist()
 
-    def test_draws_are_the_per_tuple_draws(self):
+    def test_draws_are_the_per_tuple_draws(self, monkeypatch):
         # every (seed, k, resample, group) draw, seeds past 2^32 included
         groups = grid_groups(random.Random(9), 6, 9)
+        names = {a: code for code, a in enumerate(groups.answers)}
         for seed in (0, 5, 2 ** 32 + 7, 2 ** 64 - 1):
             seen = []
-            draws.draw_hits(groups, np.arange(len(groups)), [1, 3, 8, 9], 3, seed,
-                            lambda drawn: seen.append(drawn) or {})
-            names = {a: code for code, a in enumerate(groups.answers)}
+
+            def votes(columns, at, owner, rules):
+                # each draw's samples as (answer rank, confidence, valid), in draw order
+                for s in np.unique(owner).tolist():
+                    seen.append([(int(columns.answer[i]), float(columns.confidence[i]),
+                                  bool(columns.valid[i])) for i in at[owner == s].tolist()])
+                return _votes(columns, at, owner, rules)
+
+            monkeypatch.setattr(tts, "_votes", votes)
+            draws.draw_hits(groups, np.arange(len(groups)), [1, 3, 8, 9], 3, seed, ["majority"])
             assert seen == [[(names[a], c, v) for a, c, v in
                              _draw(grp, k, _group_rng(seed, k, r, grp.group))]
                             for k in (3, 8) for r in range(3) for grp in groups]
@@ -758,18 +835,18 @@ class TestForcedDraws:
             assert [pt.exact for pt in curve] == [True] + [False] * 3 + [True]
 
     def test_one_tally_per_draw(self, forced_draws, monkeypatch):
-        """Both vote rules score each draw, and each whole group, from one
-        _score call, and give the curves of each rule alone."""
+        """Both vote rules score the draws of each k, and the whole groups,
+        from one _votes call, and give the curves of each rule alone."""
         calls = []
-        monkeypatch.setattr(tts, "_score", lambda drawn, rules: calls.append(rules)
-                            or _score(drawn, rules))
+        monkeypatch.setattr(tts, "_votes", lambda groups, at, owner, rules: calls.append(rules)
+                            or _votes(groups, at, owner, rules))
         groups = grid_groups(random.Random(31), 25, 7)
         curves = scaling_curves(groups, ["majority", "majconf"], [1, 2, 3, 5, 7], 4, seed=11)
         for strategy, pinned in self.PINNED.items():
             assert [(pt.k, pt.mean, pt.stderr) for pt in curves[strategy]] == pinned
         draws = sum(pt.draws for pt in curves["majority"])
         assert draws == 25 * 3 * 4  # groups x k in (2, 3, 5) x resamples
-        assert calls == [["majority", "majconf"]] * (draws + 25)  # + each group at k = 7
+        assert calls == [["majority", "majconf"]] * 4  # k = 7 (whole groups), 2, 3, 5
 
     def test_closed_forms_ignore_the_limit(self, forced_draws):
         groups = grid_groups(random.Random(31), 25, 7)
